@@ -369,7 +369,6 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--constraint-tol", type=float, default=Tolerances.constraint_tol)
     parser.add_argument("--fd-step", type=float, default=Tolerances.fd_step)
     parser.add_argument("--root-tol", type=float, default=Tolerances.root_tol)
-    parser.add_argument("--ode-tol", type=float, default=Tolerances.ode_tol)
 
 
 def _tolerances_from(args) -> Tolerances:
@@ -377,7 +376,6 @@ def _tolerances_from(args) -> Tolerances:
         constraint_tol=args.constraint_tol,
         fd_step=args.fd_step,
         root_tol=args.root_tol,
-        ode_tol=args.ode_tol,
     )
 
 
@@ -417,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VECTOR_FLAGS = ("--q", "--p", "--u", "--v", "--output-times")
+_VECTOR_FLAGS = ("--q", "--p", "--u", "--v")
 
 
 def _merge_vector_flags(argv: list[str]) -> list[str]:

@@ -8,6 +8,7 @@ here is safe to use from concurrent callers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -45,18 +46,16 @@ class Tolerances:
 
     constraint_tol bounds how far sphere points may sit off their
     constraints (and how close to the projection pole a point may come),
-    fd_step is the central-difference step for derivative checks, root_tol
-    terminates the rotation-angle root finder, and ode_tol controls the
-    reference ODE integrations used as oracles.
+    fd_step is the central-difference step for derivative checks, and
+    root_tol terminates the rotation-angle root finder.
     """
 
     constraint_tol: float = 1e-10
     fd_step: float = 1e-6
     root_tol: float = 1e-14
-    ode_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("constraint_tol", "fd_step", "root_tol", "ode_tol"):
+        for name in ("constraint_tol", "fd_step", "root_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
 
@@ -90,7 +89,7 @@ class PhasePoint:
     @property
     def radius(self) -> float:
         """|q|, the distance from the collision point."""
-        return float(np.linalg.norm(self.q))
+        return math.sqrt(np.vecdot(self.q, self.q))
 
     def is_bound(self) -> bool:
         """True off the collision set with negative energy (bound motion)."""
@@ -152,7 +151,7 @@ class SphereCotangentPoint:
 
     @property
     def covector_norm(self) -> float:
-        return float(np.linalg.norm(self.v))
+        return math.sqrt(np.vecdot(self.v, self.v))
 
     @property
     def pole_gap(self) -> float:
@@ -252,16 +251,26 @@ class MomentumMatrix:
         return float(np.sum(self.upper * self.upper))
 
 
+def _energy(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """H = p.p/2 - 1/|q| over (..., n) arrays."""
+    return 0.5 * np.vecdot(p, p) - 1.0 / np.sqrt(np.vecdot(q, q))
+
+
+def _lenz(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """K = (p.p - 1/|q|) q - (q.p) p of one point (n,) or a batch (m, n)."""
+    coeff = np.vecdot(p, p) - 1.0 / np.sqrt(np.vecdot(q, q))
+    return (coeff * q.T - np.vecdot(q, p) * p.T).T
+
+
 def kepler_energy(point: PhasePoint) -> float:
     """The Kepler Hamiltonian H = p.p/2 - 1/|q| (GM = 1).
 
     Raises DomainError at the collision point q = 0, where the energy is
     undefined.
     """
-    r = point.radius
-    if r == 0.0:
+    if point.radius == 0.0:
         raise DomainError("q must be nonzero (energy undefined at collision)")
-    return float(0.5 * (point.p @ point.p) - 1.0 / r)
+    return float(_energy(point.q, point.p))
 
 
 _Q_HALF_WIDTH = 2.0
@@ -312,7 +321,7 @@ def sample_bound_states(
         r = np.linalg.norm(qs, axis=1)
         ok = r >= _MIN_RADIUS
         energy = np.full(batch, np.inf)
-        energy[ok] = 0.5 * np.sum(ps[ok] ** 2, axis=1) - 1.0 / r[ok]
+        energy[ok] = _energy(qs[ok], ps[ok])
         ok &= energy <= max_energy
         if min_energy is not None:
             ok &= energy >= min_energy
@@ -323,11 +332,8 @@ def sample_bound_states(
             gap = 2.0 - r * np.sum(ps**2, axis=1)
             ok &= 2.0 * gap >= pole_gap**2
         if max_eccentricity is not None:
-            p2 = np.sum(ps**2, axis=1)
-            qdotp = np.sum(qs * ps, axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
-                lenz = (p2 - 1.0 / r)[:, None] * qs - qdotp[:, None] * ps
-            ecc = np.linalg.norm(lenz, axis=1)
+                ecc = np.linalg.norm(_lenz(qs, ps), axis=1)
             ok &= ecc <= max_eccentricity
         for idx in np.nonzero(ok)[0]:
             accepted_q.append(qs[idx])

@@ -24,8 +24,9 @@ from .core import (
     PhasePoint,
     SphereCotangentPoint,
     Tolerances,
+    _energy,
 )
-from .ligonschaaf import PunctureError, ls_inverse, ls_map
+from .ligonschaaf import PunctureError, _reproject, _rotate, ls_inverse, ls_map
 
 __all__ = [
     "CollisionApproachError",
@@ -141,39 +142,36 @@ def _leapfrog_batch(
     ps: np.ndarray,
     dt: float,
     checkpoints: list[int],
-    *,
-    guard: bool = True,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Advance a batch of states, returning copies at the given step counts.
+    """Advance a batch of states, returning copies at the given step counts
+    (0 is the start).
 
-    One force evaluation per step (kick-drift-kick with the closing kick
-    fused into the next opening kick would change nothing; the expression
-    order here matches ``kepler_integrate`` exactly).
+    Kick-drift-kick leapfrog with one force evaluation per step.  Raises
+    CollisionApproachError, with the time reached, when |q|^3 falls below
+    10 dt^2; the starting states are checked as well.
     """
     targets = sorted(checkpoints)
-    if not targets:
-        return []
-    if targets[0] < 1:
-        raise ValueError("checkpoints must be positive step counts")
+    if targets and targets[0] < 0:
+        raise ValueError("checkpoints must be nonnegative step counts")
     qs = np.array(qs, dtype=float)
     ps = np.array(ps, dtype=float)
     half_dt = 0.5 * dt
     floor_r2 = _collision_floor_r2(dt)
     acc, r2 = _accelerations(qs)
-    if guard and bool(np.any(r2 < floor_r2)):
+    if bool(np.any(r2 < floor_r2)):
         raise CollisionApproachError(0.0)
     out: list[tuple[np.ndarray, np.ndarray]] = []
-    next_target = 0
-    for step in range(1, targets[-1] + 1):
-        p_half = ps + half_dt * acc
-        qs = qs + dt * p_half
-        acc, r2 = _accelerations(qs)
-        if guard and bool(np.any(r2 < floor_r2)):
-            raise CollisionApproachError(step * dt)
-        ps = p_half + half_dt * acc
-        while next_target < len(targets) and targets[next_target] == step:
-            out.append((qs.copy(), ps.copy()))
-            next_target += 1
+    step = 0
+    for target in targets:
+        while step < target:
+            step += 1
+            p_half = ps + half_dt * acc
+            qs = qs + dt * p_half
+            acc, r2 = _accelerations(qs)
+            if bool(np.any(r2 < floor_r2)):
+                raise CollisionApproachError(step * dt)
+            ps = p_half + half_dt * acc
+        out.append((qs.copy(), ps.copy()))
     return out
 
 
@@ -204,43 +202,21 @@ def kepler_integrate(
     if remainder < 1e-12 * dt:
         remainder = 0.0
 
-    qs = start.q[None, :].copy()
-    ps = start.p[None, :].copy()
-    half_dt = 0.5 * dt
-    floor_r2 = _collision_floor_r2(dt)
-    acc, r2 = _accelerations(qs)
-    if bool(np.any(r2 < floor_r2)):
-        raise CollisionApproachError(0.0)
-
-    times = [0.0]
-    rec_q = [qs[0].copy()]
-    rec_p = [ps[0].copy()]
-    for step in range(1, n_full + 1):
-        p_half = ps + half_dt * acc
-        qs = qs + dt * p_half
-        acc, r2 = _accelerations(qs)
-        if bool(np.any(r2 < floor_r2)):
-            raise CollisionApproachError(step * dt)
-        ps = p_half + half_dt * acc
-        if step % record_every == 0 or (step == n_full and remainder == 0.0):
-            times.append(step * dt)
-            rec_q.append(qs[0].copy())
-            rec_p.append(ps[0].copy())
+    recorded = list(range(record_every, n_full + 1, record_every))
+    if remainder == 0.0 and n_full % record_every:
+        recorded.append(n_full)
+    q0, p0 = start.q[None, :], start.p[None, :]
+    *states, (q_full, p_full) = _leapfrog_batch(q0, p0, dt, [0, *recorded, n_full])
+    times = [0.0] + [step * dt for step in recorded]
     if remainder > 0.0:
-        p_half = ps + 0.5 * remainder * acc
-        qs = qs + remainder * p_half
-        acc, r2 = _accelerations(qs)
-        if bool(np.any(r2 < _collision_floor_r2(remainder))):
-            raise CollisionApproachError(t_end)
-        ps = p_half + 0.5 * remainder * acc
+        try:
+            states += _leapfrog_batch(q_full, p_full, remainder, [1])
+        except CollisionApproachError:
+            raise CollisionApproachError(t_end) from None
         times.append(t_end)
-        rec_q.append(qs[0].copy())
-        rec_p.append(ps[0].copy())
-
-    qarr = np.asarray(rec_q)
-    parr = np.asarray(rec_p)
-    radii = np.linalg.norm(qarr, axis=1)
-    energies = 0.5 * np.sum(parr**2, axis=1) - 1.0 / radii
+    qarr = np.concatenate([q for q, _ in states])
+    parr = np.concatenate([p for _, p in states])
+    energies = _energy(qarr, parr)
     drift = float(np.max(np.abs(energies - energies[0])))
     return Trajectory(
         times=np.asarray(times),
@@ -280,13 +256,7 @@ def delaunay_flow(
     if rho == 0.0:
         raise DomainError("|v| must be nonzero (zero section has no flow)")
     v_hat = sp.v / rho
-    angle = t / rho**3
-    cos_a = math.cos(angle)
-    sin_a = math.sin(angle)
-    u_new = cos_a * sp.u + sin_a * v_hat
-    w = -sin_a * sp.u + cos_a * v_hat
-    u_new = u_new / np.linalg.norm(u_new)
-    w = w - float(u_new @ w) * u_new
+    u_new, w = _reproject(*_rotate(sp.u, v_hat, t / rho**3))
     v_new = rho * (w / np.linalg.norm(w))
     at_puncture = 1.0 - float(u_new[-1]) < tol.constraint_tol
     return SphereCotangentPoint(

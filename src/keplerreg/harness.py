@@ -19,7 +19,6 @@ is covered by targeted unit tests instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Callable
@@ -28,20 +27,21 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    DomainError,
     PhasePoint,
     PlaneCotangentPoint,
     SphereCotangentPoint,
     Tolerances,
+    _energy,
     kepler_energy,
     sample_bound_states,
 )
 from .dynamics import _leapfrog_batch, delaunay_flow
-from .ligonschaaf import PunctureError, angle_equation, ls_inverse, ls_map
-from .moser import chart_hamiltonians, moser_fibration, moser_map, scale_phase
+from .ligonschaaf import PunctureError, _reproject, angle_equation, ls_angle, ls_inverse, ls_map
+from .moser import _chart_hamiltonians, moser_fibration, moser_map, scale_phase
 from .stereo import to_plane, to_sphere
 from .symmetry import (
     _bracket_batch,
+    _central_differences,
     angular_momentum_field,
     extended_momentum,
     extended_momentum_field,
@@ -87,24 +87,7 @@ def jacobian(fn: Callable[[np.ndarray], np.ndarray], point, h: float) -> np.ndar
     """
     if not h > 0.0:
         raise ValueError("h must be positive")
-    base = np.asarray(point, dtype=float)
-    columns = []
-    for k in range(base.size):
-        z_plus = base.copy()
-        z_plus[k] = base[k] + h
-        z_minus = base.copy()
-        z_minus[k] = base[k] - h
-        span = z_plus[k] - z_minus[k]
-        try:
-            f_plus = np.asarray(fn(z_plus), dtype=float)
-            f_minus = np.asarray(fn(z_minus), dtype=float)
-        except DomainError as exc:
-            raise DomainError(
-                f"map domain error at stencil point for coordinate {k} "
-                f"around {base!r}: {exc}"
-            ) from exc
-        columns.append((f_plus - f_minus) / span)
-    return np.column_stack(columns)
+    return np.column_stack(_central_differences(fn, np.asarray(point, dtype=float), h))
 
 
 def fd_tolerance(h: float) -> float:
@@ -282,8 +265,7 @@ def _sample_phase_compact(
             continue
         q = direction / norm * rng.uniform(0.5, 1.1)
         p = rng.uniform(-0.6, 0.6, size=n)
-        energy = 0.5 * float(p @ p) - 1.0 / float(np.linalg.norm(q))
-        if -1.8 <= energy <= -0.5:
+        if -1.8 <= _energy(q, p) <= -0.5:
             out.append(PhasePoint(q, p))
     return out
 
@@ -301,13 +283,9 @@ def _sample_sphere(
     while len(out) < count:
         u = rng.standard_normal(n + 1)
         norm = np.linalg.norm(u)
-        if norm < 1e-8:
+        if norm < 1e-8 or 2.0 * (1.0 - u[-1] / norm) < min_pole_distance**2:
             continue
-        u = u / norm
-        if 2.0 * (1.0 - u[-1]) < min_pole_distance**2:
-            continue
-        v = rng.standard_normal(n + 1)
-        v = v - float(u @ v) * u
+        u, v = _reproject(u, rng.standard_normal(n + 1))
         vnorm = np.linalg.norm(v)
         if vnorm < 0.1:
             continue
@@ -323,6 +301,11 @@ def _phase_batch(points: list[PhasePoint]) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([pt.q for pt in points]), np.stack([pt.p for pt in points])
 
 
+def _max_abs_diff(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
+    """Largest |a - b| entry over the given pairs of arrays."""
+    return max(float(np.max(np.abs(a - b))) for a, b in pairs)
+
+
 # ---------------------------------------------------------------------------
 # Suites
 
@@ -333,17 +316,11 @@ def _suite_stereo_roundtrip(n: int, samples: int, seed: int, tol: Tolerances) ->
     defects: list[tuple[float, str]] = []
     for pl in _sample_plane(rng, n, samples):
         back = to_plane(to_sphere(pl), tol)
-        d = max(
-            float(np.max(np.abs(back.x - pl.x))),
-            float(np.max(np.abs(back.y - pl.y))),
-        )
+        d = _max_abs_diff((back.x, pl.x), (back.y, pl.y))
         defects.append((d, f"plane x={pl.x}, y={pl.y}"))
     for sp in _sample_sphere(rng, n, samples):
         back = to_sphere(to_plane(sp, tol))
-        d = max(
-            float(np.max(np.abs(back.u - sp.u))),
-            float(np.max(np.abs(back.v - sp.v))),
-        )
+        d = _max_abs_diff((back.u, sp.u), (back.v, sp.v))
         defects.append((d, f"sphere u={sp.u}, v={sp.v}"))
     return _make_report("stereo-roundtrip", n, samples, seed, 1e-12, defects)
 
@@ -398,11 +375,7 @@ def _suite_fibration_scale(n: int, samples: int, seed: int, tol: Tolerances) -> 
         worst = 0.0
         for rho in (0.5, 2.0, 10.0):
             scaled = moser_fibration(scale_phase(pt, rho), tol)
-            worst = max(
-                worst,
-                float(np.max(np.abs(scaled.u - base.u))),
-                float(np.max(np.abs(scaled.v - base.v))),
-            )
+            worst = max(worst, _max_abs_diff((scaled.u, base.u), (scaled.v, base.v)))
         defects.append((worst, f"q={pt.q}, p={pt.p}"))
     return _make_report("fibration-scale", n, samples, seed, 1e-10, defects)
 
@@ -420,44 +393,22 @@ def _suite_moser_levelset(n: int, samples: int, seed: int, tol: Tolerances) -> S
     rng = np.random.default_rng(seed)
     h = 100.0 * tol.fd_step
 
-    def value_f(z: np.ndarray) -> float:
-        x, y = z[:n], z[n:]
-        x2 = float(x @ x)
-        return (x2 + 1.0) ** 2 * float(y @ y) / 8.0
-
-    def value_g(z: np.ndarray) -> float:
-        x, y = z[:n], z[n:]
-        x2 = float(x @ x)
-        return 0.5 * (x2 + 1.0) * float(np.linalg.norm(y)) - 1.0
+    def geodesic_and_speed_defect(z: np.ndarray) -> np.ndarray:
+        return np.array(_chart_hamiltonians(z[:n], z[n:])[:2])
 
     defects = []
     for sp in _sample_sphere(rng, n, samples, min_pole_distance=1.0, unit_covector=True):
         pl = to_plane(sp, tol)
-        level = chart_hamiltonians(pl).speed_defect
-        if abs(level) >= 1e-12:
+        speed_defect = _chart_hamiltonians(pl.x, pl.y)[1]
+        if abs(speed_defect) >= 1e-12:
             continue
         z = np.concatenate([pl.x, pl.y])
-        grad_f = np.array([_central_rich(value_f, z, k, h) for k in range(2 * n)])
-        grad_g = np.array([_central_rich(value_g, z, k, h) for k in range(2 * n)])
-        field_f = np.concatenate([grad_f[n:], -grad_f[:n]])
-        field_g = np.concatenate([grad_g[n:], -grad_g[:n]])
-        d = float(np.max(np.abs(field_f - field_g)))
+        grads = _central_differences(geodesic_and_speed_defect, z, h, richardson=True)
+        # The Hamiltonian fields (dH/dy, -dH/dx) differ entrywise by the
+        # gradient differences up to sign and order.
+        d = max(abs(float(f - g)) for f, g in grads)
         defects.append((d, f"x={pl.x}, y={pl.y}"))
     return _make_report("moser-levelset", n, len(defects), seed, 1e-10, defects)
-
-
-def _central(fn: Callable[[np.ndarray], float], z: np.ndarray, k: int, h: float) -> float:
-    z_plus = z.copy()
-    z_plus[k] = z[k] + h
-    z_minus = z.copy()
-    z_minus[k] = z[k] - h
-    return (fn(z_plus) - fn(z_minus)) / (z_plus[k] - z_minus[k])
-
-
-def _central_rich(fn: Callable[[np.ndarray], float], z: np.ndarray, k: int, h: float) -> float:
-    coarse = _central(fn, z, k, h)
-    fine = _central(fn, z, k, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
 
 
 def _suite_ls_symplectic(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
@@ -490,12 +441,8 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int, tol: Tolerances) -> Sui
     scale = tolerance / tol.root_tol
     defects = []
     for pt in sample_bound_states(n, samples, seed):
-        sp = ls_map(pt, tol)
-        back = ls_inverse(sp, tol)
-        d = max(
-            float(np.max(np.abs(back.q - pt.q))),
-            float(np.max(np.abs(back.p - pt.p))),
-        )
+        back = ls_inverse(ls_map(pt, tol), tol)
+        d = _max_abs_diff((back.q, pt.q), (back.p, pt.p))
         defects.append((d, f"phase q={pt.q}, p={pt.p}"))
     rng = np.random.default_rng(seed + 1)
     for sp in _sample_sphere(rng, n, samples):
@@ -505,12 +452,9 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int, tol: Tolerances) -> Sui
             defects.append((2.0 * tolerance, f"unexpected puncture at u={sp.u}, v={sp.v}"))
             continue
         again = ls_map(pt, tol)
-        d = max(
-            float(np.max(np.abs(again.u - sp.u))),
-            float(np.max(np.abs(again.v - sp.v))),
-        )
+        d = _max_abs_diff((again.u, sp.u), (again.v, sp.v))
         sigma = sp.covector_norm
-        theta = float(-math.sqrt(-2.0 * kepler_energy(pt)) * float(pt.q @ pt.p))
+        theta = ls_angle(pt).theta
         residual, slope = angle_equation(theta, float(sp.u[-1]), float(sp.v[-1]) / sigma)
         d = max(d, abs(residual) * scale)
         if slope >= 0.0:
@@ -530,10 +474,7 @@ def _suite_ls_equivariance(n: int, samples: int, seed: int, tol: Tolerances) -> 
         rot_ext = np.zeros((n + 1, n + 1))
         rot_ext[:n, :n] = rot
         rot_ext[n, n] = 1.0
-        d = max(
-            float(np.max(np.abs(rotated.u - rot_ext @ base.u))),
-            float(np.max(np.abs(rotated.v - rot_ext @ base.v))),
-        )
+        d = _max_abs_diff((rotated.u, rot_ext @ base.u), (rotated.v, rot_ext @ base.v))
         defects.append((d, f"q={pt.q}, p={pt.p}"))
     return _make_report("ls-equivariance", n, samples, seed, 1e-12, defects)
 
@@ -573,10 +514,7 @@ def _suite_intertwine(n: int, samples: int, seed: int, tol: Tolerances) -> Suite
         for i, sp0 in enumerate(sphere0):
             expected = delaunay_flow(sp0, t, tol)
             observed = ls_map(PhasePoint(qarr[i], parr[i]), tol)
-            d = max(
-                float(np.max(np.abs(observed.u - expected.u))),
-                float(np.max(np.abs(observed.v - expected.v))),
-            )
+            d = _max_abs_diff((observed.u, expected.u), (observed.v, expected.v))
             worst[i] = max(worst[i], d)
     defects = [
         (w, f"q={pt.q}, p={pt.p}") for w, pt in zip(worst, points)
@@ -617,10 +555,8 @@ def _suite_so_brackets(n: int, samples: int, seed: int, tol: Tolerances) -> Suit
     qs, ps = _phase_batch(points)
     h = tol.fd_step
     pairs = list(combinations(range(n + 1), 2))
-    values = {
-        pair: extended_momentum_field(pair[0], pair[1], n)(qs, ps) for pair in pairs
-    }
     fields = {pair: extended_momentum_field(pair[0], pair[1], n) for pair in pairs}
+    values = {pair: field(qs, ps) for pair, field in fields.items()}
     worst = np.zeros(len(points))
     for (a, b), (c, d) in combinations_with_replacement(pairs, 2):
         observed = _bracket_batch(fields[(a, b)], fields[(c, d)], qs, ps, h, richardson=True)
@@ -703,14 +639,10 @@ def _suite_conservation(n: int, samples: int, seed: int, tol: Tolerances) -> Sui
     (end,) = _leapfrog_batch(qs, ps, _CONSERVATION_DT, [_CONSERVATION_STEPS])
     q_end, p_end = end
     worst = np.zeros(len(points))
-
-    energy = hamiltonian_field()
-    worst = np.maximum(worst, np.abs(energy(q_end, p_end) - energy(qs, ps)))
-    for i, j in combinations(range(n), 2):
-        field = angular_momentum_field(i, j)
-        worst = np.maximum(worst, np.abs(field(q_end, p_end) - field(qs, ps)))
-    for k in range(n):
-        field = lenz_field(k)
+    fields = [hamiltonian_field()]
+    fields += [angular_momentum_field(i, j) for i, j in combinations(range(n), 2)]
+    fields += [lenz_field(k) for k in range(n)]
+    for field in fields:
         worst = np.maximum(worst, np.abs(field(q_end, p_end) - field(qs, ps)))
     defects = [(float(w), f"q={pt.q}, p={pt.p}") for w, pt in zip(worst, points)]
     return _make_report("conservation", n, samples, seed, 1e-6, defects)

@@ -76,6 +76,19 @@ def ls_angle(point: PhasePoint) -> LSAngle:
     return LSAngle(-math.sqrt(-2.0 * energy) * qp)
 
 
+def _rotate(u, v, angle: float):
+    """Rotate the pair (u, v) by angle in the plane they span:
+    (cos(angle) u + sin(angle) v, -sin(angle) u + cos(angle) v)."""
+    cos_a, sin_a = math.cos(angle), math.sin(angle)
+    return cos_a * u + sin_a * v, -sin_a * u + cos_a * v
+
+
+def _reproject(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize u and make v tangent there: (u/|u|, v - (u.v) u)."""
+    u = u / math.sqrt(np.vecdot(u, u))
+    return u, v - np.vecdot(u, v) * u
+
+
 def ls_map(point: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> SphereCotangentPoint:
     """Apply the Ligon-Schaaf map to a bound phase point.
 
@@ -93,11 +106,8 @@ def ls_map(point: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> SphereCotangentP
     fib = moser_fibration(point, tol)
     energy = kepler_energy(point)
     w = math.sqrt(-2.0 * energy)
-    theta = float(fib.v[-1])
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    r = cos_t * fib.u + sin_t * fib.v
-    s = (-sin_t * fib.u + cos_t * fib.v) / w
+    r, s = _rotate(fib.u, fib.v, float(fib.v[-1]))
+    s = s / w
     at_puncture = abs(1.0 - float(r[-1])) < tol.constraint_tol
     return SphereCotangentPoint(r, s, at_puncture=at_puncture, constraint_tol=tol.constraint_tol)
 
@@ -176,17 +186,12 @@ def ls_inverse(sp: SphereCotangentPoint, tol: Tolerances = DEFAULT_TOL) -> Phase
         raise DomainError("|s| must be nonzero (zero section has no preimage)")
     s_hat = sp.v / sigma
     theta = _solve_rotation_angle(float(r[-1]), float(s_hat[-1]), tol.root_tol)
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    u = cos_t * r - sin_t * s_hat
-    v = sin_t * r + cos_t * s_hat
+    u, v = _rotate(r, s_hat, -theta)
     if 1.0 - float(u[-1]) < tol.constraint_tol:
         raise PunctureError(
             "collision point: the unrotated base point sits on the polar fiber"
         )
     # Re-project onto the constraint set so that input defects up to
     # constraint_tol cannot be rejected downstream.
-    u = u / np.linalg.norm(u)
-    v = v - float(u @ v) * u
-    shell_point = moser_map_inverse(SphereCotangentPoint(u, v), tol)
+    shell_point = moser_map_inverse(SphereCotangentPoint(*_reproject(u, v)), tol)
     return scale_phase(shell_point, sigma)

@@ -26,7 +26,7 @@ from .core import (
     Tolerances,
     kepler_energy,
 )
-from .stereo import to_plane
+from .stereo import _lift, to_plane
 
 __all__ = [
     "fourier",
@@ -59,22 +59,12 @@ def fourier_inverse(pl: PlaneCotangentPoint) -> PhasePoint:
 def moser_map(point: PhasePoint) -> SphereCotangentPoint:
     """The Moser regularization map on all of T*R^n.
 
-    u = (2p/(p^2+1), 2p^2/(p^2+1) - 1),
+    u = (2p/(p^2+1), (p^2-1)/(p^2+1)),
     v = (-(p^2+1) q/2 + (q.p) p, -q.p),
 
-    equal to the stereographic lift of the geometric Fourier transform.
+    the stereographic lift of the geometric Fourier transform (p, -q).
     """
-    q, p = point.q, point.p
-    p2 = float(p @ p)
-    qp = float(q @ p)
-    denom = p2 + 1.0
-    u = np.empty(point.n + 1)
-    u[:-1] = 2.0 * p / denom
-    u[-1] = 2.0 * p2 / denom - 1.0
-    v = np.empty(point.n + 1)
-    v[:-1] = -0.5 * denom * q + qp * p
-    v[-1] = -qp
-    return SphereCotangentPoint(u, v)
+    return SphereCotangentPoint(*_lift(point.p, -point.q))
 
 
 def moser_map_inverse(sp: SphereCotangentPoint, tol: Tolerances = DEFAULT_TOL) -> PhasePoint:
@@ -158,6 +148,14 @@ class ChartHamiltonians(NamedTuple):
     kepler_form: float
 
 
+def _chart_hamiltonians(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(geodesic, speed_defect, kepler_form) over (..., n) arrays."""
+    x2 = np.vecdot(x, x)
+    y2 = np.vecdot(y, y)
+    ynorm = np.sqrt(y2)
+    return (x2 + 1.0) ** 2 * y2 / 8.0, 0.5 * (x2 + 1.0) * ynorm - 1.0, 0.5 * x2 - 1.0 / ynorm
+
+
 def chart_hamiltonians(pl: PlaneCotangentPoint) -> ChartHamiltonians:
     """Evaluate the three related chart Hamiltonians at (x, y).
 
@@ -166,11 +164,6 @@ def chart_hamiltonians(pl: PlaneCotangentPoint) -> ChartHamiltonians:
     the kepler_form pulls back to the Kepler Hamiltonian under the
     geometric Fourier transform.  Requires |y| > 0 for the kepler_form.
     """
-    x2 = float(pl.x @ pl.x)
-    ynorm = float(np.linalg.norm(pl.y))
-    if ynorm == 0.0:
+    if not pl.y_nonzero():
         raise DomainError("|y| must be nonzero for the chart Kepler Hamiltonian")
-    geodesic = (x2 + 1.0) ** 2 * ynorm * ynorm / 8.0
-    speed_defect = 0.5 * (x2 + 1.0) * ynorm - 1.0
-    kepler_form = 0.5 * x2 - 1.0 / ynorm
-    return ChartHamiltonians(geodesic, speed_defect, kepler_form)
+    return ChartHamiltonians(*map(float, _chart_hamiltonians(pl.x, pl.y)))

@@ -39,6 +39,23 @@ def to_plane(sp: SphereCotangentPoint, tol: Tolerances = DEFAULT_TOL) -> PlaneCo
     return PlaneCotangentPoint(x, y)
 
 
+def _lift(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stereographic lift (x, y) -> (u, v) of one point (n,) or of a
+    batch (m, n)."""
+    x2 = np.vecdot(x, x)
+    xy = np.vecdot(x, y)
+    denom = x2 + 1.0
+    u = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    v = np.empty_like(u)
+    # The transposed views put coordinates first, so the per-point scalars
+    # broadcast the same way for one point and for a batch.
+    u.T[:-1] = 2.0 * x.T / denom
+    u.T[-1] = (x2 - 1.0) / denom
+    v.T[:-1] = 0.5 * denom * y.T - xy * x.T
+    v.T[-1] = xy
+    return u, v
+
+
 def to_sphere(pl: PlaneCotangentPoint) -> SphereCotangentPoint:
     """Lift (x, y) on T*R^n to (u, v) on T*S^n.
 
@@ -47,14 +64,4 @@ def to_sphere(pl: PlaneCotangentPoint) -> SphereCotangentPoint:
 
     The output satisfies |u| = 1 and u.v = 0 to machine precision.
     """
-    x, y = pl.x, pl.y
-    x2 = float(x @ x)
-    xy = float(x @ y)
-    denom = x2 + 1.0
-    u = np.empty(pl.n + 1)
-    u[:-1] = 2.0 * x / denom
-    u[-1] = (x2 - 1.0) / denom
-    v = np.empty(pl.n + 1)
-    v[:-1] = 0.5 * denom * y - xy * x
-    v[-1] = xy
-    return SphereCotangentPoint(u, v)
+    return SphereCotangentPoint(*_lift(pl.x, pl.y))

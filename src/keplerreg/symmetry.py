@@ -24,6 +24,8 @@ from .core import (
     MomentumMatrix,
     PhasePoint,
     SphereCotangentPoint,
+    _energy,
+    _lenz,
     kepler_energy,
 )
 
@@ -54,11 +56,9 @@ def lenz_vector(point: PhasePoint) -> np.ndarray:
     Conserved along the Kepler flow; |K| is the orbit eccentricity and K
     points along the major axis.
     """
-    r = point.radius
-    if r == 0.0:
+    if point.radius == 0.0:
         raise DomainError("q must be nonzero (Lenz vector undefined at collision)")
-    q, p = point.q, point.p
-    return (float(p @ p) - 1.0 / r) * q - float(q @ p) * p
+    return _lenz(point.q, point.p)
 
 
 def extended_momentum(point: PhasePoint) -> MomentumMatrix:
@@ -100,10 +100,7 @@ def momentum_norm_squared(obj: PhasePoint | SphereCotangentPoint) -> float:
 def hamiltonian_field() -> ScalarField:
     """The Kepler Hamiltonian as a bracket-engine scalar field."""
 
-    def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return 0.5 * np.sum(p * p, axis=-1) - 1.0 / np.linalg.norm(q, axis=-1)
-
-    return field
+    return _energy
 
 
 def angular_momentum_field(i: int, j: int) -> ScalarField:
@@ -119,10 +116,7 @@ def lenz_field(i: int) -> ScalarField:
     """The Lenz component K_i as a scalar field."""
 
     def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(q, axis=-1)
-        p2 = np.sum(p * p, axis=-1)
-        qp = np.sum(q * p, axis=-1)
-        return (p2 - 1.0 / r) * q[..., i] - qp * p[..., i]
+        return _lenz(q, p)[..., i]
 
     return field
 
@@ -136,18 +130,56 @@ def extended_momentum_field(i: int, j: int, n: int) -> ScalarField:
         return angular_momentum_field(i, j)
 
     def scaled_lenz(q: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
-        r = np.linalg.norm(q, axis=-1)
-        p2 = np.sum(p * p, axis=-1)
-        qp = np.sum(q * p, axis=-1)
-        lenz = (p2 - 1.0 / r) * q[..., k] - qp * p[..., k]
-        minus_2h = 2.0 / r - p2
-        return lenz / np.sqrt(minus_2h)
+        return _lenz(q, p)[..., k] / np.sqrt(-2.0 * _energy(q, p))
 
     if j == n:
         return lambda q, p: scaled_lenz(q, p, i)
     if i == n:
         return lambda q, p: -scaled_lenz(q, p, j)
     raise ValueError(f"indices ({i}, {j}) out of range for so({n + 1})")
+
+
+def _central_differences(
+    fn: Callable[[np.ndarray], np.ndarray],
+    z: np.ndarray,
+    h: float,
+    *,
+    richardson: bool = False,
+) -> list[np.ndarray]:
+    """Central differences of fn along each coordinate of z, error O(h^2).
+
+    Entry k is (fn(z + h e_k) - fn(z - h e_k)) / span with e_k a unit step
+    along the last axis of z.  The divisor is the actual span between the
+    two stencil points rather than the nominal 2h, which removes the
+    step-representation part of the roundoff error.  z is one point (m,)
+    or a batch (N, m); on a batch fn must return one value per point.
+    With ``richardson`` each entry is (4 D(h/2) - D(h)) / 3, error O(h^4).
+    A DomainError raised by fn is re-raised naming the stencil point.
+    """
+
+    def evaluate(z_s: np.ndarray, k: int) -> np.ndarray:
+        try:
+            return np.asarray(fn(z_s))
+        except DomainError as exc:
+            raise DomainError(
+                f"stencil point {z_s!r} for coordinate {k} leaves the domain: {exc}"
+            ) from exc
+
+    def differences(step: float) -> list[np.ndarray]:
+        out = []
+        # z.T[k] is coordinate k: a scalar for one point, a column for a batch
+        for k in range(z.shape[-1]):
+            hi, lo = z.T[k] + step, z.T[k] - step
+            z_plus, z_minus = z.copy(), z.copy()
+            z_plus.T[k], z_minus.T[k] = hi, lo
+            out.append((evaluate(z_plus, k) - evaluate(z_minus, k)) / (hi - lo))
+        return out
+
+    coarse = differences(h)
+    if not richardson:
+        return coarse
+    fine = differences(0.5 * h)
+    return [(4.0 * f - c) / 3.0 for f, c in zip(fine, coarse)]
 
 
 def _bracket_batch(
@@ -160,25 +192,18 @@ def _bracket_batch(
     richardson: bool = False,
 ) -> np.ndarray:
     """Canonical bracket {f, g} at a batch of points, by central differences."""
+    n = qs.shape[-1]
 
-    def estimate(step: float) -> np.ndarray:
-        n = qs.shape[-1]
-        total = np.zeros(qs.shape[:-1])
-        for k in range(n):
-            dq = np.zeros(n)
-            dq[k] = step
-            df_dq = (f(qs + dq, ps) - f(qs - dq, ps)) / (2.0 * step)
-            dg_dq = (g(qs + dq, ps) - g(qs - dq, ps)) / (2.0 * step)
-            df_dp = (f(qs, ps + dq) - f(qs, ps - dq)) / (2.0 * step)
-            dg_dp = (g(qs, ps + dq) - g(qs, ps - dq)) / (2.0 * step)
-            total = total + df_dq * dg_dp - df_dp * dg_dq
-        return total
+    def flat(field: ScalarField) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda z: field(z[..., :n], z[..., n:])
 
-    coarse = estimate(h)
-    if not richardson:
-        return coarse
-    fine = estimate(0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    z = np.concatenate([qs, ps], axis=-1)
+    df = _central_differences(flat(f), z, h, richardson=richardson)
+    dg = _central_differences(flat(g), z, h, richardson=richardson)
+    total = np.zeros(qs.shape[:-1])
+    for k in range(n):
+        total = total + df[k] * dg[n + k] - df[n + k] * dg[k]
+    return total
 
 
 def poisson_bracket(
@@ -194,28 +219,23 @@ def poisson_bracket(
 
     {f, g} = sum_k df/dq_k dg/dp_k - df/dp_k dg/dq_k, error O(h^2) for
     smooth fields, tightened to O(h^4) by two-step Richardson
-    extrapolation when ``richardson`` is set.
+    extrapolation of each derivative when ``richardson`` is set.
 
     When a ``domain`` predicate is supplied, every stencil point is checked
-    first and a DomainError identifies the offending one.
+    before a field is evaluated there, and a DomainError identifies the
+    offending one.
     """
     if not h > 0.0:
         raise ValueError("h must be positive")
     if domain is not None:
-        n = point.n
-        steps = [h, 0.5 * h] if richardson else [h]
-        for step in steps:
-            for k in range(n):
-                dq = np.zeros(n)
-                dq[k] = step
-                for q_s, p_s in (
-                    (point.q + dq, point.p),
-                    (point.q - dq, point.p),
-                    (point.q, point.p + dq),
-                    (point.q, point.p - dq),
-                ):
-                    if not domain(q_s, p_s):
-                        raise DomainError(
-                            f"stencil point q={q_s}, p={p_s} leaves the field domain"
-                        )
+
+        def restricted(field: ScalarField) -> ScalarField:
+            def checked(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+                if not domain(q, p):
+                    raise DomainError("outside the field domain")
+                return field(q, p)
+
+            return checked
+
+        f, g = restricted(f), restricted(g)
     return float(_bracket_batch(f, g, point.q, point.p, h, richardson=richardson))

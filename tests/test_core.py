@@ -124,9 +124,8 @@ class TestTolerances:
         assert tol.constraint_tol == 1e-10
         assert tol.fd_step == 1e-6
         assert tol.root_tol == 1e-14
-        assert tol.ode_tol == 1e-10
 
-    @pytest.mark.parametrize("field", ["constraint_tol", "fd_step", "root_tol", "ode_tol"])
+    @pytest.mark.parametrize("field", ["constraint_tol", "fd_step", "root_tol"])
     def test_positive_required(self, field):
         with pytest.raises(ValueError):
             Tolerances(**{field: 0.0})

@@ -96,13 +96,25 @@ class TestKeplerIntegrate:
         times = [t for t, _ in traj.samples]
         assert times[0] == 0.0
 
-    def test_batch_matches_single_bitwise(self, circular):
-        traj = kepler_integrate(circular, 0.1, 1e-3, record_every=10**9)
-        ((q_end, p_end),) = _leapfrog_batch(
-            circular.q[None, :], circular.p[None, :], 1e-3, [100]
-        )
-        assert np.array_equal(q_end[0], traj.end.q)
-        assert np.array_equal(p_end[0], traj.end.p)
+    @pytest.mark.parametrize("record_every", [1, 7, 10**9])
+    @pytest.mark.parametrize("closing", [0.0, 0.4e-3])
+    def test_batch_matches_single_bitwise(self, circular, record_every, closing):
+        # 100 full steps, then a shorter closing step when t_end is off the grid
+        dt = 1e-3
+        t_end = 0.1 + closing
+        traj = kepler_integrate(circular, t_end, dt, record_every=record_every)
+        steps = list(range(record_every, 101, record_every))
+        if not closing and 100 % record_every:
+            steps.append(100)
+        q0, p0 = circular.q[None, :], circular.p[None, :]
+        *states, end = _leapfrog_batch(q0, p0, dt, steps + [100])
+        times = [0.0] + [step * dt for step in steps]
+        if closing:
+            states += _leapfrog_batch(*end, closing, [1])
+            times.append(t_end)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.qs, np.concatenate([q0] + [q for q, _ in states]))
+        assert np.array_equal(traj.ps, np.concatenate([p0] + [p for _, p in states]))
 
 
 class TestDelaunayEnergy:

@@ -210,10 +210,16 @@ class TestExtendedMomentumField:
                     )
 
     def test_hamiltonian_field_matches(self):
-        for pt in sample_bound_states(2, 50, 65):
-            assert float(hamiltonian_field()(pt.q, pt.p)) == pytest.approx(
-                kepler_energy(pt), rel=1e-14
-            )
+        # on a batch, the fields equal the point functions bit for bit
+        for n in (2, 3):
+            pts = sample_bound_states(n, 50, 65)
+            qs = np.stack([pt.q for pt in pts])
+            ps = np.stack([pt.p for pt in pts])
+            energy = hamiltonian_field()(qs, ps)
+            lenz = np.stack([lenz_field(i)(qs, ps) for i in range(n)], axis=-1)
+            for k, pt in enumerate(pts):
+                assert energy[k] == kepler_energy(pt)
+                assert np.array_equal(lenz[k], lenz_vector(pt))
 
 
 class TestConservationAlongFlow:

@@ -367,14 +367,13 @@ def _cmd_verify(args, out) -> int:
 
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--constraint-tol", type=float, default=Tolerances.constraint_tol)
-    parser.add_argument("--fd-step", type=float, default=Tolerances.fd_step)
     parser.add_argument("--root-tol", type=float, default=Tolerances.root_tol)
 
 
 def _tolerances_from(args) -> Tolerances:
     return Tolerances(
         constraint_tol=args.constraint_tol,
-        fd_step=args.fd_step,
+        fd_step=getattr(args, "fd_step", Tolerances.fd_step),
         root_tol=args.root_tol,
     )
 
@@ -410,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--samples", type=int, default=500)
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--out", help="also write the report to this file")
+    p_ver.add_argument("--fd-step", type=float, default=Tolerances.fd_step)
     _add_tolerance_flags(p_ver)
 
     return parser

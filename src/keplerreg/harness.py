@@ -3,7 +3,11 @@
 Reusable finite-difference machinery (Jacobians, symplectic-defect
 measurement) plus the named property suites that exercise the library's
 invariants over seeded samples.  Every suite is deterministic in
-(name, n, samples, seed, tolerances) and reports the worst defect it saw.
+(n, samples, seed, tolerances), checks every sample it draws and computes
+defects only: it returns (tolerance, defects, samples), one float per
+sample and the parallel list of sample objects.  run_suite alone builds
+the SuiteReport: the worst defect, plus a Failure for each sample above
+tolerance, whose ``where`` is the sample's str().
 
 Tolerances are stratified by error source: identities built from exact
 closed-form compositions use 1e-12, checks that pass through central
@@ -138,34 +142,29 @@ def flat_fourier(n: int) -> Callable[[np.ndarray], np.ndarray]:
     return fn
 
 
-def flat_to_sphere(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """(x, y) -> (u, v) on flat vectors."""
+def _flat_map(n: int, point_type, mapping, *args) -> Callable[[np.ndarray], np.ndarray]:
+    """mapping(point_type(z[:n], z[n:]), *args) -> (u, v), on flat vectors."""
 
     def fn(z: np.ndarray) -> np.ndarray:
-        sp = to_sphere(PlaneCotangentPoint(z[:n], z[n:]))
+        sp = mapping(point_type(z[:n], z[n:]), *args)
         return np.concatenate([sp.u, sp.v])
 
     return fn
+
+
+def flat_to_sphere(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """(x, y) -> (u, v) on flat vectors."""
+    return _flat_map(n, PlaneCotangentPoint, to_sphere)
 
 
 def flat_moser_map(n: int) -> Callable[[np.ndarray], np.ndarray]:
     """(q, p) -> (u, v) on flat vectors."""
-
-    def fn(z: np.ndarray) -> np.ndarray:
-        sp = moser_map(PhasePoint(z[:n], z[n:]))
-        return np.concatenate([sp.u, sp.v])
-
-    return fn
+    return _flat_map(n, PhasePoint, moser_map)
 
 
 def flat_ls_map(n: int, tol: Tolerances = DEFAULT_TOL) -> Callable[[np.ndarray], np.ndarray]:
     """(q, p) -> (r, s) on flat vectors."""
-
-    def fn(z: np.ndarray) -> np.ndarray:
-        sp = ls_map(PhasePoint(z[:n], z[n:]), tol)
-        return np.concatenate([sp.u, sp.v])
-
-    return fn
+    return _flat_map(n, PhasePoint, ls_map, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -205,36 +204,6 @@ class SuiteReport:
     def line(self) -> str:
         status = "pass" if self.passed else "fail"
         return f"{self.name},{self.samples},{self.max_defect:.17g},{status}"
-
-
-def _make_report(
-    name: str,
-    n: int,
-    samples: int,
-    seed: int,
-    tolerance: float,
-    defects: list[tuple[float, str]],
-) -> SuiteReport:
-    max_defect = max((d for d, _ in defects), default=0.0)
-    failures = tuple(
-        sorted(
-            (
-                Failure(where=where, observed=d, expected=0.0, tolerance=tolerance)
-                for d, where in defects
-                if d > tolerance
-            ),
-            key=lambda f: (-f.observed, f.where),
-        )
-    )
-    return SuiteReport(
-        name=name,
-        n=n,
-        samples=samples,
-        seed=seed,
-        tolerance=tolerance,
-        max_defect=max_defect,
-        failures=failures,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,83 +279,83 @@ def _max_abs_diff(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
 # Suites
 
 
-def _suite_stereo_roundtrip(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
+# (tolerance, one defect per sample, the parallel list of samples)
+_Defects = tuple[float, list[float], list]
+
+
+def _symplectic_suite(fn, points: list, coords, h: float) -> _Defects:
+    """Symplectic defect of fn at each sample's flat coords(sample) = (positions, momenta)."""
+    defects = [symplectic_defect(fn, np.concatenate(coords(pt)), h) for pt in points]
+    return fd_tolerance(h), defects, points
+
+
+def _suite_stereo_roundtrip(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
     """Both round trips through the stereographic lift, max-norm error."""
     rng = np.random.default_rng(seed)
-    defects: list[tuple[float, str]] = []
-    for pl in _sample_plane(rng, n, samples):
-        back = to_plane(to_sphere(pl), tol)
-        d = _max_abs_diff((back.x, pl.x), (back.y, pl.y))
-        defects.append((d, f"plane x={pl.x}, y={pl.y}"))
-    for sp in _sample_sphere(rng, n, samples):
-        back = to_sphere(to_plane(sp, tol))
-        d = _max_abs_diff((back.u, sp.u), (back.v, sp.v))
-        defects.append((d, f"sphere u={sp.u}, v={sp.v}"))
-    return _make_report("stereo-roundtrip", n, samples, seed, 1e-12, defects)
-
-
-def _suite_metric(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
-    """|v.v - (x.x+1)^2 (y.y)/4| under the lift (the invariant metric)."""
-    rng = np.random.default_rng(seed)
+    planes = _sample_plane(rng, n, samples)
+    spheres = _sample_sphere(rng, n, samples)
     defects = []
-    for pl in _sample_plane(rng, n, samples):
+    for pl in planes:
+        back = to_plane(to_sphere(pl), tol)
+        defects.append(_max_abs_diff((back.x, pl.x), (back.y, pl.y)))
+    for sp in spheres:
+        back = to_sphere(to_plane(sp, tol))
+        defects.append(_max_abs_diff((back.u, sp.u), (back.v, sp.v)))
+    return 1e-12, defects, planes + spheres
+
+
+def _suite_metric(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+    """|v.v - (x.x+1)^2 (y.y)/4| under the lift (the invariant metric)."""
+    points = _sample_plane(np.random.default_rng(seed), n, samples)
+    defects = []
+    for pl in points:
         sp = to_sphere(pl)
         x2 = float(pl.x @ pl.x)
         y2 = float(pl.y @ pl.y)
         v2 = float(sp.v @ sp.v)
-        d = abs(v2 - (x2 + 1.0) ** 2 * y2 / 4.0)
-        defects.append((d, f"x={pl.x}, y={pl.y}"))
-    return _make_report("metric", n, samples, seed, 1e-12, defects)
+        defects.append(abs(v2 - (x2 + 1.0) ** 2 * y2 / 4.0))
+    return 1e-12, defects, points
 
 
-def _suite_stereo_canonical(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
+def _suite_stereo_canonical(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
     """Symplectic defect of the lift via finite differences.
 
     Sampling is compact (chart values O(1)) so the defect sits at the
     finite-difference error floor rather than scaling with the box.
     """
-    rng = np.random.default_rng(seed)
-    fn = flat_to_sphere(n)
-    h = tol.fd_step
-    defects = []
-    for pl in _sample_plane(rng, n, samples, box=0.8):
-        z = np.concatenate([pl.x, pl.y])
-        defects.append((symplectic_defect(fn, z, h), f"x={pl.x}, y={pl.y}"))
-    return _make_report("stereo-canonical", n, samples, seed, fd_tolerance(h), defects)
+    points = _sample_plane(np.random.default_rng(seed), n, samples, box=0.8)
+    return _symplectic_suite(flat_to_sphere(n), points, lambda pl: (pl.x, pl.y), tol.fd_step)
 
 
-def _suite_moser_symplectic(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
+def _suite_moser_symplectic(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
     """Symplectic defect of the Moser map via finite differences."""
-    rng = np.random.default_rng(seed)
-    fn = flat_moser_map(n)
-    h = tol.fd_step
-    defects = []
-    for pt in _sample_phase_compact(rng, n, samples):
-        z = np.concatenate([pt.q, pt.p])
-        defects.append((symplectic_defect(fn, z, h), f"q={pt.q}, p={pt.p}"))
-    return _make_report("moser-symplectic", n, samples, seed, fd_tolerance(h), defects)
+    points = _sample_phase_compact(np.random.default_rng(seed), n, samples)
+    return _symplectic_suite(flat_moser_map(n), points, lambda pt: (pt.q, pt.p), tol.fd_step)
 
 
-def _suite_fibration_scale(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
+def _suite_fibration_scale(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
     """Scale invariance of the unit-covector projection."""
+    points = sample_bound_states(n, samples, seed)
     defects = []
-    for pt in sample_bound_states(n, samples, seed):
+    for pt in points:
         base = moser_fibration(pt, tol)
         worst = 0.0
         for rho in (0.5, 2.0, 10.0):
             scaled = moser_fibration(scale_phase(pt, rho), tol)
             worst = max(worst, _max_abs_diff((scaled.u, base.u), (scaled.v, base.v)))
-        defects.append((worst, f"q={pt.q}, p={pt.p}"))
-    return _make_report("fibration-scale", n, samples, seed, 1e-10, defects)
+        defects.append(worst)
+    return 1e-10, defects, points
 
 
-def _suite_moser_levelset(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
+def _suite_moser_levelset(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
     """Hamiltonian vector fields of the two chart energies agree on the
     shared level set (geodesic energy 1/2, speed defect 0).
 
     Samples are unit covectors well away from the pole so the chart stays
     moderate: near the pole the |y| -> 0 curvature of the speed defect
-    dominates the finite-difference error.  Gradients use Richardson
+    dominates the finite-difference error.  Unit covectors lie on the
+    level set, and with |x|^2 <= 3 here their speed defect is roundoff
+    only, so every sample is checked.  Gradients use Richardson
     extrapolation at a step 100x larger than fd_step, which keeps both
     the truncation and the roundoff-floor terms below the tolerance.
     """
@@ -396,39 +365,30 @@ def _suite_moser_levelset(n: int, samples: int, seed: int, tol: Tolerances) -> S
     def geodesic_and_speed_defect(z: np.ndarray) -> np.ndarray:
         return np.array(_chart_hamiltonians(z[:n], z[n:])[:2])
 
+    points = _sample_sphere(rng, n, samples, min_pole_distance=1.0, unit_covector=True)
     defects = []
-    for sp in _sample_sphere(rng, n, samples, min_pole_distance=1.0, unit_covector=True):
+    for sp in points:
         pl = to_plane(sp, tol)
-        speed_defect = _chart_hamiltonians(pl.x, pl.y)[1]
-        if abs(speed_defect) >= 1e-12:
-            continue
         z = np.concatenate([pl.x, pl.y])
         grads = _central_differences(geodesic_and_speed_defect, z, h, richardson=True)
         # The Hamiltonian fields (dH/dy, -dH/dx) differ entrywise by the
         # gradient differences up to sign and order.
-        d = max(abs(float(f - g)) for f, g in grads)
-        defects.append((d, f"x={pl.x}, y={pl.y}"))
-    return _make_report("moser-levelset", n, len(defects), seed, 1e-10, defects)
+        defects.append(max(abs(float(f - g)) for f, g in grads))
+    return 1e-10, defects, points
 
 
-def _suite_ls_symplectic(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
+def _suite_ls_symplectic(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
     """Symplectic defect of the Ligon-Schaaf map via finite differences.
 
     The map is singular as H -> 0 (the covector norm 1/sqrt(-2H) blows
     up), so the compact sampler keeps the energy well inside the bound
     region.
     """
-    rng = np.random.default_rng(seed)
-    fn = flat_ls_map(n, tol)
-    h = tol.fd_step
-    defects = []
-    for pt in _sample_phase_compact(rng, n, samples):
-        z = np.concatenate([pt.q, pt.p])
-        defects.append((symplectic_defect(fn, z, h), f"q={pt.q}, p={pt.p}"))
-    return _make_report("ls-symplectic", n, samples, seed, fd_tolerance(h), defects)
+    points = _sample_phase_compact(np.random.default_rng(seed), n, samples)
+    return _symplectic_suite(flat_ls_map(n, tol), points, lambda pt: (pt.q, pt.p), tol.fd_step)
 
 
-def _suite_ls_roundtrip(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
+def _suite_ls_roundtrip(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
     """Two-sided inverse identities plus the monotone-root contract.
 
     Round-trip defects are reported directly.  Root-finder residuals are
@@ -439,17 +399,17 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int, tol: Tolerances) -> Sui
     """
     tolerance = 1e-10
     scale = tolerance / tol.root_tol
+    points: list = sample_bound_states(n, samples, seed)
     defects = []
-    for pt in sample_bound_states(n, samples, seed):
+    for pt in points:
         back = ls_inverse(ls_map(pt, tol), tol)
-        d = _max_abs_diff((back.q, pt.q), (back.p, pt.p))
-        defects.append((d, f"phase q={pt.q}, p={pt.p}"))
-    rng = np.random.default_rng(seed + 1)
-    for sp in _sample_sphere(rng, n, samples):
+        defects.append(_max_abs_diff((back.q, pt.q), (back.p, pt.p)))
+    for sp in _sample_sphere(np.random.default_rng(seed + 1), n, samples):
         try:
             pt = ls_inverse(sp, tol)
         except PunctureError:
-            defects.append((2.0 * tolerance, f"unexpected puncture at u={sp.u}, v={sp.v}"))
+            defects.append(2.0 * tolerance)
+            points.append(f"unexpected puncture at {sp}")
             continue
         again = ls_map(pt, tol)
         d = _max_abs_diff((again.u, sp.u), (again.v, sp.v))
@@ -459,24 +419,27 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int, tol: Tolerances) -> Sui
         d = max(d, abs(residual) * scale)
         if slope >= 0.0:
             d = max(d, 2.0 * tolerance)
-        defects.append((d, f"sphere u={sp.u}, v={sp.v}"))
-    return _make_report("ls-roundtrip", n, samples, seed, tolerance, defects)
+        defects.append(d)
+        points.append(sp)
+    return tolerance, defects, points
 
 
-def _suite_ls_equivariance(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
+def _suite_ls_equivariance(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
     """Equivariance under rotations of R^n extended by a fixed last axis."""
     rng = np.random.default_rng(seed + 7)
+    points = sample_bound_states(n, samples, seed)
     defects = []
-    for pt in sample_bound_states(n, samples, seed):
+    for pt in points:
         rot = _random_rotation(rng, n)
         rotated = ls_map(PhasePoint(rot @ pt.q, rot @ pt.p), tol)
         base = ls_map(pt, tol)
         rot_ext = np.zeros((n + 1, n + 1))
         rot_ext[:n, :n] = rot
         rot_ext[n, n] = 1.0
-        d = _max_abs_diff((rotated.u, rot_ext @ base.u), (rotated.v, rot_ext @ base.v))
-        defects.append((d, f"q={pt.q}, p={pt.p}"))
-    return _make_report("ls-equivariance", n, samples, seed, 1e-12, defects)
+        defects.append(
+            _max_abs_diff((rotated.u, rot_ext @ base.u), (rotated.v, rot_ext @ base.v))
+        )
+    return 1e-12, defects, points
 
 
 def _random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -492,7 +455,7 @@ _INTERTWINE_DT = 1e-5
 _INTERTWINE_STEPS = (10_000, 100_000, 500_000)  # t = 0.1, 1, 5
 
 
-def _suite_intertwine(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
+def _suite_intertwine(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
     """Direct leapfrog propagation against the conjugated Delaunay flow at
     t in {0.1, 1, 5}.
 
@@ -516,34 +479,30 @@ def _suite_intertwine(n: int, samples: int, seed: int, tol: Tolerances) -> Suite
             observed = ls_map(PhasePoint(qarr[i], parr[i]), tol)
             d = _max_abs_diff((observed.u, expected.u), (observed.v, expected.v))
             worst[i] = max(worst[i], d)
-    defects = [
-        (w, f"q={pt.q}, p={pt.p}") for w, pt in zip(worst, points)
-    ]
-    return _make_report("intertwine-flows", n, samples, seed, 1e-6, defects)
+    return 1e-6, worst, points
 
 
-def _suite_momenta_pullback(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
+def _suite_momenta_pullback(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
     """sphere momentum of the Ligon-Schaaf image equals the extended
     momentum, entrywise."""
-    defects = []
-    for pt in sample_bound_states(n, samples, seed):
-        lhs = sphere_momentum(ls_map(pt, tol)).entries
-        rhs = extended_momentum(pt).entries
-        defects.append((float(np.max(np.abs(lhs - rhs))), f"q={pt.q}, p={pt.p}"))
-    return _make_report("momenta-pullback", n, samples, seed, 1e-12, defects)
+    points = sample_bound_states(n, samples, seed)
+    defects = [
+        _max_abs_diff((sphere_momentum(ls_map(pt, tol)).entries, extended_momentum(pt).entries))
+        for pt in points
+    ]
+    return 1e-12, defects, points
 
 
-def _suite_mu_squared(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
+def _suite_mu_squared(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
     """momentum_norm_squared(pt) * (-2H) = 1 on bound samples."""
-    defects = []
-    for pt in sample_bound_states(n, samples, seed):
-        mu2 = momentum_norm_squared(pt)
-        d = abs(mu2 * (-2.0 * kepler_energy(pt)) - 1.0)
-        defects.append((d, f"q={pt.q}, p={pt.p}"))
-    return _make_report("mu-squared", n, samples, seed, 1e-12, defects)
+    points = sample_bound_states(n, samples, seed)
+    defects = [
+        abs(momentum_norm_squared(pt) * (-2.0 * kepler_energy(pt)) - 1.0) for pt in points
+    ]
+    return 1e-12, defects, points
 
 
-def _suite_so_brackets(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
+def _suite_so_brackets(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
     """All so(n+1) bracket relations on bound samples.
 
     {L_ab, L_cd} = d_bc L_da + d_ad L_cb - d_ac L_db - d_bd L_ca with the
@@ -572,11 +531,10 @@ def _suite_so_brackets(n: int, samples: int, seed: int, tol: Tolerances) -> Suit
                 term = values[(i, j)] if i < j else -values[(j, i)] if i > j else 0.0
                 expected = expected + sign * term
         worst = np.maximum(worst, np.abs(observed - expected))
-    defects = [(float(w), f"q={pt.q}, p={pt.p}") for w, pt in zip(worst, points)]
-    return _make_report("so(n+1)-brackets", n, samples, seed, 1e-5, defects)
+    return 1e-5, worst.tolist(), points
 
 
-def _suite_lenz_brackets(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
+def _suite_lenz_brackets(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
     """Lenz bracket relations sampled on |q| > 0 regardless of energy sign.
 
     {L_ij, K_k} = d_ik K_j - d_jk K_i and {K_i, K_j} = -2H L_ij extend off
@@ -584,15 +542,13 @@ def _suite_lenz_brackets(n: int, samples: int, seed: int, tol: Tolerances) -> Su
     sampled too.
     """
     rng = np.random.default_rng(seed)
-    qs_list, ps_list = [], []
-    while len(qs_list) < samples:
+    points: list[PhasePoint] = []
+    while len(points) < samples:
         q = rng.uniform(-2.0, 2.0, size=n)
         p = rng.uniform(-1.5, 1.5, size=n)
         if np.linalg.norm(q) >= 0.1:
-            qs_list.append(q)
-            ps_list.append(p)
-    qs = np.stack(qs_list)
-    ps = np.stack(ps_list)
+            points.append(PhasePoint(q, p))
+    qs, ps = _phase_batch(points)
     h = tol.fd_step
     worst = np.zeros(samples)
     lenz_values = {k: lenz_field(k)(qs, ps) for k in range(n)}
@@ -615,17 +571,14 @@ def _suite_lenz_brackets(n: int, samples: int, seed: int, tol: Tolerances) -> Su
         observed = _bracket_batch(lenz_field(i), lenz_field(j), qs, ps, h, richardson=True)
         expected = -2.0 * energy * ang_values[(i, j)]
         worst = np.maximum(worst, np.abs(observed - expected))
-    defects = [
-        (float(w), f"q={q}, p={p}") for w, q, p in zip(worst, qs_list, ps_list)
-    ]
-    return _make_report("lenz-brackets", n, samples, seed, 1e-5, defects)
+    return 1e-5, worst.tolist(), points
 
 
 _CONSERVATION_DT = 2e-5
 _CONSERVATION_STEPS = 25_000  # horizon t = 0.5
 
 
-def _suite_conservation(n: int, samples: int, seed: int, tol: Tolerances) -> SuiteReport:
+def _suite_conservation(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
     """Drift of H, every L_ij and every K_i along leapfrog trajectories.
 
     Both families are first integrals, so any drift is integrator error;
@@ -644,8 +597,7 @@ def _suite_conservation(n: int, samples: int, seed: int, tol: Tolerances) -> Sui
     fields += [lenz_field(k) for k in range(n)]
     for field in fields:
         worst = np.maximum(worst, np.abs(field(q_end, p_end) - field(qs, ps)))
-    defects = [(float(w), f"q={pt.q}, p={pt.p}") for w, pt in zip(worst, points)]
-    return _make_report("conservation", n, samples, seed, 1e-6, defects)
+    return 1e-6, worst.tolist(), points
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +606,7 @@ def _suite_conservation(n: int, samples: int, seed: int, tol: Tolerances) -> Sui
 
 @dataclass(frozen=True, eq=False)
 class SuiteDef:
-    runner: Callable[[int, int, int, Tolerances], SuiteReport]
+    runner: Callable[[int, int, int, Tolerances], _Defects]
     module: str
     invariant: str
 
@@ -701,4 +653,21 @@ def run_suite(
         raise ValueError("n must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    return _SUITES[name].runner(n, samples, seed, tol)
+    tolerance, defects, points = _SUITES[name].runner(n, samples, seed, tol)
+    failures = sorted(
+        (
+            Failure(where=str(pt), observed=d, expected=0.0, tolerance=tolerance)
+            for d, pt in zip(defects, points)
+            if d > tolerance
+        ),
+        key=lambda f: (-f.observed, f.where),
+    )
+    return SuiteReport(
+        name=name,
+        n=n,
+        samples=samples,
+        seed=seed,
+        tolerance=tolerance,
+        max_defect=max(defects, default=0.0),
+        failures=tuple(failures),
+    )

@@ -245,6 +245,33 @@ class TestVerifyCommand:
         assert out_path.read_text() == out
 
 
+class TestFdStepFlag:
+    """Only the harness suites read Tolerances.fd_step, so only verify takes --fd-step."""
+
+    @pytest.mark.parametrize("command", ["map", "propagate"])
+    def test_rejected_outside_verify(self, command, tmp_path, capsys):
+        scn = write_scenario(tmp_path, "c.scn", CIRCULAR_REG)
+        argv = {
+            "map": ["map", "--which", "ls", "--q", "1,0", "--p", "0,1"],
+            "propagate": ["propagate", str(scn), "--out", str(tmp_path / "c.csv")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--fd-step", "1e-6"])
+        assert exc.value.code == 1
+        assert "--fd-step" in capsys.readouterr().err
+
+    def test_verify_reads_it(self, capsys):
+        argv = ["verify", "--suite", "stereo-canonical", "--samples", "20"]
+        code, default, _ = run_cli(argv, capsys)
+        assert code == 0
+        code, same, _ = run_cli(argv + ["--fd-step", "1e-6"], capsys)
+        assert code == 0
+        assert same == default
+        code, coarser, _ = run_cli(argv + ["--fd-step", "1e-4"], capsys)
+        assert code == 0
+        assert coarser != default
+
+
 class TestDeterminism:
     def test_verify_byte_identical(self, tmp_path, capsys):
         args = ["verify", "--suite", "ls-roundtrip", "--n", "2", "--samples", "150", "--seed", "5"]

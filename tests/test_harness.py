@@ -4,8 +4,12 @@ import pytest
 from keplerreg import (
     DomainError,
     UnknownSuiteError,
+    harness,
     jacobian,
+    kepler_energy,
+    momentum_norm_squared,
     run_suite,
+    sample_bound_states,
     standard_form,
     suite_registry,
     symplectic_defect,
@@ -135,13 +139,34 @@ class TestReports:
         assert a.max_defect == b.max_defect
         assert len(a.failures) == len(b.failures)
 
-    def test_line_format(self):
-        report = run_suite("metric", 2, 50, 3)
-        name, samples, defect, status = report.line().split(",")
-        assert name == "metric"
-        assert samples == "50"
+    @pytest.mark.parametrize(
+        "suite", [s for s in SUITE_NAMES if s not in ("intertwine-flows", "conservation")]
+    )
+    def test_line_format(self, suite):
+        report = run_suite(suite, 2, 30, 3)
+        name, samples, defect, status = report.line().rsplit(",", 3)
+        assert name == suite
+        assert samples == "30"
         assert float(defect) == report.max_defect
         assert status in ("pass", "fail")
+
+    def test_failures_name_each_failing_sample(self, monkeypatch):
+        # A 1e-9 relative error in mu^2 fails every mu-squared sample (tolerance 1e-12).
+        monkeypatch.setattr(
+            harness, "momentum_norm_squared", lambda pt: momentum_norm_squared(pt) * (1.0 + 1e-9)
+        )
+        report = run_suite("mu-squared", 2, 40, 5)
+        assert len(report.failures) == 40
+        observed = [f.observed for f in report.failures]
+        assert observed == sorted(observed, reverse=True)
+        assert report.max_defect == observed[0]
+        expected = []
+        for pt in sample_bound_states(2, 40, 5):
+            mu2 = momentum_norm_squared(pt) * (1.0 + 1e-9)
+            expected.append((-abs(mu2 * (-2.0 * kepler_energy(pt)) - 1.0), str(pt)))
+        expected.sort()
+        assert [(-f.observed, f.where) for f in report.failures] == expected
+        assert report.line().endswith(",fail")
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError, match="failures"):

@@ -7,13 +7,11 @@ property-based verification harness.  Units have GM = 1 throughout.
 """
 
 from .core import (
-    DEFAULT_TOL,
     DomainError,
     MomentumMatrix,
     PhasePoint,
     PlaneCotangentPoint,
     SphereCotangentPoint,
-    Tolerances,
     kepler_energy,
     sample_bound_states,
 )
@@ -70,13 +68,11 @@ from .symmetry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL",
     "DomainError",
     "MomentumMatrix",
     "PhasePoint",
     "PlaneCotangentPoint",
     "SphereCotangentPoint",
-    "Tolerances",
     "kepler_energy",
     "sample_bound_states",
     "CollisionApproachError",

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, PhasePoint, SphereCotangentPoint, Tolerances, kepler_energy
+from .core import DomainError, MomentumMatrix, PhasePoint, SphereCotangentPoint, kepler_energy
 from .dynamics import (
     CollisionApproachError,
     delaunay_energy,
@@ -95,6 +95,8 @@ class Scenario:
                 raise DomainError("output_times must be nonempty when given")
             if np.any(times < 0.0) or np.any(np.diff(times) <= 0.0):
                 raise DomainError("output_times must be nonnegative and strictly increasing")
+            if not np.all(times <= self.t_end):
+                raise DomainError("output_times must not exceed t_end")
         if self.output_count < 2:
             raise DomainError("output_count must be >= 2")
 
@@ -104,12 +106,16 @@ class Scenario:
         return np.linspace(0.0, self.t_end, self.output_count)
 
 
+_SCENARIO_KEYS = ("n", "q", "p", "t_end", "mode", "dt", "output_times", "output_count")
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse the flat scenario format: one ``key = value`` pair per line.
 
     Keys: n, q, p, t_end, mode, dt (direct mode), output_times (optional
-    comma-separated list) and output_count (grid size when output_times is
-    absent, default 100).  Blank lines and ``#`` comments are ignored.
+    comma-separated list, at most t_end) and output_count (grid size when
+    output_times is absent, default 100).  Blank lines and ``#`` comments
+    are ignored; an unknown or repeated key is an error.
     """
     fields: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -118,8 +124,12 @@ def parse_scenario(text: str) -> Scenario:
             continue
         if "=" not in line:
             raise DomainError(f"scenario line {lineno} is not key = value: {raw!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _SCENARIO_KEYS:
+            raise DomainError(f"scenario line {lineno} has unknown key {key!r}")
+        if key in fields:
+            raise DomainError(f"scenario line {lineno} repeats key {key!r}")
+        fields[key] = value
     try:
         n = int(fields["n"])
         q = _parse_vector(fields["q"], "q")
@@ -164,7 +174,6 @@ def _sphere_record(sp: SphereCotangentPoint) -> list[str]:
 
 
 def _cmd_map(args, out) -> int:
-    tol = _tolerances_from(args)
     lines: list[str] = []
     try:
         if args.which in ("moser", "fibration", "ls"):
@@ -177,28 +186,20 @@ def _cmd_map(args, out) -> int:
             if args.which == "moser":
                 sp = moser_map(point)
             elif args.which == "fibration":
-                sp = moser_fibration(point, tol)
+                sp = moser_fibration(point)
             else:
-                sp = ls_map(point, tol)
+                sp = ls_map(point)
             lines.append(f"H = {_fmt(kepler_energy(point))}")
             lines.extend(_sphere_record(sp))
         else:
             if args.u is None or args.v is None:
                 raise DomainError(f"--which {args.which} requires --u and --v")
-            sp = SphereCotangentPoint(
-                _parse_vector(args.u, "u"),
-                _parse_vector(args.v, "v"),
-                constraint_tol=tol.constraint_tol,
-            )
+            sp = SphereCotangentPoint(_parse_vector(args.u, "u"), _parse_vector(args.v, "v"))
             lines.append(f"which = {args.which}")
             lines.append(f"u = {_fmt_vector(sp.u)}")
             lines.append(f"v = {_fmt_vector(sp.v)}")
             lines.append(f"delaunay_energy = {_fmt(delaunay_energy(sp))}")
-            point = (
-                moser_map_inverse(sp, tol)
-                if args.which == "moser-inverse"
-                else ls_inverse(sp, tol)
-            )
+            point = moser_map_inverse(sp) if args.which == "moser-inverse" else ls_inverse(sp)
             lines.append(f"q = {_fmt_vector(point.q)}")
             lines.append(f"p = {_fmt_vector(point.p)}")
             lines.append(f"H = {_fmt(kepler_energy(point))}")
@@ -228,20 +229,29 @@ def _csv_header(n: int) -> str:
     return ",".join(cols)
 
 
-def _phase_row(t: float, point: PhasePoint) -> str:
-    n = point.n
-    energy = kepler_energy(point)
-    lenz = lenz_vector(point)
-    lmat = angular_momentum(point)
+def _csv_row(
+    t: float, n: int, coords, energy: float, mom: MomentumMatrix, lenz: np.ndarray, flag: str
+) -> str:
+    """One row in header order: t, q, p, H, L_ij (i < j < n), K, Knorm, flag.
+
+    ``coords`` holds q then p; it is None on a collision row, whose q and p
+    cells stay empty.
+    """
     cells = [_fmt(t)]
-    cells += [_fmt(float(c)) for c in point.q]
-    cells += [_fmt(float(c)) for c in point.p]
+    cells += [""] * (2 * n) if coords is None else [_fmt(float(c)) for c in coords]
     cells.append(_fmt(energy))
-    cells += [_fmt(lmat.entry(i, j)) for i in range(n) for j in range(i + 1, n)]
+    cells += [_fmt(mom.entry(i, j)) for i in range(n) for j in range(i + 1, n)]
     cells += [_fmt(float(c)) for c in lenz]
     cells.append(_fmt(float(np.linalg.norm(lenz))))
-    cells.append("")
+    cells.append(flag)
     return ",".join(cells)
+
+
+def _phase_row(t: float, point: PhasePoint) -> str:
+    energy = kepler_energy(point)
+    lenz = lenz_vector(point)
+    coords = (*point.q, *point.p)
+    return _csv_row(t, point.n, coords, energy, angular_momentum(point), lenz, "")
 
 
 def _collision_row(t: float, sp: SphereCotangentPoint) -> str:
@@ -252,31 +262,24 @@ def _collision_row(t: float, sp: SphereCotangentPoint) -> str:
     mom = sphere_momentum(sp)
     w = math.sqrt(-2.0 * energy)
     lenz = np.array([mom.entry(i, n) * w for i in range(n)])
-    cells = [_fmt(t)]
-    cells += ["" for _ in range(2 * n)]
-    cells.append(_fmt(energy))
-    cells += [_fmt(mom.entry(i, j)) for i in range(n) for j in range(i + 1, n)]
-    cells += [_fmt(float(c)) for c in lenz]
-    cells.append(_fmt(float(np.linalg.norm(lenz))))
-    cells.append("collision")
-    return ",".join(cells)
+    return _csv_row(t, n, None, energy, mom, lenz, "collision")
 
 
-def _propagate_regularized(scenario: Scenario, tol: Tolerances) -> list[str]:
+def _propagate_regularized(scenario: Scenario) -> list[str]:
     start = PhasePoint(scenario.q, scenario.p)
-    sphere_start = ls_map(start, tol)
+    sphere_start = ls_map(start)
     rows = []
     for t in scenario.times():
         t = float(t)
         if t == 0.0:
             rows.append(_phase_row(t, start))
             continue
-        sp_t = delaunay_flow(sphere_start, t, tol)
+        sp_t = delaunay_flow(sphere_start, t)
         if sp_t.at_puncture:
             rows.append(_collision_row(t, sp_t))
             continue
         try:
-            rows.append(_phase_row(t, ls_inverse(sp_t, tol)))
+            rows.append(_phase_row(t, ls_inverse(sp_t)))
         except PunctureError:
             rows.append(_collision_row(t, sp_t))
     return rows
@@ -305,7 +308,6 @@ def _propagate_direct(scenario: Scenario) -> list[str]:
 
 
 def _cmd_propagate(args, out) -> int:
-    tol = _tolerances_from(args)
     paths = [Path(p) for p in args.scenario]
     if len(paths) > 1 and args.out is not None:
         sys.stderr.write("error: use --out-dir with multiple scenarios\n")
@@ -318,7 +320,7 @@ def _cmd_propagate(args, out) -> int:
             return EXIT_INVALID
         try:
             if scenario.mode == "regularized":
-                rows = _propagate_regularized(scenario, tol)
+                rows = _propagate_regularized(scenario)
             else:
                 rows = _propagate_direct(scenario)
         except (CollisionApproachError, DomainError, PunctureError) as exc:
@@ -342,13 +344,12 @@ def _cmd_propagate(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    tol = _tolerances_from(args)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     lines = []
     all_passed = True
     for name in names:
         try:
-            report = run_suite(name, args.n, args.samples, args.seed, tol)
+            report = run_suite(name, args.n, args.samples, args.seed)
         except UnknownSuiteError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_INVALID
@@ -363,19 +364,6 @@ def _cmd_verify(args, out) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--constraint-tol", type=float, default=Tolerances.constraint_tol)
-    parser.add_argument("--root-tol", type=float, default=Tolerances.root_tol)
-
-
-def _tolerances_from(args) -> Tolerances:
-    return Tolerances(
-        constraint_tol=args.constraint_tol,
-        fd_step=getattr(args, "fd_step", Tolerances.fd_step),
-        root_tol=args.root_tol,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,13 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--p", help="momentum, comma-separated")
     p_map.add_argument("--u", help="sphere base point, comma-separated")
     p_map.add_argument("--v", help="sphere covector, comma-separated")
-    _add_tolerance_flags(p_map)
 
     p_prop = sub.add_parser("propagate", help="propagate scenario files to CSV")
     p_prop.add_argument("scenario", nargs="+", help="scenario file(s)")
     p_prop.add_argument("--out", help="output CSV path (single scenario)")
     p_prop.add_argument("--out-dir", help="output directory (batch mode)")
-    _add_tolerance_flags(p_prop)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
     p_ver.add_argument("--suite", required=True, help="suite name or 'all'")
@@ -409,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--samples", type=int, default=500)
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--out", help="also write the report to this file")
-    p_ver.add_argument("--fd-step", type=float, default=Tolerances.fd_step)
-    _add_tolerance_flags(p_ver)
 
     return parser
 

@@ -9,14 +9,12 @@ here is safe to use from concurrent callers.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DomainError",
-    "Tolerances",
-    "DEFAULT_TOL",
     "PhasePoint",
     "SphereCotangentPoint",
     "PlaneCotangentPoint",
@@ -40,27 +38,10 @@ def _frozen_vector(value, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class Tolerances:
-    """Numerical knobs shared across the library.
-
-    constraint_tol bounds how far sphere points may sit off their
-    constraints (and how close to the projection pole a point may come),
-    fd_step is the central-difference step for derivative checks, and
-    root_tol terminates the rotation-angle root finder.
-    """
-
-    constraint_tol: float = 1e-10
-    fd_step: float = 1e-6
-    root_tol: float = 1e-14
-
-    def __post_init__(self) -> None:
-        for name in ("constraint_tol", "fd_step", "root_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
-DEFAULT_TOL = Tolerances()
+# How far sphere points may sit off their constraints |u| = 1 and u.v = 0,
+# and how close to the projection pole a point may come before it counts as
+# on the polar fiber.
+_CONSTRAINT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,15 +76,15 @@ class PhasePoint:
         """True off the collision set with negative energy (bound motion)."""
         return self.radius > 0.0 and kepler_energy(self) < 0.0
 
-    def on_reference_shell(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        """True on the H = -1/2 energy shell (within constraint_tol).
+    def on_reference_shell(self) -> bool:
+        """True on the H = -1/2 energy shell (within 1e-10).
 
         This is the shell on which the Moser map conjugates the Kepler flow
         to unit-speed great-circle motion.
         """
         if self.radius == 0.0:
             return False
-        return abs(kepler_energy(self) + 0.5) <= tol.constraint_tol
+        return abs(kepler_energy(self) + 0.5) <= _CONSTRAINT_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +92,7 @@ class SphereCotangentPoint:
     """A covector (u, v) on the unit sphere S^n, embedded in R^(n+1) x R^(n+1).
 
     Construction enforces the constraints |u| = 1 and u.v = 0 to within
-    constraint_tol and rejects violations.  ``at_puncture`` marks points
+    1e-10 and rejects violations.  ``at_puncture`` marks points
     produced on (or within tolerance of) the polar fiber, where the
     inverse regularization maps are undefined; such points are still valid
     states of the completed flow.
@@ -120,9 +101,8 @@ class SphereCotangentPoint:
     u: np.ndarray
     v: np.ndarray
     at_puncture: bool = False
-    constraint_tol: InitVar[float] = DEFAULT_TOL.constraint_tol
 
-    def __post_init__(self, constraint_tol: float) -> None:
+    def __post_init__(self) -> None:
         u = _frozen_vector(self.u, "u")
         v = _frozen_vector(self.v, "v")
         if u.shape != v.shape:
@@ -130,15 +110,15 @@ class SphereCotangentPoint:
         if u.size < 2:
             raise DomainError("sphere points need at least two coordinates")
         unit_defect = abs(float(u @ u) - 1.0)
-        if unit_defect > constraint_tol:
+        if unit_defect > _CONSTRAINT_TOL:
             raise DomainError(
-                f"|u.u - 1| = {unit_defect:.3e} exceeds constraint_tol; "
+                f"|u.u - 1| = {unit_defect:.3e} exceeds {_CONSTRAINT_TOL:g}; "
                 "u must lie on the unit sphere"
             )
         ortho_defect = abs(float(u @ v))
-        if ortho_defect > constraint_tol:
+        if ortho_defect > _CONSTRAINT_TOL:
             raise DomainError(
-                f"|u.v| = {ortho_defect:.3e} exceeds constraint_tol; "
+                f"|u.v| = {ortho_defect:.3e} exceeds {_CONSTRAINT_TOL:g}; "
                 "v must be tangent at u"
             )
         object.__setattr__(self, "u", u)
@@ -162,20 +142,20 @@ class SphereCotangentPoint:
         """True when v != 0 (membership in the punctured bundle)."""
         return self.covector_norm > 0.0
 
-    def off_pole(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        """True when u is farther than constraint_tol from the pole."""
-        return self.pole_gap >= tol.constraint_tol
+    def off_pole(self) -> bool:
+        """True when the pole gap 1 - u_(n+1) is at least 1e-10."""
+        return self.pole_gap >= _CONSTRAINT_TOL
 
-    def is_regular(self, tol: Tolerances = DEFAULT_TOL) -> bool:
+    def is_regular(self) -> bool:
         """True off both the zero section and the polar fiber.
 
         This is the domain on which the inverse regularization maps exist.
         """
-        return self.off_zero_section() and self.off_pole(tol)
+        return self.off_zero_section() and self.off_pole()
 
-    def on_unit_shell(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        """True off the pole with |v| = 1 within constraint_tol."""
-        return self.off_pole(tol) and abs(self.covector_norm - 1.0) <= tol.constraint_tol
+    def on_unit_shell(self) -> bool:
+        """True off the pole with |v| = 1 within 1e-10."""
+        return self.off_pole() and abs(self.covector_norm - 1.0) <= _CONSTRAINT_TOL
 
 
 @dataclass(frozen=True, eq=False)

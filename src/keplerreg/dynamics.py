@@ -18,14 +18,7 @@ from typing import Iterator
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .core import (
-    DEFAULT_TOL,
-    DomainError,
-    PhasePoint,
-    SphereCotangentPoint,
-    Tolerances,
-    _energy,
-)
+from .core import _CONSTRAINT_TOL, DomainError, PhasePoint, SphereCotangentPoint, _energy
 from .ligonschaaf import PunctureError, _reproject, _rotate, ls_inverse, ls_map
 
 __all__ = [
@@ -236,9 +229,7 @@ def delaunay_energy(sp: SphereCotangentPoint) -> float:
     return -0.5 / v2
 
 
-def delaunay_flow(
-    sp: SphereCotangentPoint, t: float, tol: Tolerances = DEFAULT_TOL
-) -> SphereCotangentPoint:
+def delaunay_flow(sp: SphereCotangentPoint, t: float) -> SphereCotangentPoint:
     """Advance the Delaunay flow for time t, in closed form.
 
     With rho = |v| and v_hat = v/rho the flow rotates (u, v_hat) at
@@ -258,31 +249,26 @@ def delaunay_flow(
     v_hat = sp.v / rho
     u_new, w = _reproject(*_rotate(sp.u, v_hat, t / rho**3))
     v_new = rho * (w / np.linalg.norm(w))
-    at_puncture = 1.0 - float(u_new[-1]) < tol.constraint_tol
-    return SphereCotangentPoint(
-        u_new, v_new, at_puncture=at_puncture, constraint_tol=tol.constraint_tol
-    )
+    at_puncture = 1.0 - float(u_new[-1]) < _CONSTRAINT_TOL
+    return SphereCotangentPoint(u_new, v_new, at_puncture=at_puncture)
 
 
-def regularized_propagate(
-    start: PhasePoint, t: float, tol: Tolerances = DEFAULT_TOL
-) -> PhasePoint:
+def regularized_propagate(start: PhasePoint, t: float) -> PhasePoint:
     """Propagate a bound point for time t through the regularized flow.
 
     Conjugates the Kepler flow to the closed-form Delaunay flow via the
     Ligon-Schaaf map, so the result is exact up to the round-trip error of
     the maps and conserves H, every angular-momentum component and the
     Lenz vector norm.  Collision instants are passed through smoothly;
-    only when the requested time itself lands on one (within
-    constraint_tol on the sphere) is a PunctureError raised, and the
-    caller may perturb t.
+    only when the requested time itself lands on one (within 1e-10 on
+    the sphere) is a PunctureError raised, and the caller may perturb t.
     """
-    sphere_start = ls_map(start, tol)
-    sphere_end = delaunay_flow(sphere_start, t, tol)
+    sphere_start = ls_map(start)
+    sphere_end = delaunay_flow(sphere_start, t)
     if sphere_end.at_puncture:
         raise PunctureError(f"landed on collision at t = {t:.12g}; perturb t")
     try:
-        return ls_inverse(sphere_end, tol)
+        return ls_inverse(sphere_end)
     except PunctureError:
         raise PunctureError(f"landed on collision at t = {t:.12g}; perturb t") from None
 

@@ -3,11 +3,12 @@
 Reusable finite-difference machinery (Jacobians, symplectic-defect
 measurement) plus the named property suites that exercise the library's
 invariants over seeded samples.  Every suite is deterministic in
-(n, samples, seed, tolerances), checks every sample it draws and computes
-defects only: it returns (tolerance, defects, samples), one float per
-sample and the parallel list of sample objects.  run_suite alone builds
-the SuiteReport: the worst defect, plus a Failure for each sample above
-tolerance, whose ``where`` is the sample's str().
+(n, samples, seed), checks every sample it draws and computes defects
+only: it returns (tolerance, defects, samples), one float per sample and
+the parallel list of sample objects.  run_suite alone builds the
+SuiteReport: the worst defect, plus a Failure for each sample above
+tolerance, whose ``where`` is the sample's str() with every float at its
+shortest round-trip repr, so the sample can be rebuilt bit for bit.
 
 Tolerances are stratified by error source: identities built from exact
 closed-form compositions use 1e-12, checks that pass through central
@@ -30,17 +31,23 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
     PhasePoint,
     PlaneCotangentPoint,
     SphereCotangentPoint,
-    Tolerances,
     _energy,
     kepler_energy,
     sample_bound_states,
 )
 from .dynamics import _leapfrog_batch, delaunay_flow
-from .ligonschaaf import PunctureError, _reproject, angle_equation, ls_angle, ls_inverse, ls_map
+from .ligonschaaf import (
+    _ROOT_TOL,
+    PunctureError,
+    _reproject,
+    angle_equation,
+    ls_angle,
+    ls_inverse,
+    ls_map,
+)
 from .moser import _chart_hamiltonians, moser_fibration, moser_map, scale_phase
 from .stereo import to_plane, to_sphere
 from .symmetry import (
@@ -57,6 +64,7 @@ from .symmetry import (
 
 __all__ = [
     "UnknownSuiteError",
+    "FD_STEP",
     "Failure",
     "SuiteReport",
     "jacobian",
@@ -79,6 +87,9 @@ class UnknownSuiteError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Finite-difference machinery
+
+# The central-difference step of the derivative suites.
+FD_STEP = 1e-6
 
 
 def jacobian(fn: Callable[[np.ndarray], np.ndarray], point, h: float) -> np.ndarray:
@@ -142,11 +153,11 @@ def flat_fourier(n: int) -> Callable[[np.ndarray], np.ndarray]:
     return fn
 
 
-def _flat_map(n: int, point_type, mapping, *args) -> Callable[[np.ndarray], np.ndarray]:
-    """mapping(point_type(z[:n], z[n:]), *args) -> (u, v), on flat vectors."""
+def _flat_map(n: int, point_type, mapping) -> Callable[[np.ndarray], np.ndarray]:
+    """mapping(point_type(z[:n], z[n:])) -> (u, v), on flat vectors."""
 
     def fn(z: np.ndarray) -> np.ndarray:
-        sp = mapping(point_type(z[:n], z[n:]), *args)
+        sp = mapping(point_type(z[:n], z[n:]))
         return np.concatenate([sp.u, sp.v])
 
     return fn
@@ -162,9 +173,9 @@ def flat_moser_map(n: int) -> Callable[[np.ndarray], np.ndarray]:
     return _flat_map(n, PhasePoint, moser_map)
 
 
-def flat_ls_map(n: int, tol: Tolerances = DEFAULT_TOL) -> Callable[[np.ndarray], np.ndarray]:
+def flat_ls_map(n: int) -> Callable[[np.ndarray], np.ndarray]:
     """(q, p) -> (r, s) on flat vectors."""
-    return _flat_map(n, PhasePoint, ls_map, tol)
+    return _flat_map(n, PhasePoint, ls_map)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +281,12 @@ def _phase_batch(points: list[PhasePoint]) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([pt.q for pt in points]), np.stack([pt.p for pt in points])
 
 
+def _where(sample) -> str:
+    """str(sample) with every float at its shortest round-trip repr."""
+    with np.printoptions(floatmode="unique"):
+        return str(sample)
+
+
 def _max_abs_diff(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
     """Largest |a - b| entry over the given pairs of arrays."""
     return max(float(np.max(np.abs(a - b))) for a, b in pairs)
@@ -283,28 +300,28 @@ def _max_abs_diff(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
 _Defects = tuple[float, list[float], list]
 
 
-def _symplectic_suite(fn, points: list, coords, h: float) -> _Defects:
+def _symplectic_suite(fn, points: list, coords) -> _Defects:
     """Symplectic defect of fn at each sample's flat coords(sample) = (positions, momenta)."""
-    defects = [symplectic_defect(fn, np.concatenate(coords(pt)), h) for pt in points]
-    return fd_tolerance(h), defects, points
+    defects = [symplectic_defect(fn, np.concatenate(coords(pt)), FD_STEP) for pt in points]
+    return fd_tolerance(FD_STEP), defects, points
 
 
-def _suite_stereo_roundtrip(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+def _suite_stereo_roundtrip(n: int, samples: int, seed: int) -> _Defects:
     """Both round trips through the stereographic lift, max-norm error."""
     rng = np.random.default_rng(seed)
     planes = _sample_plane(rng, n, samples)
     spheres = _sample_sphere(rng, n, samples)
     defects = []
     for pl in planes:
-        back = to_plane(to_sphere(pl), tol)
+        back = to_plane(to_sphere(pl))
         defects.append(_max_abs_diff((back.x, pl.x), (back.y, pl.y)))
     for sp in spheres:
-        back = to_sphere(to_plane(sp, tol))
+        back = to_sphere(to_plane(sp))
         defects.append(_max_abs_diff((back.u, sp.u), (back.v, sp.v)))
     return 1e-12, defects, planes + spheres
 
 
-def _suite_metric(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+def _suite_metric(n: int, samples: int, seed: int) -> _Defects:
     """|v.v - (x.x+1)^2 (y.y)/4| under the lift (the invariant metric)."""
     points = _sample_plane(np.random.default_rng(seed), n, samples)
     defects = []
@@ -317,37 +334,37 @@ def _suite_metric(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
     return 1e-12, defects, points
 
 
-def _suite_stereo_canonical(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+def _suite_stereo_canonical(n: int, samples: int, seed: int) -> _Defects:
     """Symplectic defect of the lift via finite differences.
 
     Sampling is compact (chart values O(1)) so the defect sits at the
     finite-difference error floor rather than scaling with the box.
     """
     points = _sample_plane(np.random.default_rng(seed), n, samples, box=0.8)
-    return _symplectic_suite(flat_to_sphere(n), points, lambda pl: (pl.x, pl.y), tol.fd_step)
+    return _symplectic_suite(flat_to_sphere(n), points, lambda pl: (pl.x, pl.y))
 
 
-def _suite_moser_symplectic(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+def _suite_moser_symplectic(n: int, samples: int, seed: int) -> _Defects:
     """Symplectic defect of the Moser map via finite differences."""
     points = _sample_phase_compact(np.random.default_rng(seed), n, samples)
-    return _symplectic_suite(flat_moser_map(n), points, lambda pt: (pt.q, pt.p), tol.fd_step)
+    return _symplectic_suite(flat_moser_map(n), points, lambda pt: (pt.q, pt.p))
 
 
-def _suite_fibration_scale(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+def _suite_fibration_scale(n: int, samples: int, seed: int) -> _Defects:
     """Scale invariance of the unit-covector projection."""
     points = sample_bound_states(n, samples, seed)
     defects = []
     for pt in points:
-        base = moser_fibration(pt, tol)
+        base = moser_fibration(pt)
         worst = 0.0
         for rho in (0.5, 2.0, 10.0):
-            scaled = moser_fibration(scale_phase(pt, rho), tol)
+            scaled = moser_fibration(scale_phase(pt, rho))
             worst = max(worst, _max_abs_diff((scaled.u, base.u), (scaled.v, base.v)))
         defects.append(worst)
     return 1e-10, defects, points
 
 
-def _suite_moser_levelset(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+def _suite_moser_levelset(n: int, samples: int, seed: int) -> _Defects:
     """Hamiltonian vector fields of the two chart energies agree on the
     shared level set (geodesic energy 1/2, speed defect 0).
 
@@ -356,11 +373,11 @@ def _suite_moser_levelset(n: int, samples: int, seed: int, tol: Tolerances) -> _
     dominates the finite-difference error.  Unit covectors lie on the
     level set, and with |x|^2 <= 3 here their speed defect is roundoff
     only, so every sample is checked.  Gradients use Richardson
-    extrapolation at a step 100x larger than fd_step, which keeps both
+    extrapolation at a step 100x larger than FD_STEP, which keeps both
     the truncation and the roundoff-floor terms below the tolerance.
     """
     rng = np.random.default_rng(seed)
-    h = 100.0 * tol.fd_step
+    h = 100.0 * FD_STEP
 
     def geodesic_and_speed_defect(z: np.ndarray) -> np.ndarray:
         return np.array(_chart_hamiltonians(z[:n], z[n:])[:2])
@@ -368,7 +385,7 @@ def _suite_moser_levelset(n: int, samples: int, seed: int, tol: Tolerances) -> _
     points = _sample_sphere(rng, n, samples, min_pole_distance=1.0, unit_covector=True)
     defects = []
     for sp in points:
-        pl = to_plane(sp, tol)
+        pl = to_plane(sp)
         z = np.concatenate([pl.x, pl.y])
         grads = _central_differences(geodesic_and_speed_defect, z, h, richardson=True)
         # The Hamiltonian fields (dH/dy, -dH/dx) differ entrywise by the
@@ -377,7 +394,7 @@ def _suite_moser_levelset(n: int, samples: int, seed: int, tol: Tolerances) -> _
     return 1e-10, defects, points
 
 
-def _suite_ls_symplectic(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+def _suite_ls_symplectic(n: int, samples: int, seed: int) -> _Defects:
     """Symplectic defect of the Ligon-Schaaf map via finite differences.
 
     The map is singular as H -> 0 (the covector norm 1/sqrt(-2H) blows
@@ -385,33 +402,33 @@ def _suite_ls_symplectic(n: int, samples: int, seed: int, tol: Tolerances) -> _D
     region.
     """
     points = _sample_phase_compact(np.random.default_rng(seed), n, samples)
-    return _symplectic_suite(flat_ls_map(n, tol), points, lambda pt: (pt.q, pt.p), tol.fd_step)
+    return _symplectic_suite(flat_ls_map(n), points, lambda pt: (pt.q, pt.p))
 
 
-def _suite_ls_roundtrip(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+def _suite_ls_roundtrip(n: int, samples: int, seed: int) -> _Defects:
     """Two-sided inverse identities plus the monotone-root contract.
 
     Round-trip defects are reported directly.  Root-finder residuals are
-    folded in scaled by (round-trip tolerance / root tolerance) so a
-    residual above root_tol fails the suite; the root slope must be
+    folded in scaled by (round-trip tolerance / the solver's 1e-14 stop) so
+    a residual above that stop fails the suite; the root slope must be
     strictly negative (the monotone-root invariant), and a non-negative
     slope or an unexpected puncture is reported as an outright failure.
     """
     tolerance = 1e-10
-    scale = tolerance / tol.root_tol
+    scale = tolerance / _ROOT_TOL
     points: list = sample_bound_states(n, samples, seed)
     defects = []
     for pt in points:
-        back = ls_inverse(ls_map(pt, tol), tol)
+        back = ls_inverse(ls_map(pt))
         defects.append(_max_abs_diff((back.q, pt.q), (back.p, pt.p)))
     for sp in _sample_sphere(np.random.default_rng(seed + 1), n, samples):
         try:
-            pt = ls_inverse(sp, tol)
+            pt = ls_inverse(sp)
         except PunctureError:
             defects.append(2.0 * tolerance)
-            points.append(f"unexpected puncture at {sp}")
+            points.append(f"unexpected puncture at {_where(sp)}")
             continue
-        again = ls_map(pt, tol)
+        again = ls_map(pt)
         d = _max_abs_diff((again.u, sp.u), (again.v, sp.v))
         sigma = sp.covector_norm
         theta = ls_angle(pt).theta
@@ -424,15 +441,15 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int, tol: Tolerances) -> _De
     return tolerance, defects, points
 
 
-def _suite_ls_equivariance(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+def _suite_ls_equivariance(n: int, samples: int, seed: int) -> _Defects:
     """Equivariance under rotations of R^n extended by a fixed last axis."""
     rng = np.random.default_rng(seed + 7)
     points = sample_bound_states(n, samples, seed)
     defects = []
     for pt in points:
         rot = _random_rotation(rng, n)
-        rotated = ls_map(PhasePoint(rot @ pt.q, rot @ pt.p), tol)
-        base = ls_map(pt, tol)
+        rotated = ls_map(PhasePoint(rot @ pt.q, rot @ pt.p))
+        base = ls_map(pt)
         rot_ext = np.zeros((n + 1, n + 1))
         rot_ext[:n, :n] = rot
         rot_ext[n, n] = 1.0
@@ -455,7 +472,7 @@ _INTERTWINE_DT = 1e-5
 _INTERTWINE_STEPS = (10_000, 100_000, 500_000)  # t = 0.1, 1, 5
 
 
-def _suite_intertwine(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+def _suite_intertwine(n: int, samples: int, seed: int) -> _Defects:
     """Direct leapfrog propagation against the conjugated Delaunay flow at
     t in {0.1, 1, 5}.
 
@@ -470,30 +487,30 @@ def _suite_intertwine(n: int, samples: int, seed: int, tol: Tolerances) -> _Defe
     dt = _INTERTWINE_DT
     checkpoints = list(_INTERTWINE_STEPS)
     states = _leapfrog_batch(qs, ps, dt, checkpoints)
-    sphere0 = [ls_map(pt, tol) for pt in points]
+    sphere0 = [ls_map(pt) for pt in points]
     worst = [0.0] * len(points)
     for steps, (qarr, parr) in zip(checkpoints, states):
         t = steps * dt
         for i, sp0 in enumerate(sphere0):
-            expected = delaunay_flow(sp0, t, tol)
-            observed = ls_map(PhasePoint(qarr[i], parr[i]), tol)
+            expected = delaunay_flow(sp0, t)
+            observed = ls_map(PhasePoint(qarr[i], parr[i]))
             d = _max_abs_diff((observed.u, expected.u), (observed.v, expected.v))
             worst[i] = max(worst[i], d)
     return 1e-6, worst, points
 
 
-def _suite_momenta_pullback(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+def _suite_momenta_pullback(n: int, samples: int, seed: int) -> _Defects:
     """sphere momentum of the Ligon-Schaaf image equals the extended
     momentum, entrywise."""
     points = sample_bound_states(n, samples, seed)
     defects = [
-        _max_abs_diff((sphere_momentum(ls_map(pt, tol)).entries, extended_momentum(pt).entries))
+        _max_abs_diff((sphere_momentum(ls_map(pt)).entries, extended_momentum(pt).entries))
         for pt in points
     ]
     return 1e-12, defects, points
 
 
-def _suite_mu_squared(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+def _suite_mu_squared(n: int, samples: int, seed: int) -> _Defects:
     """momentum_norm_squared(pt) * (-2H) = 1 on bound samples."""
     points = sample_bound_states(n, samples, seed)
     defects = [
@@ -502,7 +519,7 @@ def _suite_mu_squared(n: int, samples: int, seed: int, tol: Tolerances) -> _Defe
     return 1e-12, defects, points
 
 
-def _suite_so_brackets(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+def _suite_so_brackets(n: int, samples: int, seed: int) -> _Defects:
     """All so(n+1) bracket relations on bound samples.
 
     {L_ab, L_cd} = d_bc L_da + d_ad L_cb - d_ac L_db - d_bd L_ca with the
@@ -512,13 +529,12 @@ def _suite_so_brackets(n: int, samples: int, seed: int, tol: Tolerances) -> _Def
     """
     points = sample_bound_states(n, samples, seed, min_energy=-2.0, max_energy=-0.2)
     qs, ps = _phase_batch(points)
-    h = tol.fd_step
     pairs = list(combinations(range(n + 1), 2))
     fields = {pair: extended_momentum_field(pair[0], pair[1], n) for pair in pairs}
     values = {pair: field(qs, ps) for pair, field in fields.items()}
     worst = np.zeros(len(points))
     for (a, b), (c, d) in combinations_with_replacement(pairs, 2):
-        observed = _bracket_batch(fields[(a, b)], fields[(c, d)], qs, ps, h, richardson=True)
+        observed = _bracket_batch(fields[(a, b)], fields[(c, d)], qs, ps, FD_STEP, richardson=True)
         expected = np.zeros(len(points))
         for delta, pair, sign in (
             (b == c, (d, a), 1.0),
@@ -534,7 +550,7 @@ def _suite_so_brackets(n: int, samples: int, seed: int, tol: Tolerances) -> _Def
     return 1e-5, worst.tolist(), points
 
 
-def _suite_lenz_brackets(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+def _suite_lenz_brackets(n: int, samples: int, seed: int) -> _Defects:
     """Lenz bracket relations sampled on |q| > 0 regardless of energy sign.
 
     {L_ij, K_k} = d_ik K_j - d_jk K_i and {K_i, K_j} = -2H L_ij extend off
@@ -549,7 +565,6 @@ def _suite_lenz_brackets(n: int, samples: int, seed: int, tol: Tolerances) -> _D
         if np.linalg.norm(q) >= 0.1:
             points.append(PhasePoint(q, p))
     qs, ps = _phase_batch(points)
-    h = tol.fd_step
     worst = np.zeros(samples)
     lenz_values = {k: lenz_field(k)(qs, ps) for k in range(n)}
     ang_values = {
@@ -559,7 +574,7 @@ def _suite_lenz_brackets(n: int, samples: int, seed: int, tol: Tolerances) -> _D
     for i, j in combinations(range(n), 2):
         for k in range(n):
             observed = _bracket_batch(
-                angular_momentum_field(i, j), lenz_field(k), qs, ps, h, richardson=True
+                angular_momentum_field(i, j), lenz_field(k), qs, ps, FD_STEP, richardson=True
             )
             expected = np.zeros(samples)
             if i == k:
@@ -568,7 +583,7 @@ def _suite_lenz_brackets(n: int, samples: int, seed: int, tol: Tolerances) -> _D
                 expected = expected - lenz_values[i]
             worst = np.maximum(worst, np.abs(observed - expected))
     for i, j in combinations(range(n), 2):
-        observed = _bracket_batch(lenz_field(i), lenz_field(j), qs, ps, h, richardson=True)
+        observed = _bracket_batch(lenz_field(i), lenz_field(j), qs, ps, FD_STEP, richardson=True)
         expected = -2.0 * energy * ang_values[(i, j)]
         worst = np.maximum(worst, np.abs(observed - expected))
     return 1e-5, worst.tolist(), points
@@ -578,7 +593,7 @@ _CONSERVATION_DT = 2e-5
 _CONSERVATION_STEPS = 25_000  # horizon t = 0.5
 
 
-def _suite_conservation(n: int, samples: int, seed: int, tol: Tolerances) -> _Defects:
+def _suite_conservation(n: int, samples: int, seed: int) -> _Defects:
     """Drift of H, every L_ij and every K_i along leapfrog trajectories.
 
     Both families are first integrals, so any drift is integrator error;
@@ -606,7 +621,7 @@ def _suite_conservation(n: int, samples: int, seed: int, tol: Tolerances) -> _De
 
 @dataclass(frozen=True, eq=False)
 class SuiteDef:
-    runner: Callable[[int, int, int, Tolerances], _Defects]
+    runner: Callable[[int, int, int], _Defects]
     module: str
     invariant: str
 
@@ -637,13 +652,7 @@ def suite_registry() -> dict[str, SuiteDef]:
     return dict(_SUITES)
 
 
-def run_suite(
-    name: str,
-    n: int,
-    samples: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOL,
-) -> SuiteReport:
+def run_suite(name: str, n: int, samples: int, seed: int) -> SuiteReport:
     """Execute one named verification suite; deterministic per seed."""
     if name not in _SUITES:
         raise UnknownSuiteError(
@@ -653,10 +662,10 @@ def run_suite(
         raise ValueError("n must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    tolerance, defects, points = _SUITES[name].runner(n, samples, seed, tol)
+    tolerance, defects, points = _SUITES[name].runner(n, samples, seed)
     failures = sorted(
         (
-            Failure(where=str(pt), observed=d, expected=0.0, tolerance=tolerance)
+            Failure(where=_where(pt), observed=d, expected=0.0, tolerance=tolerance)
             for d, pt in zip(defects, points)
             if d > tolerance
         ),

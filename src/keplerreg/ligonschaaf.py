@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    DomainError,
-    PhasePoint,
-    SphereCotangentPoint,
-    Tolerances,
-    kepler_energy,
-)
+from .core import _CONSTRAINT_TOL, DomainError, PhasePoint, SphereCotangentPoint, kepler_energy
 from .moser import moser_fibration, moser_map_inverse, scale_phase
 
 __all__ = [
@@ -39,6 +32,8 @@ __all__ = [
 ]
 
 _ANGLE_BRACKET = math.sqrt(2.0)
+# The rotation-angle root solve stops once |f(theta)| is at most this.
+_ROOT_TOL = 1e-14
 
 
 class PunctureError(DomainError):
@@ -63,7 +58,7 @@ class LSAngle:
     def __post_init__(self) -> None:
         if not math.isfinite(self.theta):
             raise DomainError("theta must be finite")
-        if abs(self.theta) > 1.0 + DEFAULT_TOL.constraint_tol:
+        if abs(self.theta) > 1.0 + _CONSTRAINT_TOL:
             raise DomainError(f"|theta| = {abs(self.theta):.6g} exceeds 1")
 
 
@@ -89,7 +84,7 @@ def _reproject(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v - np.vecdot(u, v) * u
 
 
-def ls_map(point: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> SphereCotangentPoint:
+def ls_map(point: PhasePoint) -> SphereCotangentPoint:
     """Apply the Ligon-Schaaf map to a bound phase point.
 
     With (u, v) the Moser fibration of the point and theta = v_(n+1):
@@ -99,17 +94,17 @@ def ls_map(point: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> SphereCotangentP
 
     The output satisfies |r| = 1, r.s = 0 and |s| = 1/sqrt(-2H), so the
     Delaunay energy -1/(2 s.s) of the image equals the Kepler energy of
-    the input.  Points landing within constraint_tol of the polar fiber
+    the input.  Points landing within 1e-10 of the polar fiber
     (collision completion points) are returned with ``at_puncture`` set
     rather than rejected; only the inverse map must refuse them.
     """
-    fib = moser_fibration(point, tol)
+    fib = moser_fibration(point)
     energy = kepler_energy(point)
     w = math.sqrt(-2.0 * energy)
     r, s = _rotate(fib.u, fib.v, float(fib.v[-1]))
     s = s / w
-    at_puncture = abs(1.0 - float(r[-1])) < tol.constraint_tol
-    return SphereCotangentPoint(r, s, at_puncture=at_puncture, constraint_tol=tol.constraint_tol)
+    at_puncture = abs(1.0 - float(r[-1])) < _CONSTRAINT_TOL
+    return SphereCotangentPoint(r, s, at_puncture=at_puncture)
 
 
 def angle_equation(theta: float, r_last: float, s_last: float) -> tuple[float, float]:
@@ -130,7 +125,7 @@ def angle_equation(theta: float, r_last: float, s_last: float) -> tuple[float, f
     return value, slope
 
 
-def _solve_rotation_angle(r_last: float, s_last: float, root_tol: float) -> float:
+def _solve_rotation_angle(r_last: float, s_last: float) -> float:
     """Find the unique root of the angle equation in [-sqrt(2), sqrt(2)].
 
     Bisection keeps a sign-changing bracket at all times; Newton steps are
@@ -144,7 +139,7 @@ def _solve_rotation_angle(r_last: float, s_last: float, root_tol: float) -> floa
     theta = 0.5 * (lo + hi)
     for _ in range(200):
         value, slope = angle_equation(theta, r_last, s_last)
-        if abs(value) <= root_tol:
+        if abs(value) <= _ROOT_TOL:
             return theta
         if value > 0.0:
             lo = theta
@@ -163,7 +158,7 @@ def _solve_rotation_angle(r_last: float, s_last: float, root_tol: float) -> floa
     return theta
 
 
-def ls_inverse(sp: SphereCotangentPoint, tol: Tolerances = DEFAULT_TOL) -> PhasePoint:
+def ls_inverse(sp: SphereCotangentPoint) -> PhasePoint:
     """Invert the Ligon-Schaaf map on the regular domain.
 
     Writing sigma = |s| and s_hat = s/sigma, the rotation angle theta is
@@ -177,7 +172,7 @@ def ls_inverse(sp: SphereCotangentPoint, tol: Tolerances = DEFAULT_TOL) -> Phase
     restores the original energy.
 
     Raises DomainError when |s| = 0 and PunctureError when the unrotated
-    base point sits on the polar fiber within constraint_tol (a collision
+    base point sits on the polar fiber within 1e-10 (a collision
     completion point, outside the image of the forward map).
     """
     r = sp.u
@@ -185,13 +180,13 @@ def ls_inverse(sp: SphereCotangentPoint, tol: Tolerances = DEFAULT_TOL) -> Phase
     if sigma == 0.0:
         raise DomainError("|s| must be nonzero (zero section has no preimage)")
     s_hat = sp.v / sigma
-    theta = _solve_rotation_angle(float(r[-1]), float(s_hat[-1]), tol.root_tol)
+    theta = _solve_rotation_angle(float(r[-1]), float(s_hat[-1]))
     u, v = _rotate(r, s_hat, -theta)
-    if 1.0 - float(u[-1]) < tol.constraint_tol:
+    if 1.0 - float(u[-1]) < _CONSTRAINT_TOL:
         raise PunctureError(
             "collision point: the unrotated base point sits on the polar fiber"
         )
-    # Re-project onto the constraint set so that input defects up to
-    # constraint_tol cannot be rejected downstream.
-    shell_point = moser_map_inverse(SphereCotangentPoint(*_reproject(u, v)), tol)
+    # Re-project onto the constraint set so that input defects up to the
+    # constraint tolerance cannot be rejected downstream.
+    shell_point = moser_map_inverse(SphereCotangentPoint(*_reproject(u, v)))
     return scale_phase(shell_point, sigma)

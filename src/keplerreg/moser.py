@@ -17,15 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    DomainError,
-    PhasePoint,
-    PlaneCotangentPoint,
-    SphereCotangentPoint,
-    Tolerances,
-    kepler_energy,
-)
+from .core import DomainError, PhasePoint, PlaneCotangentPoint, SphereCotangentPoint, kepler_energy
 from .stereo import _lift, to_plane
 
 __all__ = [
@@ -67,12 +59,12 @@ def moser_map(point: PhasePoint) -> SphereCotangentPoint:
     return SphereCotangentPoint(*_lift(point.p, -point.q))
 
 
-def moser_map_inverse(sp: SphereCotangentPoint, tol: Tolerances = DEFAULT_TOL) -> PhasePoint:
+def moser_map_inverse(sp: SphereCotangentPoint) -> PhasePoint:
     """Invert the Moser map away from the polar fiber."""
-    return fourier_inverse(to_plane(sp, tol))
+    return fourier_inverse(to_plane(sp))
 
 
-def moser_fibration(point: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> SphereCotangentPoint:
+def moser_fibration(point: PhasePoint) -> SphereCotangentPoint:
     """Scale-invariant projection of the bound region onto unit covectors.
 
     With r = |q| and w = sqrt(-2H):
@@ -103,7 +95,7 @@ def moser_fibration(point: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> SphereC
     v = np.empty(point.n + 1)
     v[:-1] = -q / r + qp * p
     v[-1] = -w * qp
-    return SphereCotangentPoint(u, v, constraint_tol=tol.constraint_tol)
+    return SphereCotangentPoint(u, v)
 
 
 def scale_phase(point: PhasePoint, rho: float) -> PhasePoint:

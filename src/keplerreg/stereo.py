@@ -10,30 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    DomainError,
-    PlaneCotangentPoint,
-    SphereCotangentPoint,
-    Tolerances,
-)
+from .core import _CONSTRAINT_TOL, DomainError, PlaneCotangentPoint, SphereCotangentPoint
 
 __all__ = ["to_plane", "to_sphere"]
 
 
-def to_plane(sp: SphereCotangentPoint, tol: Tolerances = DEFAULT_TOL) -> PlaneCotangentPoint:
+def to_plane(sp: SphereCotangentPoint) -> PlaneCotangentPoint:
     """Project (u, v) on T*S^n to (x, y) on T*R^n.
 
     x_k = u_k / (1 - u_(n+1)),  y_k = v_k (1 - u_(n+1)) + v_(n+1) u_k.
 
-    The polar fiber is excluded: points with 1 - u_(n+1) < constraint_tol
-    are rejected to avoid overflow in the 1/(1 - u_(n+1)) factor.
+    The polar fiber is excluded: points with 1 - u_(n+1) < 1e-10 are
+    rejected to avoid overflow in the 1/(1 - u_(n+1)) factor.
     """
     gap = sp.pole_gap
-    if gap < tol.constraint_tol:
-        raise DomainError(
-            f"north pole fiber: 1 - u_(n+1) = {gap:.3e} is below constraint_tol"
-        )
+    if gap < _CONSTRAINT_TOL:
+        raise DomainError(f"north pole fiber: 1 - u_(n+1) = {gap:.3e} is below {_CONSTRAINT_TOL:g}")
     x = sp.u[:-1] / gap
     y = sp.v[:-1] * gap + sp.v[-1] * sp.u[:-1]
     return PlaneCotangentPoint(x, y)

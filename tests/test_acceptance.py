@@ -81,7 +81,7 @@ def test_02_canonicity_at_pinned_step():
     reference to 4 eps, so the program computes the canonical map."""
     h, bound, samples, seed = 1e-6, 1e-10, 500, 42
     eps = float(np.finfo(float).eps)
-    assert kr.DEFAULT_TOL.fd_step == h
+    assert kr.harness.FD_STEP == h
     exact, double = {}, {}
     agreement = 0.0
     for name, (draw, flat_map, ref_map) in _CANONICITY_CASES.items():

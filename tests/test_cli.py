@@ -209,7 +209,7 @@ class TestVerifyCommand:
         from keplerreg import Failure, SuiteReport
         from keplerreg import cli as cli_mod
 
-        def fake_run_suite(name, n, samples, seed, tol):
+        def fake_run_suite(name, n, samples, seed):
             return SuiteReport(
                 name=name,
                 n=n,
@@ -245,31 +245,22 @@ class TestVerifyCommand:
         assert out_path.read_text() == out
 
 
-class TestFdStepFlag:
-    """Only the harness suites read Tolerances.fd_step, so only verify takes --fd-step."""
+class TestRemovedToleranceFlags:
+    """The tolerances are fixed constants, so no subcommand takes a flag for them."""
 
-    @pytest.mark.parametrize("command", ["map", "propagate"])
-    def test_rejected_outside_verify(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--constraint-tol", "--root-tol", "--fd-step"])
+    @pytest.mark.parametrize("command", ["map", "propagate", "verify"])
+    def test_rejected(self, command, flag, tmp_path, capsys):
         scn = write_scenario(tmp_path, "c.scn", CIRCULAR_REG)
         argv = {
             "map": ["map", "--which", "ls", "--q", "1,0", "--p", "0,1"],
             "propagate": ["propagate", str(scn), "--out", str(tmp_path / "c.csv")],
+            "verify": ["verify", "--suite", "metric", "--samples", "5"],
         }[command]
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--fd-step", "1e-6"])
+            main(argv + [flag, "1e-6"])
         assert exc.value.code == 1
-        assert "--fd-step" in capsys.readouterr().err
-
-    def test_verify_reads_it(self, capsys):
-        argv = ["verify", "--suite", "stereo-canonical", "--samples", "20"]
-        code, default, _ = run_cli(argv, capsys)
-        assert code == 0
-        code, same, _ = run_cli(argv + ["--fd-step", "1e-6"], capsys)
-        assert code == 0
-        assert same == default
-        code, coarser, _ = run_cli(argv + ["--fd-step", "1e-4"], capsys)
-        assert code == 0
-        assert coarser != default
+        assert flag in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -313,3 +304,15 @@ class TestScenarioParsing:
     def test_explicit_output_times(self):
         scenario = parse_scenario(RECT_REG)
         assert scenario.times().size == 5
+
+    def test_unknown_key(self):
+        with pytest.raises(DomainError, match="unknown key 'ouput_count'"):
+            parse_scenario(CIRCULAR_REG + "ouput_count = 5\n")
+
+    def test_duplicate_key(self):
+        with pytest.raises(DomainError, match="repeats key 'p'"):
+            parse_scenario(CIRCULAR_REG + "p = 0,0.5\n")
+
+    def test_output_times_beyond_t_end(self):
+        with pytest.raises(DomainError, match="t_end"):
+            parse_scenario(RECT_REG.replace("t_end = 2.2214414690791831", "t_end = 2"))

@@ -9,8 +9,10 @@ from keplerreg import (
     PhasePoint,
     PlaneCotangentPoint,
     SphereCotangentPoint,
-    Tolerances,
+    core,
+    harness,
     kepler_energy,
+    ligonschaaf,
     sample_bound_states,
 )
 
@@ -82,7 +84,6 @@ class TestSphereCotangentPoint:
         u = np.array([0.0, 0.0, 1.0 + 5e-9])
         with pytest.raises(DomainError):
             SphereCotangentPoint(u, [1, 0, 0])
-        SphereCotangentPoint(u, [1, 0, 0], constraint_tol=1e-7)
 
 
 class TestPlaneCotangentPoint:
@@ -120,15 +121,9 @@ class TestMomentumMatrix:
 
 class TestTolerances:
     def test_defaults(self):
-        tol = Tolerances()
-        assert tol.constraint_tol == 1e-10
-        assert tol.fd_step == 1e-6
-        assert tol.root_tol == 1e-14
-
-    @pytest.mark.parametrize("field", ["constraint_tol", "fd_step", "root_tol"])
-    def test_positive_required(self, field):
-        with pytest.raises(ValueError):
-            Tolerances(**{field: 0.0})
+        assert core._CONSTRAINT_TOL == 1e-10
+        assert ligonschaaf._ROOT_TOL == 1e-14
+        assert harness.FD_STEP == 1e-6
 
 
 class TestSampleBoundStates:

@@ -21,17 +21,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, MomentumMatrix, PhasePoint, SphereCotangentPoint, kepler_energy
+from .core import DomainError, PhasePoint, SphereCotangentPoint, _energy, _lenz, kepler_energy
 from .dynamics import (
     CollisionApproachError,
+    _delaunay_energy,
+    _regularized_rows,
     delaunay_energy,
-    delaunay_flow,
     kepler_integrate,
 )
 from .harness import SUITE_NAMES, UnknownSuiteError, run_suite
 from .ligonschaaf import PunctureError, ls_inverse, ls_map
 from .moser import moser_fibration, moser_map, moser_map_inverse
-from .symmetry import angular_momentum, lenz_vector, sphere_momentum
+from .symmetry import _wedge_entries
 
 __all__ = ["main", "build_parser", "Scenario", "parse_scenario"]
 
@@ -85,8 +86,10 @@ class Scenario:
             raise DomainError(f"mode must be direct or regularized, got {self.mode!r}")
         if self.q.size != self.n or self.p.size != self.n:
             raise DomainError("q and p must have length n")
-        if not self.t_end > 0.0:
-            raise DomainError("t_end must be positive")
+        if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
+            raise DomainError("t_end must be positive and finite")
+        if self.dt is not None and not math.isfinite(self.dt):
+            raise DomainError("dt must be finite")
         if self.mode == "direct" and (self.dt is None or not self.dt > 0.0):
             raise DomainError("direct mode requires dt > 0")
         if self.output_times is not None:
@@ -229,82 +232,67 @@ def _csv_header(n: int) -> str:
     return ",".join(cols)
 
 
-def _csv_row(
-    t: float, n: int, coords, energy: float, mom: MomentumMatrix, lenz: np.ndarray, flag: str
-) -> str:
-    """One row in header order: t, q, p, H, L_ij (i < j < n), K, Knorm, flag.
-
-    ``coords`` holds q then p; it is None on a collision row, whose q and p
-    cells stay empty.
-    """
-    cells = [_fmt(t)]
-    cells += [""] * (2 * n) if coords is None else [_fmt(float(c)) for c in coords]
-    cells.append(_fmt(energy))
-    cells += [_fmt(mom.entry(i, j)) for i in range(n) for j in range(i + 1, n)]
-    cells += [_fmt(float(c)) for c in lenz]
-    cells.append(_fmt(float(np.linalg.norm(lenz))))
-    cells.append(flag)
-    return ",".join(cells)
+def _csv_rows(t, q, p, energy, momenta, lenz, collision) -> list[str]:
+    """One CSV row per entry of t, in header order; a row marked in
+    ``collision`` prints empty q and p cells and the flag ``collision``."""
+    n = q.shape[1]
+    table = np.column_stack([t, q, p, energy, momenta, lenz, np.sqrt(np.vecdot(lenz, lenz))])
+    tail = ["%.17g"] * (2 + momenta.shape[1] + n)
+    phase = ",".join(["%.17g"] * (1 + 2 * n) + tail + [""])
+    # "%.0s" prints nothing, which keeps a collision row's q and p cells empty.
+    hit = ",".join(["%.17g"] + ["%.0s"] * (2 * n) + tail + ["collision"])
+    return [(hit if c else phase) % tuple(row) for row, c in zip(table.tolist(), collision)]
 
 
-def _phase_row(t: float, point: PhasePoint) -> str:
-    energy = kepler_energy(point)
-    lenz = lenz_vector(point)
-    coords = (*point.q, *point.p)
-    return _csv_row(t, point.n, coords, energy, angular_momentum(point), lenz, "")
+def _phase_quantities(q: np.ndarray, p: np.ndarray):
+    """H, the L_ij (i < j < n) and K of phase rows (m, n)."""
+    return _energy(q, p), _wedge_entries(q, p, *np.triu_indices(q.shape[1], 1)), _lenz(q, p)
 
 
-def _collision_row(t: float, sp: SphereCotangentPoint) -> str:
-    """Row for an output time landing on a collision: no q, p, but the
-    conserved quantities are still defined on the sphere side."""
-    n = sp.n
-    energy = delaunay_energy(sp)
-    mom = sphere_momentum(sp)
-    w = math.sqrt(-2.0 * energy)
-    lenz = np.array([mom.entry(i, n) * w for i in range(n)])
-    return _csv_row(t, n, None, energy, mom, lenz, "collision")
+def _sphere_quantities(u: np.ndarray, v: np.ndarray):
+    """H, the L_ij and K of sphere rows (m, n+1), where q and p are undefined:
+    the Delaunay energy and u ^ v, whose last column is K / sqrt(-2H)."""
+    energy = _delaunay_energy(v)
+    n = u.shape[1] - 1
+    lenz = _wedge_entries(u, v, np.arange(n), np.full(n, n)) * np.sqrt(-2.0 * energy)[:, None]
+    return energy, _wedge_entries(u, v, *np.triu_indices(n, 1)), lenz
 
 
 def _propagate_regularized(scenario: Scenario) -> list[str]:
+    """All rows of one scenario as one batch: one flow, one inverse, one row evaluation."""
     start = PhasePoint(scenario.q, scenario.p)
-    sphere_start = ls_map(start)
-    rows = []
-    for t in scenario.times():
-        t = float(t)
-        if t == 0.0:
-            rows.append(_phase_row(t, start))
-            continue
-        sp_t = delaunay_flow(sphere_start, t)
-        if sp_t.at_puncture:
-            rows.append(_collision_row(t, sp_t))
-            continue
-        try:
-            rows.append(_phase_row(t, ls_inverse(sp_t)))
-        except PunctureError:
-            rows.append(_collision_row(t, sp_t))
-    return rows
+    times = scenario.times()
+    moving = times != 0.0
+    u, v, q_t, p_t, hit = _regularized_rows(ls_map(start), times[moving])
+    q, p = np.tile(start.q, (times.size, 1)), np.tile(start.p, (times.size, 1))
+    q[moving], p[moving] = q_t, p_t
+    collision = np.zeros(times.size, dtype=bool)
+    collision[moving] = hit
+    energy, momenta, lenz = _phase_quantities(q, p)
+    energy[collision], momenta[collision], lenz[collision] = _sphere_quantities(u[hit], v[hit])
+    return _csv_rows(times, q, p, energy, momenta, lenz, collision)
 
 
 def _propagate_direct(scenario: Scenario) -> list[str]:
     state = PhasePoint(scenario.q, scenario.p)
-    rows = []
+    times = scenario.times()
+    states = []
     current_t = 0.0
-    for t in scenario.times():
+    for t in times:
         t = float(t)
-        if t == 0.0:
-            rows.append(_phase_row(t, state))
-            continue
-        span = t - current_t
-        if span <= 0.0:
-            raise DomainError("output times must be strictly increasing")
-        try:
-            traj = kepler_integrate(state, span, scenario.dt, record_every=10**9)
-        except CollisionApproachError as exc:
-            raise CollisionApproachError(current_t + exc.t) from None
-        state = traj.end
-        current_t = t
-        rows.append(_phase_row(t, state))
-    return rows
+        if t != 0.0:
+            span = t - current_t
+            if span <= 0.0:
+                raise DomainError("output times must be strictly increasing")
+            try:
+                traj = kepler_integrate(state, span, scenario.dt, record_every=10**9)
+            except CollisionApproachError as exc:
+                raise CollisionApproachError(current_t + exc.t) from None
+            state = traj.end
+            current_t = t
+        states.append(state)
+    q, p = np.array([s.q for s in states]), np.array([s.p for s in states])
+    return _csv_rows(times, q, p, *_phase_quantities(q, p), np.zeros(times.size, dtype=bool))
 
 
 def _cmd_propagate(args, out) -> int:

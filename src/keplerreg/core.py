@@ -28,20 +28,42 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-def _frozen_vector(value, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DomainError(f"{name} must be a one-dimensional real vector")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must have finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
 # How far sphere points may sit off their constraints |u| = 1 and u.v = 0,
 # and how close to the projection pole a point may come before it counts as
 # on the polar fiber.
 _CONSTRAINT_TOL = 1e-10
+
+
+def _check_rows(a: np.ndarray, b: np.ndarray, names: str, *, sphere: bool = False) -> None:
+    """The value objects' checks of one point (k,) or rows (m, k): finite
+    entries and, for a sphere pair (u, v), |u.u - 1| and |u.v| <= 1e-10."""
+    for name, arr in zip(names, (a, b)):
+        if not np.isfinite(arr).all():
+            raise DomainError(f"{name} must have finite entries")
+    if sphere:
+        defects = np.abs((np.vecdot(a, a) - 1.0, np.vecdot(a, b)))
+        bad = defects > _CONSTRAINT_TOL
+        if bad.any():
+            k = 0 if bad[0].any() else 1
+            label = ("|u.u - 1|", "|u.v|")[k]
+            meaning = ("u must lie on the unit sphere", "v must be tangent at u")[k]
+            value = defects[k][bad[k]][0]
+            raise DomainError(f"{label} = {value:.3e} exceeds {_CONSTRAINT_TOL:g}; {meaning}")
+
+
+def _freeze_pair(obj, names: str, *, sphere: bool = False) -> None:
+    """Store a value object's two vector fields read-only, after every check."""
+    a, b = (np.array(getattr(obj, name), dtype=float) for name in names)
+    for name, arr in zip(names, (a, b)):
+        if arr.ndim != 1 or arr.size < 1:
+            raise DomainError(f"{name} must be a one-dimensional real vector")
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    if a.shape != b.shape:
+        raise DomainError(f"{names[0]} and {names[1]} must have the same length")
+    if sphere and a.size < 2:
+        raise DomainError("sphere points need at least two coordinates")
+    _check_rows(a, b, names, sphere=sphere)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,12 +78,7 @@ class PhasePoint:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        q = _frozen_vector(self.q, "q")
-        p = _frozen_vector(self.p, "p")
-        if q.shape != p.shape:
-            raise DomainError("q and p must have the same length")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        _freeze_pair(self, "qp")
 
     @property
     def n(self) -> int:
@@ -103,26 +120,7 @@ class SphereCotangentPoint:
     at_puncture: bool = False
 
     def __post_init__(self) -> None:
-        u = _frozen_vector(self.u, "u")
-        v = _frozen_vector(self.v, "v")
-        if u.shape != v.shape:
-            raise DomainError("u and v must have the same length")
-        if u.size < 2:
-            raise DomainError("sphere points need at least two coordinates")
-        unit_defect = abs(float(u @ u) - 1.0)
-        if unit_defect > _CONSTRAINT_TOL:
-            raise DomainError(
-                f"|u.u - 1| = {unit_defect:.3e} exceeds {_CONSTRAINT_TOL:g}; "
-                "u must lie on the unit sphere"
-            )
-        ortho_defect = abs(float(u @ v))
-        if ortho_defect > _CONSTRAINT_TOL:
-            raise DomainError(
-                f"|u.v| = {ortho_defect:.3e} exceeds {_CONSTRAINT_TOL:g}; "
-                "v must be tangent at u"
-            )
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        _freeze_pair(self, "uv", sphere=True)
 
     @property
     def n(self) -> int:
@@ -166,12 +164,7 @@ class PlaneCotangentPoint:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        x = _frozen_vector(self.x, "x")
-        y = _frozen_vector(self.y, "y")
-        if x.shape != y.shape:
-            raise DomainError("x and y must have the same length")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _freeze_pair(self, "xy")
 
     @property
     def n(self) -> int:
@@ -231,15 +224,23 @@ class MomentumMatrix:
         return float(np.sum(self.upper * self.upper))
 
 
+def _inverse_radius(q: np.ndarray, what: str) -> np.ndarray:
+    """1/|q| over (..., n) arrays; DomainError at q = 0, where ``what`` is undefined."""
+    q2 = np.vecdot(q, q)
+    if (q2 == 0.0).any():
+        raise DomainError(f"q must be nonzero ({what} undefined at collision)")
+    return 1.0 / np.sqrt(q2)
+
+
 def _energy(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """H = p.p/2 - 1/|q| over (..., n) arrays."""
-    return 0.5 * np.vecdot(p, p) - 1.0 / np.sqrt(np.vecdot(q, q))
+    """H = p.p/2 - 1/|q| over (..., n) arrays; DomainError at q = 0."""
+    return 0.5 * np.vecdot(p, p) - _inverse_radius(q, "energy")
 
 
 def _lenz(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """K = (p.p - 1/|q|) q - (q.p) p of one point (n,) or a batch (m, n)."""
-    coeff = np.vecdot(p, p) - 1.0 / np.sqrt(np.vecdot(q, q))
-    return (coeff * q.T - np.vecdot(q, p) * p.T).T
+    """K = (p.p - 1/|q|) q - (q.p) p over (..., n) arrays; DomainError at q = 0."""
+    coeff = np.vecdot(p, p) - _inverse_radius(q, "Lenz vector")
+    return coeff[..., None] * q - np.vecdot(q, p)[..., None] * p
 
 
 def kepler_energy(point: PhasePoint) -> float:
@@ -248,8 +249,6 @@ def kepler_energy(point: PhasePoint) -> float:
     Raises DomainError at the collision point q = 0, where the energy is
     undefined.
     """
-    if point.radius == 0.0:
-        raise DomainError("q must be nonzero (energy undefined at collision)")
     return float(_energy(point.q, point.p))
 
 

@@ -18,8 +18,15 @@ from typing import Iterator
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .core import _CONSTRAINT_TOL, DomainError, PhasePoint, SphereCotangentPoint, _energy
-from .ligonschaaf import PunctureError, _reproject, _rotate, ls_inverse, ls_map
+from .core import (
+    _CONSTRAINT_TOL,
+    DomainError,
+    PhasePoint,
+    SphereCotangentPoint,
+    _check_rows,
+    _energy,
+)
+from .ligonschaaf import PunctureError, _ls_inverse_rows, _reproject, _rotate, ls_map
 
 __all__ = [
     "CollisionApproachError",
@@ -221,12 +228,34 @@ def kepler_integrate(
     )
 
 
-def delaunay_energy(sp: SphereCotangentPoint) -> float:
-    """The Delaunay Hamiltonian -1/(2 v.v) on the punctured bundle."""
-    v2 = float(sp.v @ sp.v)
-    if v2 == 0.0:
+def _delaunay_energy(v: np.ndarray) -> np.ndarray:
+    """-1/(2 v.v) of one covector (n+1,) or of rows (m, n+1)."""
+    v2 = np.vecdot(v, v)
+    if (v2 == 0.0).any():
         raise DomainError("|v| must be nonzero (zero section)")
     return -0.5 / v2
+
+
+def delaunay_energy(sp: SphereCotangentPoint) -> float:
+    """The Delaunay Hamiltonian -1/(2 v.v) on the punctured bundle."""
+    return float(_delaunay_energy(sp.v))
+
+
+def _delaunay_flow_rows(u: np.ndarray, v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``delaunay_flow`` of rows (m, n+1), or of one point (n+1,) for every
+    row, to times t (m,), with its checks on every row: (u, v, at_puncture)."""
+    _check_rows(u, v, "uv", sphere=True)
+    rho = np.sqrt(np.vecdot(v, v))
+    if (rho == 0.0).any():
+        raise DomainError("|v| must be nonzero (zero section has no flow)")
+    # float_power evaluates rho^3 as the C library's pow does; numpy's
+    # vectorized power differs from it in the last bit for some rho.
+    angle = t / np.float_power(rho, 3)
+    rho = rho[..., None]
+    u_new, w = _reproject(*_rotate(u, v / rho, angle))
+    v_new = rho * (w / np.sqrt(np.vecdot(w, w))[..., None])
+    _check_rows(u_new, v_new, "uv", sphere=True)
+    return u_new, v_new, 1.0 - u_new[:, -1] < _CONSTRAINT_TOL
 
 
 def delaunay_flow(sp: SphereCotangentPoint, t: float) -> SphereCotangentPoint:
@@ -243,14 +272,19 @@ def delaunay_flow(sp: SphereCotangentPoint, t: float) -> SphereCotangentPoint:
     onto the constraint set (u normalized, v orthogonalized and restored to
     length rho) to suppress drift over long flows.
     """
-    rho = sp.covector_norm
-    if rho == 0.0:
-        raise DomainError("|v| must be nonzero (zero section has no flow)")
-    v_hat = sp.v / rho
-    u_new, w = _reproject(*_rotate(sp.u, v_hat, t / rho**3))
-    v_new = rho * (w / np.linalg.norm(w))
-    at_puncture = 1.0 - float(u_new[-1]) < _CONSTRAINT_TOL
-    return SphereCotangentPoint(u_new, v_new, at_puncture=at_puncture)
+    u, v, at_puncture = _delaunay_flow_rows(sp.u, sp.v, np.array([t], float))
+    return SphereCotangentPoint(u[0], v[0], at_puncture=bool(at_puncture[0]))
+
+
+def _regularized_rows(start: SphereCotangentPoint, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Flow the Ligon-Schaaf image ``start`` to times t (m,) and invert it:
+    (u, v, q, p, collision).  Rows the flow puts on the polar fiber skip the
+    inverse; they and rows it punctures are collisions, with NaN q and p."""
+    u, v, collision = _delaunay_flow_rows(start.u, start.v, t)
+    q, p = np.full((2, t.size, start.n), np.nan)
+    regular = ~collision
+    q[regular], p[regular], collision[regular] = _ls_inverse_rows(u[regular], v[regular])
+    return u, v, q, p, collision
 
 
 def regularized_propagate(start: PhasePoint, t: float) -> PhasePoint:
@@ -263,14 +297,10 @@ def regularized_propagate(start: PhasePoint, t: float) -> PhasePoint:
     only when the requested time itself lands on one (within 1e-10 on
     the sphere) is a PunctureError raised, and the caller may perturb t.
     """
-    sphere_start = ls_map(start)
-    sphere_end = delaunay_flow(sphere_start, t)
-    if sphere_end.at_puncture:
+    _, _, q, p, collision = _regularized_rows(ls_map(start), np.array([t], float))
+    if collision[0]:
         raise PunctureError(f"landed on collision at t = {t:.12g}; perturb t")
-    try:
-        return ls_inverse(sphere_end)
-    except PunctureError:
-        raise PunctureError(f"landed on collision at t = {t:.12g}; perturb t") from None
+    return PhasePoint(q[0], p[0])
 
 
 def arc_time(traj: Trajectory) -> list[FlowTimes]:

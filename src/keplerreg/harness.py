@@ -24,6 +24,7 @@ is covered by targeted unit tests instead.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Callable
@@ -41,11 +42,10 @@ from .core import (
 from .dynamics import _leapfrog_batch, delaunay_flow
 from .ligonschaaf import (
     _ROOT_TOL,
-    PunctureError,
+    _ls_inverse_rows,
     _reproject,
     angle_equation,
     ls_angle,
-    ls_inverse,
     ls_map,
 )
 from .moser import _chart_hamiltonians, moser_fibration, moser_map, scale_phase
@@ -282,8 +282,8 @@ def _phase_batch(points: list[PhasePoint]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _where(sample) -> str:
-    """str(sample) with every float at its shortest round-trip repr."""
-    with np.printoptions(floatmode="unique"):
+    """str(sample) on one line, every float at its shortest round-trip repr."""
+    with np.printoptions(floatmode="unique", linewidth=sys.maxsize):
         return str(sample)
 
 
@@ -416,29 +416,33 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int) -> _Defects:
     """
     tolerance = 1e-10
     scale = tolerance / _ROOT_TOL
-    points: list = sample_bound_states(n, samples, seed)
-    defects = []
-    for pt in points:
-        back = ls_inverse(ls_map(pt))
-        defects.append(_max_abs_diff((back.q, pt.q), (back.p, pt.p)))
-    for sp in _sample_sphere(np.random.default_rng(seed + 1), n, samples):
-        try:
-            pt = ls_inverse(sp)
-        except PunctureError:
+    points = sample_bound_states(n, samples, seed)
+    spheres = _sample_sphere(np.random.default_rng(seed + 1), n, samples)
+    inputs = [ls_map(pt) for pt in points] + spheres
+    qs, ps, puncture = _ls_inverse_rows(
+        np.stack([sp.u for sp in inputs]), np.stack([sp.v for sp in inputs])
+    )
+    defects, drawn = [], []
+    for k, (sample, sp) in enumerate(zip(points + spheres, inputs)):
+        if puncture[k]:
             defects.append(2.0 * tolerance)
-            points.append(f"unexpected puncture at {_where(sp)}")
+            drawn.append(f"unexpected puncture at {_where(sp)}")
             continue
-        again = ls_map(pt)
-        d = _max_abs_diff((again.u, sp.u), (again.v, sp.v))
-        sigma = sp.covector_norm
-        theta = ls_angle(pt).theta
-        residual, slope = angle_equation(theta, float(sp.u[-1]), float(sp.v[-1]) / sigma)
-        d = max(d, abs(residual) * scale)
-        if slope >= 0.0:
-            d = max(d, 2.0 * tolerance)
+        if k < len(points):
+            d = _max_abs_diff((qs[k], sample.q), (ps[k], sample.p))
+        else:
+            pt = PhasePoint(qs[k], ps[k])
+            again = ls_map(pt)
+            d = _max_abs_diff((again.u, sp.u), (again.v, sp.v))
+            sigma = sp.covector_norm
+            theta = ls_angle(pt).theta
+            residual, slope = angle_equation(theta, float(sp.u[-1]), float(sp.v[-1]) / sigma)
+            d = max(d, abs(residual) * scale)
+            if slope >= 0.0:
+                d = max(d, 2.0 * tolerance)
         defects.append(d)
-        points.append(sp)
-    return tolerance, defects, points
+        drawn.append(sample)
+    return tolerance, defects, drawn
 
 
 def _suite_ls_equivariance(n: int, samples: int, seed: int) -> _Defects:

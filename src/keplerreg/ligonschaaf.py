@@ -19,8 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _CONSTRAINT_TOL, DomainError, PhasePoint, SphereCotangentPoint, kepler_energy
-from .moser import moser_fibration, moser_map_inverse, scale_phase
+from .core import (
+    _CONSTRAINT_TOL,
+    DomainError,
+    PhasePoint,
+    SphereCotangentPoint,
+    _check_rows,
+    kepler_energy,
+)
+from .moser import _scale, moser_fibration
+from .stereo import _project
 
 __all__ = [
     "PunctureError",
@@ -71,17 +79,18 @@ def ls_angle(point: PhasePoint) -> LSAngle:
     return LSAngle(-math.sqrt(-2.0 * energy) * qp)
 
 
-def _rotate(u, v, angle: float):
+def _rotate(u: np.ndarray, v: np.ndarray, angle) -> tuple[np.ndarray, np.ndarray]:
     """Rotate the pair (u, v) by angle in the plane they span:
-    (cos(angle) u + sin(angle) v, -sin(angle) u + cos(angle) v)."""
-    cos_a, sin_a = math.cos(angle), math.sin(angle)
+    (cos(angle) u + sin(angle) v, -sin(angle) u + cos(angle) v), for one
+    pair (n,) and a scalar angle or for angles (m,) and rows (m, n)."""
+    cos_a, sin_a = np.cos(angle)[..., None], np.sin(angle)[..., None]
     return cos_a * u + sin_a * v, -sin_a * u + cos_a * v
 
 
 def _reproject(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize u and make v tangent there: (u/|u|, v - (u.v) u)."""
-    u = u / math.sqrt(np.vecdot(u, u))
-    return u, v - np.vecdot(u, v) * u
+    """Normalize u and make v tangent there: (u/|u|, v - (u.v) u), over (..., n)."""
+    u = u / np.sqrt(np.vecdot(u, u))[..., None]
+    return u, v - np.vecdot(u, v)[..., None] * u
 
 
 def ls_map(point: PhasePoint) -> SphereCotangentPoint:
@@ -107,7 +116,7 @@ def ls_map(point: PhasePoint) -> SphereCotangentPoint:
     return SphereCotangentPoint(r, s, at_puncture=at_puncture)
 
 
-def angle_equation(theta: float, r_last: float, s_last: float) -> tuple[float, float]:
+def angle_equation(theta, r_last, s_last):
     """Residual and derivative of the inverse rotation-angle equation.
 
     f(theta)  = sin(theta) r_last + cos(theta) s_last - theta
@@ -116,46 +125,69 @@ def angle_equation(theta: float, r_last: float, s_last: float) -> tuple[float, f
     where r_last and s_last are the last coordinates of the base point and
     the normalized covector.  f' equals u_last(theta) - 1 <= 0, with
     equality exactly when the unrotated base point hits the pole, so f is
-    monotone and the root is unique on the regular domain.
+    monotone and the root is unique on the regular domain.  The arguments
+    are scalars or arrays of one shape.
     """
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta)
     value = sin_t * r_last + cos_t * s_last - theta
     slope = cos_t * r_last - sin_t * s_last - 1.0
     return value, slope
 
 
-def _solve_rotation_angle(r_last: float, s_last: float) -> float:
-    """Find the unique root of the angle equation in [-sqrt(2), sqrt(2)].
+def _solve_rotation_angle(r_last: np.ndarray, s_last: np.ndarray) -> np.ndarray:
+    """The root of the angle equation in [-sqrt(2), sqrt(2)] for each element.
 
     Bisection keeps a sign-changing bracket at all times; Newton steps are
-    taken whenever they stay inside the bracket, giving a quadratic tail.
+    taken whenever they land strictly inside it, giving a quadratic tail.
+    An element is frozen once |f| <= 1e-14 or its bracket is below 1e-17.
     """
-    lo, hi = -_ANGLE_BRACKET, _ANGLE_BRACKET
+    lo = np.full(r_last.shape, -_ANGLE_BRACKET)
+    hi = -lo
     f_lo, _ = angle_equation(lo, r_last, s_last)
     f_hi, _ = angle_equation(hi, r_last, s_last)
-    if not (f_lo >= 0.0 >= f_hi):
+    if not np.all((f_lo >= 0.0) & (f_hi <= 0.0)):
         raise DomainError("rotation-angle bracket failed; point is off T*S^n")
     theta = 0.5 * (lo + hi)
-    for _ in range(200):
-        value, slope = angle_equation(theta, r_last, s_last)
-        if abs(value) <= _ROOT_TOL:
-            return theta
-        if value > 0.0:
-            lo = theta
-        else:
-            hi = theta
-        step_ok = False
-        if slope < 0.0:
+    active = np.ones(r_last.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            value, slope = angle_equation(theta, r_last, s_last)
+            active &= np.abs(value) > _ROOT_TOL
+            if not active.any():
+                break
+            lo = np.where(active & (value > 0.0), theta, lo)
+            hi = np.where(active & (value <= 0.0), theta, hi)
             candidate = theta - value / slope
-            if lo < candidate < hi:
-                theta = candidate
-                step_ok = True
-        if not step_ok:
-            theta = 0.5 * (lo + hi)
-        if hi - lo < 1e-17:
-            return theta
+            newton = (slope < 0.0) & (lo < candidate) & (candidate < hi)
+            theta = np.where(active, np.where(newton, candidate, 0.5 * (lo + hi)), theta)
+            active &= hi - lo >= 1e-17
     return theta
+
+
+def _ls_inverse_rows(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ls_inverse`` of rows (m, n+1), with its checks on every row:
+    (q, p, puncture).  A row the mask ``puncture`` marks has NaN q and p."""
+    _check_rows(r, s, "uv", sphere=True)
+    sigma = np.sqrt(np.vecdot(s, s))
+    if (sigma == 0.0).any():
+        raise DomainError("|s| must be nonzero (zero section has no preimage)")
+    s_hat = s / sigma[:, None]
+    theta = _solve_rotation_angle(r[:, -1], s_hat[:, -1])
+    u, v = _rotate(r, s_hat, -theta)
+    puncture = 1.0 - u[:, -1] < _CONSTRAINT_TOL
+    regular = ~puncture
+    # Re-project onto the constraint set so that input defects up to the
+    # constraint tolerance cannot be rejected downstream.
+    u, v = _reproject(u[regular], v[regular])
+    _check_rows(u, v, "uv", sphere=True)
+    x, y = _project(u, v)
+    _check_rows(x, y, "xy")
+    q_reg, p_reg = _scale(-y, x, sigma[regular])
+    _check_rows(q_reg, p_reg, "qp")
+    q, p = np.full((2, r.shape[0], r.shape[1] - 1), np.nan)
+    q[regular], p[regular] = q_reg, p_reg
+    return q, p, puncture
 
 
 def ls_inverse(sp: SphereCotangentPoint) -> PhasePoint:
@@ -175,18 +207,7 @@ def ls_inverse(sp: SphereCotangentPoint) -> PhasePoint:
     base point sits on the polar fiber within 1e-10 (a collision
     completion point, outside the image of the forward map).
     """
-    r = sp.u
-    sigma = sp.covector_norm
-    if sigma == 0.0:
-        raise DomainError("|s| must be nonzero (zero section has no preimage)")
-    s_hat = sp.v / sigma
-    theta = _solve_rotation_angle(float(r[-1]), float(s_hat[-1]))
-    u, v = _rotate(r, s_hat, -theta)
-    if 1.0 - float(u[-1]) < _CONSTRAINT_TOL:
-        raise PunctureError(
-            "collision point: the unrotated base point sits on the polar fiber"
-        )
-    # Re-project onto the constraint set so that input defects up to the
-    # constraint tolerance cannot be rejected downstream.
-    shell_point = moser_map_inverse(SphereCotangentPoint(*_reproject(u, v)))
-    return scale_phase(shell_point, sigma)
+    q, p, puncture = _ls_inverse_rows(sp.u[None], sp.v[None])
+    if puncture[0]:
+        raise PunctureError("collision point: the unrotated base point sits on the polar fiber")
+    return PhasePoint(q[0], p[0])

@@ -98,6 +98,12 @@ def moser_fibration(point: PhasePoint) -> SphereCotangentPoint:
     return SphereCotangentPoint(u, v)
 
 
+def _scale(q: np.ndarray, p: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:
+    """(rho^2 q, p/rho) of one point (n,) and rho > 0, or of rows (m, n) and rho (m,)."""
+    rho = np.asarray(rho)[..., None]
+    return rho * rho * q, p / rho
+
+
 def scale_phase(point: PhasePoint, rho: float) -> PhasePoint:
     """Scale action on phase space: q -> rho^2 q, p -> p/rho.
 
@@ -105,7 +111,7 @@ def scale_phase(point: PhasePoint, rho: float) -> PhasePoint:
     """
     if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
-    return PhasePoint(rho * rho * point.q, point.p / rho)
+    return PhasePoint(*_scale(point.q, point.p, rho))
 
 
 def scale_sphere(sp: SphereCotangentPoint, rho: float) -> SphereCotangentPoint:

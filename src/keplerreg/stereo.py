@@ -15,6 +15,18 @@ from .core import _CONSTRAINT_TOL, DomainError, PlaneCotangentPoint, SphereCotan
 __all__ = ["to_plane", "to_sphere"]
 
 
+def _project(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) -> (x, y) of one point (n+1,) or rows (m, n+1), off the polar fiber."""
+    gap = 1.0 - u[..., -1]
+    bad = gap < _CONSTRAINT_TOL
+    if bad.any():
+        raise DomainError(
+            f"north pole fiber: 1 - u_(n+1) = {gap[bad][0]:.3e} is below {_CONSTRAINT_TOL:g}"
+        )
+    gap = gap[..., None]
+    return u[..., :-1] / gap, v[..., :-1] * gap + v[..., -1:] * u[..., :-1]
+
+
 def to_plane(sp: SphereCotangentPoint) -> PlaneCotangentPoint:
     """Project (u, v) on T*S^n to (x, y) on T*R^n.
 
@@ -23,12 +35,7 @@ def to_plane(sp: SphereCotangentPoint) -> PlaneCotangentPoint:
     The polar fiber is excluded: points with 1 - u_(n+1) < 1e-10 are
     rejected to avoid overflow in the 1/(1 - u_(n+1)) factor.
     """
-    gap = sp.pole_gap
-    if gap < _CONSTRAINT_TOL:
-        raise DomainError(f"north pole fiber: 1 - u_(n+1) = {gap:.3e} is below {_CONSTRAINT_TOL:g}")
-    x = sp.u[:-1] / gap
-    y = sp.v[:-1] * gap + sp.v[-1] * sp.u[:-1]
-    return PlaneCotangentPoint(x, y)
+    return PlaneCotangentPoint(*_project(sp.u, sp.v))
 
 
 def _lift(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

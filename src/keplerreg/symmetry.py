@@ -56,8 +56,6 @@ def lenz_vector(point: PhasePoint) -> np.ndarray:
     Conserved along the Kepler flow; |K| is the orbit eccentricity and K
     points along the major axis.
     """
-    if point.radius == 0.0:
-        raise DomainError("q must be nonzero (Lenz vector undefined at collision)")
     return _lenz(point.q, point.p)
 
 
@@ -103,11 +101,16 @@ def hamiltonian_field() -> ScalarField:
     return _energy
 
 
+def _wedge_entries(a: np.ndarray, b: np.ndarray, i, j) -> np.ndarray:
+    """Entries a_i b_j - a_j b_i of a ^ b over (..., k) arrays, at indices i, j."""
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+
 def angular_momentum_field(i: int, j: int) -> ScalarField:
     """The component L_ij = q_i p_j - q_j p_i as a scalar field."""
 
     def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return q[..., i] * p[..., j] - q[..., j] * p[..., i]
+        return _wedge_entries(q, p, i, j)
 
     return field
 

@@ -316,3 +316,18 @@ class TestScenarioParsing:
     def test_output_times_beyond_t_end(self):
         with pytest.raises(DomainError, match="t_end"):
             parse_scenario(RECT_REG.replace("t_end = 2.2214414690791831", "t_end = 2"))
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            "n = 2\nq = 1,0\np = 0,1\nt_end = inf\nmode = regularized\noutput_count = 3\n",
+            "n = 2\nq = 1,0\np = 0,1\nt_end = 1\nmode = direct\ndt = inf\noutput_count = 3\n",
+        ],
+        ids=["t_end", "dt"],
+    )
+    def test_non_finite_field_exit_1(self, scenario, tmp_path, capsys):
+        # Invalid input, not a numeric failure (exit 3) deep in propagation.
+        scn = write_scenario(tmp_path, "inf.scn", scenario)
+        code, _, err = run_cli(["propagate", str(scn), "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 1
+        assert "must be positive and finite" in err or "dt must be finite" in err

@@ -31,6 +31,11 @@ class TestKeplerEnergy:
         with pytest.raises(DomainError, match="q must be nonzero"):
             kepler_energy(PhasePoint([0, 0], [0, 1]))
 
+    def test_underflowing_radius_rejected(self):
+        # q.q underflows to 0 although q does not: still the collision point.
+        with pytest.raises(DomainError, match="q must be nonzero"):
+            kepler_energy(PhasePoint([1e-170, 0], [0, 1]))
+
 
 class TestPhasePoint:
     def test_mismatched_lengths(self):

@@ -156,22 +156,25 @@ class TestReports:
         monkeypatch.setattr(
             harness, "momentum_norm_squared", lambda pt: momentum_norm_squared(pt) * (1.0 + 1e-9)
         )
-        report = run_suite("mu-squared", 2, 40, 5)
-        assert len(report.failures) == 40
-        observed = [f.observed for f in report.failures]
-        assert observed == sorted(observed, reverse=True)
-        assert report.max_defect == observed[0]
-        # Each where parses back to its sample bit for bit, and to its defect.
-        names = {"PhasePoint": PhasePoint, "array": np.array}
-        rebuilt = [eval(f.where, names) for f in report.failures]
-        for f, pt in zip(report.failures, rebuilt):
-            mu2 = momentum_norm_squared(pt) * (1.0 + 1e-9)
-            assert abs(mu2 * (-2.0 * kepler_energy(pt)) - 1.0) == f.observed
-        drawn = sample_bound_states(2, 40, 5)
-        assert sorted((pt.q.tobytes(), pt.p.tobytes()) for pt in rebuilt) == sorted(
-            (pt.q.tobytes(), pt.p.tobytes()) for pt in drawn
-        )
-        assert report.line().endswith(",fail")
+        for n in (2, 4):
+            report = run_suite("mu-squared", n, 40, 5)
+            assert len(report.failures) == 40
+            observed = [f.observed for f in report.failures]
+            assert observed == sorted(observed, reverse=True)
+            assert report.max_defect == observed[0]
+            # Each where is one line and parses back to its sample bit for
+            # bit, and to its defect.
+            assert not any("\n" in f.where for f in report.failures)
+            names = {"PhasePoint": PhasePoint, "array": np.array}
+            rebuilt = [eval(f.where, names) for f in report.failures]
+            for f, pt in zip(report.failures, rebuilt):
+                mu2 = momentum_norm_squared(pt) * (1.0 + 1e-9)
+                assert abs(mu2 * (-2.0 * kepler_energy(pt)) - 1.0) == f.observed
+            drawn = sample_bound_states(n, 40, 5)
+            assert sorted((pt.q.tobytes(), pt.p.tobytes()) for pt in rebuilt) == sorted(
+                (pt.q.tobytes(), pt.p.tobytes()) for pt in drawn
+            )
+            assert report.line().endswith(",fail")
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError, match="failures"):

@@ -1,0 +1,45 @@
+"""The benchmark judges propagate output with perfbench/checks.py.  Running
+its tiny workloads here makes output it would reject fail in seconds."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from keplerreg import PhasePoint, regularized_propagate
+from keplerreg.cli import main
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # checks.py imports workloads by name, as run.py does.
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reference(q0, p0, t):
+    end = regularized_propagate(PhasePoint(q0, p0), t)
+    return end.q, end.p
+
+
+@pytest.mark.parametrize("workload", ["propagate-regularized", "propagate-direct"])
+def test_tiny_workload_passes_benchmark_checks(workload, tmp_path, monkeypatch, capsys):
+    workloads = _load("workloads", monkeypatch)
+    checks = _load("checks", monkeypatch)
+    failed = {}
+    for op in workloads.build(workload, 0, tmp_path, tiny=True):
+        for path, text in op.files.items():
+            path.write_text(text)
+        assert main(op.argv) == 0, op.ident
+        text = op.out_path.read_text()
+        if workload == "propagate-regularized":
+            failed[op.ident] = checks.check_regularized(op, text)
+        else:
+            failed[op.ident] = checks.check_direct(op, text, _reference)
+    assert len(failed) >= 6
+    assert not any(failed.values()), failed

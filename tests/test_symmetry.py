@@ -52,6 +52,10 @@ class TestLenzVector:
         with pytest.raises(DomainError):
             lenz_vector(PhasePoint([0, 0], [1, 0]))
 
+    def test_underflowing_radius_rejected(self):
+        with pytest.raises(DomainError, match="q must be nonzero"):
+            lenz_vector(PhasePoint([1e-170, 0], [1, 0]))
+
     def test_norm_is_eccentricity(self):
         # classical-elements oracle for n = 2: a = -1/(2H) and
         # L^2 = a (1 - e^2), so e = sqrt(1 - L^2/a)

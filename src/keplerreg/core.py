@@ -221,7 +221,12 @@ class MomentumMatrix:
 
     def norm_squared(self) -> float:
         """Sum of squares over the independent (i < j) entries."""
-        return float(np.sum(self.upper * self.upper))
+        return float(_norm_squared(self.upper))
+
+
+def _norm_squared(upper: np.ndarray) -> np.ndarray:
+    """Sum of squares of each matrix (..., k, k), each summed as one flat array."""
+    return np.sum((upper * upper).reshape(upper.shape[:-2] + (-1,)), axis=-1)
 
 
 def _inverse_radius(q: np.ndarray, what: str) -> np.ndarray:

@@ -35,31 +35,24 @@ from .core import (
     PhasePoint,
     PlaneCotangentPoint,
     SphereCotangentPoint,
+    _check_rows,
     _energy,
-    kepler_energy,
+    _norm_squared,
     sample_bound_states,
 )
-from .dynamics import _leapfrog_batch, delaunay_flow
-from .ligonschaaf import (
-    _ROOT_TOL,
-    _ls_inverse_rows,
-    _reproject,
-    angle_equation,
-    ls_angle,
-    ls_map,
-)
-from .moser import _chart_hamiltonians, moser_fibration, moser_map, scale_phase
-from .stereo import to_plane, to_sphere
+from .dynamics import _delaunay_flow_rows, _leapfrog_batch
+from .ligonschaaf import _ROOT_TOL, _ls_inverse_rows, _ls_map_rows, _reproject, angle_equation
+from .moser import _chart_hamiltonians, _fibration_rows, _scale
+from .stereo import _lift, _project
 from .symmetry import (
     _bracket_batch,
     _central_differences,
+    _extended_rows,
+    _wedge_entries,
     angular_momentum_field,
-    extended_momentum,
     extended_momentum_field,
     hamiltonian_field,
     lenz_field,
-    momentum_norm_squared,
-    sphere_momentum,
 )
 
 __all__ = [
@@ -93,7 +86,8 @@ FD_STEP = 1e-6
 
 
 def jacobian(fn: Callable[[np.ndarray], np.ndarray], point, h: float) -> np.ndarray:
-    """Central-difference Jacobian of fn at point, error O(h^2).
+    """Central-difference Jacobian of fn at point, error O(h^2): (k, m) at one
+    point (m,), (N, k, m) at a batch (N, m) on which fn returns (N, k).
 
     The divisor is the actual span between the two stencil points rather
     than the nominal 2h, which removes the step-representation part of the
@@ -102,7 +96,7 @@ def jacobian(fn: Callable[[np.ndarray], np.ndarray], point, h: float) -> np.ndar
     """
     if not h > 0.0:
         raise ValueError("h must be positive")
-    return np.column_stack(_central_differences(fn, np.asarray(point, dtype=float), h))
+    return np.stack(_central_differences(fn, np.asarray(point, dtype=float), h), axis=-1)
 
 
 def fd_tolerance(h: float) -> float:
@@ -126,18 +120,20 @@ def standard_form(m: int) -> np.ndarray:
     return omega
 
 
-def symplectic_defect(fn: Callable[[np.ndarray], np.ndarray], point, h: float) -> float:
+def symplectic_defect(fn: Callable[[np.ndarray], np.ndarray], point, h: float):
     """Max-norm of J^T Omega_out J - Omega_in for the map's FD Jacobian.
 
     Coordinates are ordered (positions..., momenta...) on both sides.  The
-    defect vanishes (up to O(h^2)) exactly when the map is canonical.
+    defect vanishes (up to O(h^2)) exactly when the map is canonical.  A
+    float for one point (m,), an array (N,) for a batch (N, m).
     """
     jac = jacobian(fn, point, h)
-    rows, cols = jac.shape
+    rows, cols = jac.shape[-2:]
     if rows % 2 or cols % 2:
         raise ValueError("phase-space maps must have even dimensions")
-    pullback = jac.T @ standard_form(rows // 2) @ jac
-    return float(np.max(np.abs(pullback - standard_form(cols // 2))))
+    pullback = np.swapaxes(jac, -1, -2) @ standard_form(rows // 2) @ jac
+    defect = np.max(np.abs(pullback - standard_form(cols // 2)), axis=(-2, -1))
+    return defect if jac.ndim > 2 else float(defect)
 
 
 # ---------------------------------------------------------------------------
@@ -145,37 +141,39 @@ def symplectic_defect(fn: Callable[[np.ndarray], np.ndarray], point, h: float) -
 
 
 def flat_fourier(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """(q, p) -> (x, y) = (p, -q) on flat vectors."""
+    """(q, p) -> (x, y) = (p, -q) on flat vectors (..., 2n)."""
 
     def fn(z: np.ndarray) -> np.ndarray:
-        return np.concatenate([z[n:], -z[:n]])
+        return np.concatenate([z[..., n:], -z[..., :n]], axis=-1)
 
     return fn
 
 
-def _flat_map(n: int, point_type, mapping) -> Callable[[np.ndarray], np.ndarray]:
-    """mapping(point_type(z[:n], z[n:])) -> (u, v), on flat vectors."""
+def _flat_map(n: int, names: str, kernel) -> Callable[[np.ndarray], np.ndarray]:
+    """kernel(z[..., :n], z[..., n:]) -> (u, v, ...) on flat vectors (..., 2n); every
+    row gets the input point's checks here and the output point's in the kernel."""
 
     def fn(z: np.ndarray) -> np.ndarray:
-        sp = mapping(point_type(z[:n], z[n:]))
-        return np.concatenate([sp.u, sp.v])
+        a, b = z[..., :n], z[..., n:]
+        _check_rows(a, b, names)
+        return np.concatenate(kernel(a, b)[:2], axis=-1)
 
     return fn
 
 
 def flat_to_sphere(n: int) -> Callable[[np.ndarray], np.ndarray]:
     """(x, y) -> (u, v) on flat vectors."""
-    return _flat_map(n, PlaneCotangentPoint, to_sphere)
+    return _flat_map(n, "xy", _lift)
 
 
 def flat_moser_map(n: int) -> Callable[[np.ndarray], np.ndarray]:
     """(q, p) -> (u, v) on flat vectors."""
-    return _flat_map(n, PhasePoint, moser_map)
+    return _flat_map(n, "qp", lambda q, p: _lift(p, -q))
 
 
 def flat_ls_map(n: int) -> Callable[[np.ndarray], np.ndarray]:
     """(q, p) -> (r, s) on flat vectors."""
-    return _flat_map(n, PhasePoint, ls_map)
+    return _flat_map(n, "qp", _ls_map_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +275,9 @@ def _sample_sphere(
     return out
 
 
-def _phase_batch(points: list[PhasePoint]) -> tuple[np.ndarray, np.ndarray]:
-    return np.stack([pt.q for pt in points]), np.stack([pt.p for pt in points])
+def _batch(points: list, names: str = "qp") -> tuple[np.ndarray, np.ndarray]:
+    """The two vector fields ``names`` of value objects, stacked into rows."""
+    return tuple(np.stack([getattr(pt, name) for pt in points]) for name in names)
 
 
 def _where(sample) -> str:
@@ -287,9 +286,9 @@ def _where(sample) -> str:
         return str(sample)
 
 
-def _max_abs_diff(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
-    """Largest |a - b| entry over the given pairs of arrays."""
-    return max(float(np.max(np.abs(a - b))) for a, b in pairs)
+def _max_abs_diff(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Largest |a - b| entry of each row over the given pairs of (N, k) arrays."""
+    return np.max([np.max(np.abs(a - b), axis=-1) for a, b in pairs], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +301,8 @@ _Defects = tuple[float, list[float], list]
 
 def _symplectic_suite(fn, points: list, coords) -> _Defects:
     """Symplectic defect of fn at each sample's flat coords(sample) = (positions, momenta)."""
-    defects = [symplectic_defect(fn, np.concatenate(coords(pt)), FD_STEP) for pt in points]
-    return fd_tolerance(FD_STEP), defects, points
+    z = np.stack([np.concatenate(coords(pt)) for pt in points])
+    return fd_tolerance(FD_STEP), symplectic_defect(fn, z, FD_STEP).tolist(), points
 
 
 def _suite_stereo_roundtrip(n: int, samples: int, seed: int) -> _Defects:
@@ -311,27 +310,24 @@ def _suite_stereo_roundtrip(n: int, samples: int, seed: int) -> _Defects:
     rng = np.random.default_rng(seed)
     planes = _sample_plane(rng, n, samples)
     spheres = _sample_sphere(rng, n, samples)
-    defects = []
-    for pl in planes:
-        back = to_plane(to_sphere(pl))
-        defects.append(_max_abs_diff((back.x, pl.x), (back.y, pl.y)))
-    for sp in spheres:
-        back = to_sphere(to_plane(sp))
-        defects.append(_max_abs_diff((back.u, sp.u), (back.v, sp.v)))
-    return 1e-12, defects, planes + spheres
+    xs, ys = _batch(planes, "xy")
+    us, vs = _batch(spheres, "uv")
+    x_back, y_back = _project(*_lift(xs, ys))
+    u_back, v_back = _lift(*_project(us, vs))
+    defects = np.concatenate(
+        [_max_abs_diff((x_back, xs), (y_back, ys)), _max_abs_diff((u_back, us), (v_back, vs))]
+    )
+    return 1e-12, defects.tolist(), planes + spheres
 
 
 def _suite_metric(n: int, samples: int, seed: int) -> _Defects:
     """|v.v - (x.x+1)^2 (y.y)/4| under the lift (the invariant metric)."""
     points = _sample_plane(np.random.default_rng(seed), n, samples)
-    defects = []
-    for pl in points:
-        sp = to_sphere(pl)
-        x2 = float(pl.x @ pl.x)
-        y2 = float(pl.y @ pl.y)
-        v2 = float(sp.v @ sp.v)
-        defects.append(abs(v2 - (x2 + 1.0) ** 2 * y2 / 4.0))
-    return 1e-12, defects, points
+    xs, ys = _batch(points, "xy")
+    _, v = _lift(xs, ys)
+    # (x.x+1)^2 (y.y)/4 is twice the chart's geodesic energy
+    defects = np.abs(np.vecdot(v, v) - 2.0 * _chart_hamiltonians(xs, ys)[0])
+    return 1e-12, defects.tolist(), points
 
 
 def _suite_stereo_canonical(n: int, samples: int, seed: int) -> _Defects:
@@ -353,15 +349,13 @@ def _suite_moser_symplectic(n: int, samples: int, seed: int) -> _Defects:
 def _suite_fibration_scale(n: int, samples: int, seed: int) -> _Defects:
     """Scale invariance of the unit-covector projection."""
     points = sample_bound_states(n, samples, seed)
-    defects = []
-    for pt in points:
-        base = moser_fibration(pt)
-        worst = 0.0
-        for rho in (0.5, 2.0, 10.0):
-            scaled = moser_fibration(scale_phase(pt, rho))
-            worst = max(worst, _max_abs_diff((scaled.u, base.u), (scaled.v, base.v)))
-        defects.append(worst)
-    return 1e-10, defects, points
+    qs, ps = _batch(points)
+    u, v, _ = _fibration_rows(qs, ps)
+    defects = np.zeros(len(points))
+    for rho in (0.5, 2.0, 10.0):
+        u_rho, v_rho, _ = _fibration_rows(*_scale(qs, ps, rho))
+        defects = np.maximum(defects, _max_abs_diff((u_rho, u), (v_rho, v)))
+    return 1e-10, defects.tolist(), points
 
 
 def _suite_moser_levelset(n: int, samples: int, seed: int) -> _Defects:
@@ -380,18 +374,15 @@ def _suite_moser_levelset(n: int, samples: int, seed: int) -> _Defects:
     h = 100.0 * FD_STEP
 
     def geodesic_and_speed_defect(z: np.ndarray) -> np.ndarray:
-        return np.array(_chart_hamiltonians(z[:n], z[n:])[:2])
+        return np.stack(_chart_hamiltonians(z[..., :n], z[..., n:])[:2], axis=-1)
 
     points = _sample_sphere(rng, n, samples, min_pole_distance=1.0, unit_covector=True)
-    defects = []
-    for sp in points:
-        pl = to_plane(sp)
-        z = np.concatenate([pl.x, pl.y])
-        grads = _central_differences(geodesic_and_speed_defect, z, h, richardson=True)
-        # The Hamiltonian fields (dH/dy, -dH/dx) differ entrywise by the
-        # gradient differences up to sign and order.
-        defects.append(max(abs(float(f - g)) for f, g in grads))
-    return 1e-10, defects, points
+    z = np.concatenate(_project(*_batch(points, "uv")), axis=-1)
+    grads = np.stack(_central_differences(geodesic_and_speed_defect, z, h, richardson=True))
+    # The Hamiltonian fields (dH/dy, -dH/dx) differ entrywise by the
+    # gradient differences up to sign and order.
+    defects = np.max(np.abs(grads[..., 0] - grads[..., 1]), axis=0)
+    return 1e-10, defects.tolist(), points
 
 
 def _suite_ls_symplectic(n: int, samples: int, seed: int) -> _Defects:
@@ -418,58 +409,52 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int) -> _Defects:
     scale = tolerance / _ROOT_TOL
     points = sample_bound_states(n, samples, seed)
     spheres = _sample_sphere(np.random.default_rng(seed + 1), n, samples)
-    inputs = [ls_map(pt) for pt in points] + spheres
-    qs, ps, puncture = _ls_inverse_rows(
-        np.stack([sp.u for sp in inputs]), np.stack([sp.v for sp in inputs])
-    )
-    defects, drawn = [], []
-    for k, (sample, sp) in enumerate(zip(points + spheres, inputs)):
-        if puncture[k]:
-            defects.append(2.0 * tolerance)
-            drawn.append(f"unexpected puncture at {_where(sp)}")
-            continue
-        if k < len(points):
-            d = _max_abs_diff((qs[k], sample.q), (ps[k], sample.p))
-        else:
-            pt = PhasePoint(qs[k], ps[k])
-            again = ls_map(pt)
-            d = _max_abs_diff((again.u, sp.u), (again.v, sp.v))
-            sigma = sp.covector_norm
-            theta = ls_angle(pt).theta
-            residual, slope = angle_equation(theta, float(sp.u[-1]), float(sp.v[-1]) / sigma)
-            d = max(d, abs(residual) * scale)
-            if slope >= 0.0:
-                d = max(d, 2.0 * tolerance)
-        defects.append(d)
-        drawn.append(sample)
-    return tolerance, defects, drawn
+    qs, ps = _batch(points)
+    r, s, at_puncture = _ls_map_rows(qs, ps)
+    us, vs = (np.concatenate(pair) for pair in zip((r, s), _batch(spheres, "uv")))
+    q_back, p_back, puncture = _ls_inverse_rows(us, vs)
+    m = len(points)
+    defects = np.full(len(us), 2.0 * tolerance)
+    defects[:m] = _max_abs_diff((q_back[:m], qs), (p_back[:m], ps))
+    # Sphere samples: the forward map undoes the inverse, and the
+    # inverse's rotation angle, v_(n+1) of the fibration, is the root.
+    k = m + np.flatnonzero(~puncture[m:])
+    again_r, again_s, _ = _ls_map_rows(q_back[k], p_back[k])
+    d = _max_abs_diff((again_r, us[k]), (again_s, vs[k]))
+    theta = _fibration_rows(q_back[k], p_back[k])[1][:, -1]
+    sigma = np.sqrt(np.vecdot(vs[k], vs[k]))
+    residual, slope = angle_equation(theta, us[k, -1], vs[k, -1] / sigma)
+    d = np.maximum(d, np.abs(residual) * scale)
+    defects[k] = np.where(slope >= 0.0, np.maximum(d, 2.0 * tolerance), d)
+    defects[puncture] = 2.0 * tolerance
+
+    def punctured(k: int) -> str:
+        sp = spheres[k - m] if k >= m else SphereCotangentPoint(r[k], s[k], bool(at_puncture[k]))
+        return f"unexpected puncture at {_where(sp)}"
+
+    drawn = [punctured(k) if puncture[k] else pt for k, pt in enumerate(points + spheres)]
+    return tolerance, defects.tolist(), drawn
 
 
 def _suite_ls_equivariance(n: int, samples: int, seed: int) -> _Defects:
     """Equivariance under rotations of R^n extended by a fixed last axis."""
     rng = np.random.default_rng(seed + 7)
     points = sample_bound_states(n, samples, seed)
-    defects = []
-    for pt in points:
-        rot = _random_rotation(rng, n)
-        rotated = ls_map(PhasePoint(rot @ pt.q, rot @ pt.p))
-        base = ls_map(pt)
-        rot_ext = np.zeros((n + 1, n + 1))
-        rot_ext[:n, :n] = rot
-        rot_ext[n, n] = 1.0
-        defects.append(
-            _max_abs_diff((rotated.u, rot_ext @ base.u), (rotated.v, rot_ext @ base.v))
-        )
-    return 1e-12, defects, points
+    qs, ps = _batch(points)
+    # Q factors of Gaussian matrices, signs fixed by diag(R), det(Q) made +1
+    rot, tri = np.linalg.qr(rng.standard_normal((len(points), n, n)))
+    rot = rot * np.sign(np.diagonal(tri, axis1=-2, axis2=-1))[:, None, :]
+    rot[np.linalg.det(rot) < 0.0, :, 0] *= -1.0
+    rot_ext = np.pad(rot, ((0, 0), (0, 1), (0, 1)))
+    rot_ext[:, n, n] = 1.0
 
+    def apply(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return (mat @ rows[..., None])[..., 0]
 
-def _random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
-    mat = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(mat)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, 0] = -q[:, 0]
-    return q
+    rotated = _ls_map_rows(apply(rot, qs), apply(rot, ps))
+    base = _ls_map_rows(qs, ps)
+    defects = _max_abs_diff(*((a, apply(rot_ext, b)) for a, b in zip(rotated[:2], base[:2])))
+    return 1e-12, defects.tolist(), points
 
 
 _INTERTWINE_DT = 1e-5
@@ -487,40 +472,34 @@ def _suite_intertwine(n: int, samples: int, seed: int) -> _Defects:
     points = sample_bound_states(
         n, samples, seed, pole_gap=0.05, max_eccentricity=0.6, min_energy=-1.0
     )
-    qs, ps = _phase_batch(points)
-    dt = _INTERTWINE_DT
-    checkpoints = list(_INTERTWINE_STEPS)
-    states = _leapfrog_batch(qs, ps, dt, checkpoints)
-    sphere0 = [ls_map(pt) for pt in points]
-    worst = [0.0] * len(points)
-    for steps, (qarr, parr) in zip(checkpoints, states):
-        t = steps * dt
-        for i, sp0 in enumerate(sphere0):
-            expected = delaunay_flow(sp0, t)
-            observed = ls_map(PhasePoint(qarr[i], parr[i]))
-            d = _max_abs_diff((observed.u, expected.u), (observed.v, expected.v))
-            worst[i] = max(worst[i], d)
-    return 1e-6, worst, points
+    qs, ps = _batch(points)
+    states = _leapfrog_batch(qs, ps, _INTERTWINE_DT, list(_INTERTWINE_STEPS))
+    r0, s0, _ = _ls_map_rows(qs, ps)
+    worst = np.zeros(len(points))
+    for steps, (qarr, parr) in zip(_INTERTWINE_STEPS, states):
+        expected = _delaunay_flow_rows(r0, s0, np.full(len(points), steps * _INTERTWINE_DT))
+        observed = _ls_map_rows(qarr, parr)
+        worst = np.maximum(worst, _max_abs_diff(*zip(observed[:2], expected[:2])))
+    return 1e-6, worst.tolist(), points
 
 
 def _suite_momenta_pullback(n: int, samples: int, seed: int) -> _Defects:
     """sphere momentum of the Ligon-Schaaf image equals the extended
     momentum, entrywise."""
     points = sample_bound_states(n, samples, seed)
-    defects = [
-        _max_abs_diff((sphere_momentum(ls_map(pt)).entries, extended_momentum(pt).entries))
-        for pt in points
-    ]
-    return 1e-12, defects, points
+    qs, ps = _batch(points)
+    r, s, _ = _ls_map_rows(qs, ps)
+    i, j = np.triu_indices(n + 1, 1)
+    diff = _wedge_entries(r, s, i, j) - _extended_rows(qs, ps)[:, i, j]
+    return 1e-12, np.max(np.abs(diff), axis=-1).tolist(), points
 
 
 def _suite_mu_squared(n: int, samples: int, seed: int) -> _Defects:
     """momentum_norm_squared(pt) * (-2H) = 1 on bound samples."""
     points = sample_bound_states(n, samples, seed)
-    defects = [
-        abs(momentum_norm_squared(pt) * (-2.0 * kepler_energy(pt)) - 1.0) for pt in points
-    ]
-    return 1e-12, defects, points
+    qs, ps = _batch(points)
+    mu2 = _norm_squared(_extended_rows(qs, ps))
+    return 1e-12, np.abs(mu2 * (-2.0 * _energy(qs, ps)) - 1.0).tolist(), points
 
 
 def _suite_so_brackets(n: int, samples: int, seed: int) -> _Defects:
@@ -532,7 +511,7 @@ def _suite_so_brackets(n: int, samples: int, seed: int) -> _Defects:
     central differences.
     """
     points = sample_bound_states(n, samples, seed, min_energy=-2.0, max_energy=-0.2)
-    qs, ps = _phase_batch(points)
+    qs, ps = _batch(points)
     pairs = list(combinations(range(n + 1), 2))
     fields = {pair: extended_momentum_field(pair[0], pair[1], n) for pair in pairs}
     values = {pair: field(qs, ps) for pair, field in fields.items()}
@@ -568,7 +547,7 @@ def _suite_lenz_brackets(n: int, samples: int, seed: int) -> _Defects:
         p = rng.uniform(-1.5, 1.5, size=n)
         if np.linalg.norm(q) >= 0.1:
             points.append(PhasePoint(q, p))
-    qs, ps = _phase_batch(points)
+    qs, ps = _batch(points)
     worst = np.zeros(samples)
     lenz_values = {k: lenz_field(k)(qs, ps) for k in range(n)}
     ang_values = {
@@ -607,7 +586,7 @@ def _suite_conservation(n: int, samples: int, seed: int) -> _Defects:
     points = sample_bound_states(
         n, samples, seed, pole_gap=0.05, max_eccentricity=0.6, min_energy=-1.0
     )
-    qs, ps = _phase_batch(points)
+    qs, ps = _batch(points)
     (end,) = _leapfrog_batch(qs, ps, _CONSERVATION_DT, [_CONSERVATION_STEPS])
     q_end, p_end = end
     worst = np.zeros(len(points))

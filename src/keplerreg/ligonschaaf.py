@@ -25,9 +25,8 @@ from .core import (
     PhasePoint,
     SphereCotangentPoint,
     _check_rows,
-    kepler_energy,
 )
-from .moser import _scale, moser_fibration
+from .moser import _fibration_rows, _scale
 from .stereo import _project
 
 __all__ = [
@@ -71,12 +70,9 @@ class LSAngle:
 
 
 def ls_angle(point: PhasePoint) -> LSAngle:
-    """Rotation angle theta = -sqrt(-2H) (q.p) of the Ligon-Schaaf map."""
-    energy = kepler_energy(point)
-    if energy >= 0.0:
-        raise DomainError(f"H must be negative, got H = {energy:.6g}")
-    qp = float(point.q @ point.p)
-    return LSAngle(-math.sqrt(-2.0 * energy) * qp)
+    """Rotation angle theta = -sqrt(-2H) (q.p) of the Ligon-Schaaf map, the
+    last covector coordinate of the Moser fibration."""
+    return LSAngle(float(_fibration_rows(point.q, point.p)[1][-1]))
 
 
 def _rotate(u: np.ndarray, v: np.ndarray, angle) -> tuple[np.ndarray, np.ndarray]:
@@ -93,6 +89,16 @@ def _reproject(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v - np.vecdot(u, v)[..., None] * u
 
 
+def _ls_map_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``ls_map`` of one point (n,) or rows (m, n), with its checks on every
+    row: (r, s, puncture)."""
+    u, v, w = _fibration_rows(q, p)
+    r, s = _rotate(u, v, v[..., -1])
+    s = s / w[..., None]
+    _check_rows(r, s, "uv", sphere=True)
+    return r, s, np.abs(1.0 - r[..., -1]) < _CONSTRAINT_TOL
+
+
 def ls_map(point: PhasePoint) -> SphereCotangentPoint:
     """Apply the Ligon-Schaaf map to a bound phase point.
 
@@ -107,13 +113,8 @@ def ls_map(point: PhasePoint) -> SphereCotangentPoint:
     (collision completion points) are returned with ``at_puncture`` set
     rather than rejected; only the inverse map must refuse them.
     """
-    fib = moser_fibration(point)
-    energy = kepler_energy(point)
-    w = math.sqrt(-2.0 * energy)
-    r, s = _rotate(fib.u, fib.v, float(fib.v[-1]))
-    s = s / w
-    at_puncture = abs(1.0 - float(r[-1])) < _CONSTRAINT_TOL
-    return SphereCotangentPoint(r, s, at_puncture=at_puncture)
+    r, s, at_puncture = _ls_map_rows(point.q, point.p)
+    return SphereCotangentPoint(r, s, at_puncture=bool(at_puncture))
 
 
 def angle_equation(theta, r_last, s_last):
@@ -182,7 +183,6 @@ def _ls_inverse_rows(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarr
     u, v = _reproject(u[regular], v[regular])
     _check_rows(u, v, "uv", sphere=True)
     x, y = _project(u, v)
-    _check_rows(x, y, "xy")
     q_reg, p_reg = _scale(-y, x, sigma[regular])
     _check_rows(q_reg, p_reg, "qp")
     q, p = np.full((2, r.shape[0], r.shape[1] - 1), np.nan)

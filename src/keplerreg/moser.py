@@ -12,12 +12,18 @@ can test that argument directly.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, PhasePoint, PlaneCotangentPoint, SphereCotangentPoint, kepler_energy
+from .core import (
+    DomainError,
+    PhasePoint,
+    PlaneCotangentPoint,
+    SphereCotangentPoint,
+    _check_rows,
+    _energy,
+)
 from .stereo import _lift, to_plane
 
 __all__ = [
@@ -64,6 +70,25 @@ def moser_map_inverse(sp: SphereCotangentPoint) -> PhasePoint:
     return fourier_inverse(to_plane(sp))
 
 
+def _fibration_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``moser_fibration`` of one point (n,) or rows (m, n), with its checks on
+    every row: (u, v, w) with w = sqrt(-2H)."""
+    _check_rows(q, p, "qp")
+    r = np.sqrt(np.vecdot(q, q))
+    if (r == 0.0).any():
+        raise DomainError("q must be nonzero (collision point)")
+    energy = _energy(q, p)
+    bad = energy >= 0.0
+    if bad.any():
+        raise DomainError(f"H must be negative for the fibration, got H = {energy[bad][0]:.6g}")
+    w = np.sqrt(-2.0 * energy)
+    qp = np.vecdot(q, p)
+    u = np.concatenate([(w * r)[..., None] * p, (r * np.vecdot(p, p) - 1.0)[..., None]], axis=-1)
+    v = np.concatenate([-q / r[..., None] + qp[..., None] * p, (-w * qp)[..., None]], axis=-1)
+    _check_rows(u, v, "uv", sphere=True)
+    return u, v, w
+
+
 def moser_fibration(point: PhasePoint) -> SphereCotangentPoint:
     """Scale-invariant projection of the bound region onto unit covectors.
 
@@ -79,23 +104,7 @@ def moser_fibration(point: PhasePoint) -> SphereCotangentPoint:
     rounding error); the domain is still all of the bound region, so
     conditioning is the caller's concern.
     """
-    r = point.radius
-    if r == 0.0:
-        raise DomainError("q must be nonzero (collision point)")
-    energy = kepler_energy(point)
-    if energy >= 0.0:
-        raise DomainError(f"H must be negative for the fibration, got H = {energy:.6g}")
-    w = math.sqrt(-2.0 * energy)
-    q, p = point.q, point.p
-    p2 = float(p @ p)
-    qp = float(q @ p)
-    u = np.empty(point.n + 1)
-    u[:-1] = w * r * p
-    u[-1] = r * p2 - 1.0
-    v = np.empty(point.n + 1)
-    v[:-1] = -q / r + qp * p
-    v[-1] = -w * qp
-    return SphereCotangentPoint(u, v)
+    return SphereCotangentPoint(*_fibration_rows(point.q, point.p)[:2])
 
 
 def _scale(q: np.ndarray, p: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -124,13 +133,10 @@ def scale_sphere(sp: SphereCotangentPoint, rho: float) -> SphereCotangentPoint:
 def to_reference_shell(point: PhasePoint) -> PhasePoint:
     """Rescale a bound point onto the H = -1/2 shell.
 
-    Applies ``scale_phase`` with rho = sqrt(-2H), the unique scale factor
-    landing on the reference shell.
+    Applies ``scale_phase`` with rho = sqrt(-2H) (the fibration's w), the
+    unique scale factor landing on the reference shell.
     """
-    energy = kepler_energy(point)
-    if energy >= 0.0:
-        raise DomainError(f"H must be negative, got H = {energy:.6g}")
-    return scale_phase(point, math.sqrt(-2.0 * energy))
+    return scale_phase(point, float(_fibration_rows(point.q, point.p)[2]))
 
 
 class ChartHamiltonians(NamedTuple):
@@ -151,7 +157,9 @@ def _chart_hamiltonians(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     x2 = np.vecdot(x, x)
     y2 = np.vecdot(y, y)
     ynorm = np.sqrt(y2)
-    return (x2 + 1.0) ** 2 * y2 / 8.0, 0.5 * (x2 + 1.0) * ynorm - 1.0, 0.5 * x2 - 1.0 / ynorm
+    # float_power is the C library's pow, as a numpy scalar's ** is; an array's ** 2 is not
+    geodesic = np.float_power(x2 + 1.0, 2) * y2 / 8.0
+    return geodesic, 0.5 * (x2 + 1.0) * ynorm - 1.0, 0.5 * x2 - 1.0 / ynorm
 
 
 def chart_hamiltonians(pl: PlaneCotangentPoint) -> ChartHamiltonians:

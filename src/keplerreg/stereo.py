@@ -10,13 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _CONSTRAINT_TOL, DomainError, PlaneCotangentPoint, SphereCotangentPoint
+from .core import (
+    _CONSTRAINT_TOL,
+    DomainError,
+    PlaneCotangentPoint,
+    SphereCotangentPoint,
+    _check_rows,
+)
 
 __all__ = ["to_plane", "to_sphere"]
 
 
 def _project(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) -> (x, y) of one point (n+1,) or rows (m, n+1), off the polar fiber."""
+    """(u, v) -> (x, y) of one point (n+1,) or rows (m, n+1), off the polar fiber,
+    with the plane point's checks on every row."""
     gap = 1.0 - u[..., -1]
     bad = gap < _CONSTRAINT_TOL
     if bad.any():
@@ -24,7 +31,9 @@ def _project(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"north pole fiber: 1 - u_(n+1) = {gap[bad][0]:.3e} is below {_CONSTRAINT_TOL:g}"
         )
     gap = gap[..., None]
-    return u[..., :-1] / gap, v[..., :-1] * gap + v[..., -1:] * u[..., :-1]
+    x, y = u[..., :-1] / gap, v[..., :-1] * gap + v[..., -1:] * u[..., :-1]
+    _check_rows(x, y, "xy")
+    return x, y
 
 
 def to_plane(sp: SphereCotangentPoint) -> PlaneCotangentPoint:
@@ -40,7 +49,7 @@ def to_plane(sp: SphereCotangentPoint) -> PlaneCotangentPoint:
 
 def _lift(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stereographic lift (x, y) -> (u, v) of one point (n,) or of a
-    batch (m, n)."""
+    batch (m, n), with the sphere point's checks on every row."""
     x2 = np.vecdot(x, x)
     xy = np.vecdot(x, y)
     denom = x2 + 1.0
@@ -52,6 +61,7 @@ def _lift(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u.T[-1] = (x2 - 1.0) / denom
     v.T[:-1] = 0.5 * denom * y.T - xy * x.T
     v.T[-1] = xy
+    _check_rows(u, v, "uv", sphere=True)
     return u, v
 
 

@@ -14,7 +14,7 @@ field works on single points and on batches.
 
 from __future__ import annotations
 
-import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -26,7 +26,6 @@ from .core import (
     SphereCotangentPoint,
     _energy,
     _lenz,
-    kepler_energy,
 )
 
 __all__ = [
@@ -59,20 +58,28 @@ def lenz_vector(point: PhasePoint) -> np.ndarray:
     return _lenz(point.q, point.p)
 
 
+def _extended_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``extended_momentum`` of one point (n,) or rows (m, n), as strict upper
+    triangles (..., n+1, n+1); DomainError unless every row is bound."""
+    energy = _energy(q, p)
+    bad = energy >= 0.0
+    if bad.any():
+        raise DomainError(f"H must be negative, got H = {energy[bad][0]:.6g}")
+    n = q.shape[-1]
+    upper = np.zeros(q.shape[:-1] + (n + 1, n + 1))
+    i, j = np.triu_indices(n, 1)
+    upper[..., i, j] = _wedge_entries(q, p, i, j)
+    upper[..., :n, n] = _lenz(q, p) / np.sqrt(-2.0 * energy)[..., None]
+    return upper
+
+
 def extended_momentum(point: PhasePoint) -> MomentumMatrix:
     """so(n+1) momentum matrix on the bound region.
 
     The upper-left n x n block is the angular momentum and the extra
     column is L_i(n+1) = K_i / sqrt(-2H).
     """
-    energy = kepler_energy(point)
-    if energy >= 0.0:
-        raise DomainError(f"H must be negative, got H = {energy:.6g}")
-    n = point.n
-    full = np.zeros((n + 1, n + 1))
-    full[:n, :n] = angular_momentum(point).entries
-    full[:n, n] = lenz_vector(point) / math.sqrt(-2.0 * energy)
-    return MomentumMatrix(full)
+    return MomentumMatrix(_extended_rows(point.q, point.p))
 
 
 def sphere_momentum(sp: SphereCotangentPoint) -> MomentumMatrix:
@@ -155,18 +162,27 @@ def _central_differences(
     along the last axis of z.  The divisor is the actual span between the
     two stencil points rather than the nominal 2h, which removes the
     step-representation part of the roundoff error.  z is one point (m,)
-    or a batch (N, m); on a batch fn must return one value per point.
-    With ``richardson`` each entry is (4 D(h/2) - D(h)) / 3, error O(h^4).
-    A DomainError raised by fn is re-raised naming the stencil point.
+    or a batch (N, m) on which fn returns (N,) or (N, k).  With
+    ``richardson`` each entry is (4 D(h/2) - D(h)) / 3, error O(h^4).  A
+    DomainError raised by fn is re-raised naming the stencil point (of a
+    batch, the first row that raises) on one line, floats round-trip.
     """
 
     def evaluate(z_s: np.ndarray, k: int) -> np.ndarray:
         try:
             return np.asarray(fn(z_s))
         except DomainError as exc:
-            raise DomainError(
-                f"stencil point {z_s!r} for coordinate {k} leaves the domain: {exc}"
-            ) from exc
+            point, error = z_s, exc
+            for row in z_s if z_s.ndim > 1 else ():
+                try:
+                    fn(row[None])
+                except DomainError as row_exc:
+                    point, error = row, row_exc
+                    break
+            with np.printoptions(floatmode="unique", linewidth=sys.maxsize):
+                raise DomainError(
+                    f"stencil point {point!r} for coordinate {k} leaves the domain: {error}"
+                ) from exc
 
     def differences(step: float) -> list[np.ndarray]:
         out = []
@@ -175,7 +191,9 @@ def _central_differences(
             hi, lo = z.T[k] + step, z.T[k] - step
             z_plus, z_minus = z.copy(), z.copy()
             z_plus.T[k], z_minus.T[k] = hi, lo
-            out.append((evaluate(z_plus, k) - evaluate(z_minus, k)) / (hi - lo))
+            diff = evaluate(z_plus, k) - evaluate(z_minus, k)
+            # one span per point, broadcast over the trailing axis of fn's value
+            out.append((diff.T / (hi - lo).T).T)
         return out
 
     coarse = differences(h)

@@ -153,8 +153,10 @@ class TestReports:
 
     def test_failures_name_each_failing_sample(self, monkeypatch):
         # A 1e-9 relative error in mu^2 fails every mu-squared sample (tolerance 1e-12).
+        # The suite sums the squared momenta of all samples in one _norm_squared call.
+        norm_squared = harness._norm_squared
         monkeypatch.setattr(
-            harness, "momentum_norm_squared", lambda pt: momentum_norm_squared(pt) * (1.0 + 1e-9)
+            harness, "_norm_squared", lambda upper: norm_squared(upper) * (1.0 + 1e-9)
         )
         for n in (2, 4):
             report = run_suite("mu-squared", n, 40, 5)

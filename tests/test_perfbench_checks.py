@@ -1,5 +1,5 @@
-"""The benchmark judges propagate output with perfbench/checks.py.  Running
-its tiny workloads here makes output it would reject fail in seconds."""
+"""The benchmark judges propagate and verify output with perfbench/checks.py.
+Running its tiny workloads here makes output it would reject fail in seconds."""
 
 import importlib.util
 import sys
@@ -42,4 +42,15 @@ def test_tiny_workload_passes_benchmark_checks(workload, tmp_path, monkeypatch, 
         else:
             failed[op.ident] = checks.check_direct(op, text, _reference)
     assert len(failed) >= 6
+    assert not any(failed.values()), failed
+
+
+def test_tiny_verify_maps_passes_benchmark_checks(tmp_path, monkeypatch, capsys):
+    workloads = _load("workloads", monkeypatch)
+    checks = _load("checks", monkeypatch)
+    failed = {}
+    for op in workloads.build("verify-maps", 0, tmp_path, tiny=True):
+        code = main(op.argv)
+        failed[op.ident] = checks.check_verify(op, code, capsys.readouterr().out)
+    assert len(failed) == 2 * len(workloads.MAP_SUITES) == 26
     assert not any(failed.values()), failed

@@ -34,9 +34,10 @@ class DomainError(ValueError):
 _CONSTRAINT_TOL = 1e-10
 
 
-def _check_rows(a: np.ndarray, b: np.ndarray, names: str, *, sphere: bool = False) -> None:
+def _check_rows(a: np.ndarray, b: np.ndarray, names: str, *, sphere: bool = False):
     """The value objects' checks of one point (k,) or rows (m, k): finite
-    entries and, for a sphere pair (u, v), |u.u - 1| and |u.v| <= 1e-10."""
+    entries and, for a sphere pair (u, v), |u.u - 1| and |u.v| <= 1e-10.
+    Returns (a, b)."""
     for name, arr in zip(names, (a, b)):
         if not np.isfinite(arr).all():
             raise DomainError(f"{name} must have finite entries")
@@ -49,6 +50,7 @@ def _check_rows(a: np.ndarray, b: np.ndarray, names: str, *, sphere: bool = Fals
             meaning = ("u must lie on the unit sphere", "v must be tangent at u")[k]
             value = defects[k][bad[k]][0]
             raise DomainError(f"{label} = {value:.3e} exceeds {_CONSTRAINT_TOL:g}; {meaning}")
+    return a, b
 
 
 def _freeze_pair(obj, names: str, *, sphere: bool = False) -> None:
@@ -286,6 +288,30 @@ def sample_bound_states(
     projection pole, ``max_eccentricity`` caps |K| (the orbit
     eccentricity), and ``min_energy``/``max_energy`` bound H.
     """
+    qs, ps = _bound_rows(
+        n,
+        count,
+        seed,
+        pole_gap=pole_gap,
+        max_eccentricity=max_eccentricity,
+        min_energy=min_energy,
+        max_energy=max_energy,
+    )
+    return [PhasePoint(q, p) for q, p in zip(qs, ps)]
+
+
+def _bound_rows(
+    n: int,
+    count: int,
+    seed: int,
+    *,
+    pole_gap: float = 0.0,
+    max_eccentricity: float | None = None,
+    min_energy: float | None = None,
+    max_energy: float = _MAX_ENERGY,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_bound_states`` as rows (q, p) of shape (count, n), checked as
+    its points are."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if count < 1:
@@ -293,12 +319,11 @@ def sample_bound_states(
     if max_energy > _MAX_ENERGY:
         raise ValueError(f"max_energy must be <= {_MAX_ENERGY}")
     rng = np.random.default_rng(seed)
-    accepted_q: list[np.ndarray] = []
-    accepted_p: list[np.ndarray] = []
-    total = 0
+    chunks: list[tuple[np.ndarray, np.ndarray]] = []
+    found = total = 0
     max_draws = 20_000 * count + 200_000
     batch = max(4 * count, 512)
-    while len(accepted_q) < count:
+    while found < count:
         qs = rng.uniform(-_Q_HALF_WIDTH, _Q_HALF_WIDTH, size=(batch, n))
         ps = rng.uniform(-_P_HALF_WIDTH, _P_HALF_WIDTH, size=(batch, n))
         total += batch
@@ -319,14 +344,12 @@ def sample_bound_states(
             with np.errstate(divide="ignore", invalid="ignore"):
                 ecc = np.linalg.norm(_lenz(qs, ps), axis=1)
             ok &= ecc <= max_eccentricity
-        for idx in np.nonzero(ok)[0]:
-            accepted_q.append(qs[idx])
-            accepted_p.append(ps[idx])
-            if len(accepted_q) == count:
-                break
-        if len(accepted_q) < count and total >= max_draws:
+        keep = np.flatnonzero(ok)[: count - found]
+        chunks.append((qs[keep], ps[keep]))
+        found += len(keep)
+        if found < count and total >= max_draws:
             raise RuntimeError(
                 f"rejection sampling failed to find {count} points after "
                 f"{total} draws; the requested constraints are too tight"
             )
-    return [PhasePoint(q, p) for q, p in zip(accepted_q[:count], accepted_p[:count])]
+    return _check_rows(*map(np.concatenate, zip(*chunks)), "qp")

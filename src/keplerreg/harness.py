@@ -3,12 +3,16 @@
 Reusable finite-difference machinery (Jacobians, symplectic-defect
 measurement) plus the named property suites that exercise the library's
 invariants over seeded samples.  Every suite is deterministic in
-(n, samples, seed), checks every sample it draws and computes defects
-only: it returns (tolerance, defects, samples), one float per sample and
-the parallel list of sample objects.  run_suite alone builds the
-SuiteReport: the worst defect, plus a Failure for each sample above
-tolerance, whose ``where`` is the sample's str() with every float at its
-shortest round-trip repr, so the sample can be rebuilt bit for bit.
+(n, samples, seed).  Its samples stay rows from draw to report: each
+sampler returns row arrays checked once per batch as the value objects
+check a point, and the suite computes defects only.  It returns
+(tolerance, defects, sample): one float per sample, and sample(k), which
+builds the k-th sample's value object (or, for an unexpected puncture in
+ls-roundtrip, its message).  run_suite alone builds the SuiteReport: the
+worst defect, plus a Failure for each sample above tolerance, the only
+samples it calls sample(k) for.  A Failure's ``where`` is the sample's
+str() with every float at its shortest round-trip repr, so the sample
+can be rebuilt bit for bit.
 
 Tolerances are stratified by error source: identities built from exact
 closed-form compositions use 1e-12, checks that pass through central
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
 from typing import Callable
 
 import numpy as np
@@ -35,25 +38,17 @@ from .core import (
     PhasePoint,
     PlaneCotangentPoint,
     SphereCotangentPoint,
+    _bound_rows,
     _check_rows,
     _energy,
+    _lenz,
     _norm_squared,
-    sample_bound_states,
 )
 from .dynamics import _delaunay_flow_rows, _leapfrog_batch
 from .ligonschaaf import _ROOT_TOL, _ls_inverse_rows, _ls_map_rows, _reproject, angle_equation
 from .moser import _chart_hamiltonians, _fibration_rows, _scale
 from .stereo import _lift, _project
-from .symmetry import (
-    _bracket_batch,
-    _central_differences,
-    _extended_rows,
-    _wedge_entries,
-    angular_momentum_field,
-    extended_momentum_field,
-    hamiltonian_field,
-    lenz_field,
-)
+from .symmetry import _bracket_batch, _central_differences, _extended_rows, _wedge_entries
 
 __all__ = [
     "UnknownSuiteError",
@@ -64,7 +59,6 @@ __all__ = [
     "fd_tolerance",
     "standard_form",
     "symplectic_defect",
-    "flat_fourier",
     "flat_to_sphere",
     "flat_moser_map",
     "flat_ls_map",
@@ -140,15 +134,6 @@ def symplectic_defect(fn: Callable[[np.ndarray], np.ndarray], point, h: float):
 # Flat-vector adapters (positions..., momenta...) for the FD machinery
 
 
-def flat_fourier(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """(q, p) -> (x, y) = (p, -q) on flat vectors (..., 2n)."""
-
-    def fn(z: np.ndarray) -> np.ndarray:
-        return np.concatenate([z[..., n:], -z[..., :n]], axis=-1)
-
-    return fn
-
-
 def _flat_map(n: int, names: str, kernel) -> Callable[[np.ndarray], np.ndarray]:
     """kernel(z[..., :n], z[..., n:]) -> (u, v, ...) on flat vectors (..., 2n); every
     row gets the input point's checks here and the output point's in the kernel."""
@@ -221,21 +206,22 @@ class SuiteReport:
 
 def _sample_plane(
     rng: np.random.Generator, n: int, count: int, box: float = 2.0
-) -> list[PlaneCotangentPoint]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (x, y) of shape (count, n), uniform on the box [-box, box]^(2n)."""
     xs = rng.uniform(-box, box, size=(count, n))
     ys = rng.uniform(-box, box, size=(count, n))
-    return [PlaneCotangentPoint(x, y) for x, y in zip(xs, ys)]
+    return _check_rows(xs, ys, "xy")
 
 
 def _sample_phase_compact(
     rng: np.random.Generator, n: int, count: int
-) -> list[PhasePoint]:
-    """Bound phase points with all coordinates and map values O(1).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (q, p) of bound phase points with all coordinates and map values O(1).
 
     Used by the finite-difference canonicity suites, whose roundoff floor
     scales with the magnitude of the map outputs.
     """
-    out: list[PhasePoint] = []
+    out = []
     while len(out) < count:
         direction = rng.standard_normal(n)
         norm = np.linalg.norm(direction)
@@ -244,8 +230,8 @@ def _sample_phase_compact(
         q = direction / norm * rng.uniform(0.5, 1.1)
         p = rng.uniform(-0.6, 0.6, size=n)
         if -1.8 <= _energy(q, p) <= -0.5:
-            out.append(PhasePoint(q, p))
-    return out
+            out.append((q, p))
+    return _check_rows(*map(np.stack, zip(*out)), "qp")
 
 
 def _sample_sphere(
@@ -255,9 +241,10 @@ def _sample_sphere(
     *,
     min_pole_distance: float = 0.05,
     unit_covector: bool = False,
-) -> list[SphereCotangentPoint]:
-    """Seeded sphere covectors off the pole and off the zero section."""
-    out: list[SphereCotangentPoint] = []
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (u, v) of shape (count, n+1): sphere covectors off the pole and
+    off the zero section."""
+    out = []
     while len(out) < count:
         u = rng.standard_normal(n + 1)
         norm = np.linalg.norm(u)
@@ -271,13 +258,13 @@ def _sample_sphere(
             v = v / vnorm
         elif vnorm > 3.0:
             v = 3.0 * v / vnorm
-        out.append(SphereCotangentPoint(u, v))
-    return out
+        out.append((u, v))
+    return _check_rows(*map(np.stack, zip(*out)), "uv", sphere=True)
 
 
-def _batch(points: list, names: str = "qp") -> tuple[np.ndarray, np.ndarray]:
-    """The two vector fields ``names`` of value objects, stacked into rows."""
-    return tuple(np.stack([getattr(pt, name) for pt in points]) for name in names)
+def _points(kind: type, a: np.ndarray, b: np.ndarray) -> Callable[[int], object]:
+    """sample(k) over rows a, b: the k-th value object kind(a[k], b[k])."""
+    return lambda k: kind(a[k], b[k])
 
 
 def _where(sample) -> str:
@@ -295,39 +282,37 @@ def _max_abs_diff(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 # Suites
 
 
-# (tolerance, one defect per sample, the parallel list of samples)
-_Defects = tuple[float, list[float], list]
+# (tolerance, one defect per sample, sample(k) -> the k-th sample's value object)
+_Defects = tuple[float, list[float], Callable[[int], object]]
 
 
-def _symplectic_suite(fn, points: list, coords) -> _Defects:
-    """Symplectic defect of fn at each sample's flat coords(sample) = (positions, momenta)."""
-    z = np.stack([np.concatenate(coords(pt)) for pt in points])
-    return fd_tolerance(FD_STEP), symplectic_defect(fn, z, FD_STEP).tolist(), points
+def _symplectic_suite(fn, kind: type, a: np.ndarray, b: np.ndarray) -> _Defects:
+    """Symplectic defect of fn at each row (a, b) = (positions, momenta)."""
+    z = np.concatenate([a, b], axis=-1)
+    return fd_tolerance(FD_STEP), symplectic_defect(fn, z, FD_STEP).tolist(), _points(kind, a, b)
 
 
 def _suite_stereo_roundtrip(n: int, samples: int, seed: int) -> _Defects:
     """Both round trips through the stereographic lift, max-norm error."""
     rng = np.random.default_rng(seed)
-    planes = _sample_plane(rng, n, samples)
-    spheres = _sample_sphere(rng, n, samples)
-    xs, ys = _batch(planes, "xy")
-    us, vs = _batch(spheres, "uv")
+    xs, ys = _sample_plane(rng, n, samples)
+    us, vs = _sample_sphere(rng, n, samples)
     x_back, y_back = _project(*_lift(xs, ys))
     u_back, v_back = _lift(*_project(us, vs))
     defects = np.concatenate(
         [_max_abs_diff((x_back, xs), (y_back, ys)), _max_abs_diff((u_back, us), (v_back, vs))]
     )
-    return 1e-12, defects.tolist(), planes + spheres
+    plane, sphere = _points(PlaneCotangentPoint, xs, ys), _points(SphereCotangentPoint, us, vs)
+    return 1e-12, defects.tolist(), lambda k: plane(k) if k < samples else sphere(k - samples)
 
 
 def _suite_metric(n: int, samples: int, seed: int) -> _Defects:
     """|v.v - (x.x+1)^2 (y.y)/4| under the lift (the invariant metric)."""
-    points = _sample_plane(np.random.default_rng(seed), n, samples)
-    xs, ys = _batch(points, "xy")
+    xs, ys = _sample_plane(np.random.default_rng(seed), n, samples)
     _, v = _lift(xs, ys)
     # (x.x+1)^2 (y.y)/4 is twice the chart's geodesic energy
     defects = np.abs(np.vecdot(v, v) - 2.0 * _chart_hamiltonians(xs, ys)[0])
-    return 1e-12, defects.tolist(), points
+    return 1e-12, defects.tolist(), _points(PlaneCotangentPoint, xs, ys)
 
 
 def _suite_stereo_canonical(n: int, samples: int, seed: int) -> _Defects:
@@ -336,26 +321,25 @@ def _suite_stereo_canonical(n: int, samples: int, seed: int) -> _Defects:
     Sampling is compact (chart values O(1)) so the defect sits at the
     finite-difference error floor rather than scaling with the box.
     """
-    points = _sample_plane(np.random.default_rng(seed), n, samples, box=0.8)
-    return _symplectic_suite(flat_to_sphere(n), points, lambda pl: (pl.x, pl.y))
+    rows = _sample_plane(np.random.default_rng(seed), n, samples, box=0.8)
+    return _symplectic_suite(flat_to_sphere(n), PlaneCotangentPoint, *rows)
 
 
 def _suite_moser_symplectic(n: int, samples: int, seed: int) -> _Defects:
     """Symplectic defect of the Moser map via finite differences."""
-    points = _sample_phase_compact(np.random.default_rng(seed), n, samples)
-    return _symplectic_suite(flat_moser_map(n), points, lambda pt: (pt.q, pt.p))
+    rows = _sample_phase_compact(np.random.default_rng(seed), n, samples)
+    return _symplectic_suite(flat_moser_map(n), PhasePoint, *rows)
 
 
 def _suite_fibration_scale(n: int, samples: int, seed: int) -> _Defects:
     """Scale invariance of the unit-covector projection."""
-    points = sample_bound_states(n, samples, seed)
-    qs, ps = _batch(points)
+    qs, ps = _bound_rows(n, samples, seed)
     u, v, _ = _fibration_rows(qs, ps)
-    defects = np.zeros(len(points))
+    defects = np.zeros(samples)
     for rho in (0.5, 2.0, 10.0):
         u_rho, v_rho, _ = _fibration_rows(*_scale(qs, ps, rho))
         defects = np.maximum(defects, _max_abs_diff((u_rho, u), (v_rho, v)))
-    return 1e-10, defects.tolist(), points
+    return 1e-10, defects.tolist(), _points(PhasePoint, qs, ps)
 
 
 def _suite_moser_levelset(n: int, samples: int, seed: int) -> _Defects:
@@ -376,13 +360,13 @@ def _suite_moser_levelset(n: int, samples: int, seed: int) -> _Defects:
     def geodesic_and_speed_defect(z: np.ndarray) -> np.ndarray:
         return np.stack(_chart_hamiltonians(z[..., :n], z[..., n:])[:2], axis=-1)
 
-    points = _sample_sphere(rng, n, samples, min_pole_distance=1.0, unit_covector=True)
-    z = np.concatenate(_project(*_batch(points, "uv")), axis=-1)
+    us, vs = _sample_sphere(rng, n, samples, min_pole_distance=1.0, unit_covector=True)
+    z = np.concatenate(_project(us, vs), axis=-1)
     grads = np.stack(_central_differences(geodesic_and_speed_defect, z, h, richardson=True))
     # The Hamiltonian fields (dH/dy, -dH/dx) differ entrywise by the
     # gradient differences up to sign and order.
     defects = np.max(np.abs(grads[..., 0] - grads[..., 1]), axis=0)
-    return 1e-10, defects.tolist(), points
+    return 1e-10, defects.tolist(), _points(SphereCotangentPoint, us, vs)
 
 
 def _suite_ls_symplectic(n: int, samples: int, seed: int) -> _Defects:
@@ -392,8 +376,8 @@ def _suite_ls_symplectic(n: int, samples: int, seed: int) -> _Defects:
     up), so the compact sampler keeps the energy well inside the bound
     region.
     """
-    points = _sample_phase_compact(np.random.default_rng(seed), n, samples)
-    return _symplectic_suite(flat_ls_map(n), points, lambda pt: (pt.q, pt.p))
+    rows = _sample_phase_compact(np.random.default_rng(seed), n, samples)
+    return _symplectic_suite(flat_ls_map(n), PhasePoint, *rows)
 
 
 def _suite_ls_roundtrip(n: int, samples: int, seed: int) -> _Defects:
@@ -407,13 +391,12 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int) -> _Defects:
     """
     tolerance = 1e-10
     scale = tolerance / _ROOT_TOL
-    points = sample_bound_states(n, samples, seed)
+    qs, ps = _bound_rows(n, samples, seed)
     spheres = _sample_sphere(np.random.default_rng(seed + 1), n, samples)
-    qs, ps = _batch(points)
     r, s, at_puncture = _ls_map_rows(qs, ps)
-    us, vs = (np.concatenate(pair) for pair in zip((r, s), _batch(spheres, "uv")))
+    us, vs = (np.concatenate(pair) for pair in zip((r, s), spheres))
     q_back, p_back, puncture = _ls_inverse_rows(us, vs)
-    m = len(points)
+    m = samples
     defects = np.full(len(us), 2.0 * tolerance)
     defects[:m] = _max_abs_diff((q_back[:m], qs), (p_back[:m], ps))
     # Sphere samples: the forward map undoes the inverse, and the
@@ -428,21 +411,21 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int) -> _Defects:
     defects[k] = np.where(slope >= 0.0, np.maximum(d, 2.0 * tolerance), d)
     defects[puncture] = 2.0 * tolerance
 
-    def punctured(k: int) -> str:
-        sp = spheres[k - m] if k >= m else SphereCotangentPoint(r[k], s[k], bool(at_puncture[k]))
+    def sample(k: int):
+        if not puncture[k]:
+            return PhasePoint(qs[k], ps[k]) if k < m else SphereCotangentPoint(us[k], vs[k])
+        sp = SphereCotangentPoint(us[k], vs[k], bool(k < m and at_puncture[k]))
         return f"unexpected puncture at {_where(sp)}"
 
-    drawn = [punctured(k) if puncture[k] else pt for k, pt in enumerate(points + spheres)]
-    return tolerance, defects.tolist(), drawn
+    return tolerance, defects.tolist(), sample
 
 
 def _suite_ls_equivariance(n: int, samples: int, seed: int) -> _Defects:
     """Equivariance under rotations of R^n extended by a fixed last axis."""
     rng = np.random.default_rng(seed + 7)
-    points = sample_bound_states(n, samples, seed)
-    qs, ps = _batch(points)
+    qs, ps = _bound_rows(n, samples, seed)
     # Q factors of Gaussian matrices, signs fixed by diag(R), det(Q) made +1
-    rot, tri = np.linalg.qr(rng.standard_normal((len(points), n, n)))
+    rot, tri = np.linalg.qr(rng.standard_normal((samples, n, n)))
     rot = rot * np.sign(np.diagonal(tri, axis1=-2, axis2=-1))[:, None, :]
     rot[np.linalg.det(rot) < 0.0, :, 0] *= -1.0
     rot_ext = np.pad(rot, ((0, 0), (0, 1), (0, 1)))
@@ -454,7 +437,7 @@ def _suite_ls_equivariance(n: int, samples: int, seed: int) -> _Defects:
     rotated = _ls_map_rows(apply(rot, qs), apply(rot, ps))
     base = _ls_map_rows(qs, ps)
     defects = _max_abs_diff(*((a, apply(rot_ext, b)) for a, b in zip(rotated[:2], base[:2])))
-    return 1e-12, defects.tolist(), points
+    return 1e-12, defects.tolist(), _points(PhasePoint, qs, ps)
 
 
 _INTERTWINE_DT = 1e-5
@@ -469,37 +452,39 @@ def _suite_intertwine(n: int, samples: int, seed: int) -> _Defects:
     its accuracy regime: eccentricity at most 0.6 and energy in [-1, -0.05]
     (perihelion bounded away from the collision set).
     """
-    points = sample_bound_states(
-        n, samples, seed, pole_gap=0.05, max_eccentricity=0.6, min_energy=-1.0
-    )
-    qs, ps = _batch(points)
+    qs, ps = _bound_rows(n, samples, seed, pole_gap=0.05, max_eccentricity=0.6, min_energy=-1.0)
     states = _leapfrog_batch(qs, ps, _INTERTWINE_DT, list(_INTERTWINE_STEPS))
     r0, s0, _ = _ls_map_rows(qs, ps)
-    worst = np.zeros(len(points))
+    worst = np.zeros(samples)
     for steps, (qarr, parr) in zip(_INTERTWINE_STEPS, states):
-        expected = _delaunay_flow_rows(r0, s0, np.full(len(points), steps * _INTERTWINE_DT))
+        expected = _delaunay_flow_rows(r0, s0, np.full(samples, steps * _INTERTWINE_DT))
         observed = _ls_map_rows(qarr, parr)
         worst = np.maximum(worst, _max_abs_diff(*zip(observed[:2], expected[:2])))
-    return 1e-6, worst.tolist(), points
+    return 1e-6, worst.tolist(), _points(PhasePoint, qs, ps)
 
 
 def _suite_momenta_pullback(n: int, samples: int, seed: int) -> _Defects:
     """sphere momentum of the Ligon-Schaaf image equals the extended
     momentum, entrywise."""
-    points = sample_bound_states(n, samples, seed)
-    qs, ps = _batch(points)
+    qs, ps = _bound_rows(n, samples, seed)
     r, s, _ = _ls_map_rows(qs, ps)
     i, j = np.triu_indices(n + 1, 1)
     diff = _wedge_entries(r, s, i, j) - _extended_rows(qs, ps)[:, i, j]
-    return 1e-12, np.max(np.abs(diff), axis=-1).tolist(), points
+    return 1e-12, np.max(np.abs(diff), axis=-1).tolist(), _points(PhasePoint, qs, ps)
 
 
 def _suite_mu_squared(n: int, samples: int, seed: int) -> _Defects:
     """momentum_norm_squared(pt) * (-2H) = 1 on bound samples."""
-    points = sample_bound_states(n, samples, seed)
-    qs, ps = _batch(points)
+    qs, ps = _bound_rows(n, samples, seed)
     mu2 = _norm_squared(_extended_rows(qs, ps))
-    return 1e-12, np.abs(mu2 * (-2.0 * _energy(qs, ps)) - 1.0).tolist(), points
+    defects = np.abs(mu2 * (-2.0 * _energy(qs, ps)) - 1.0)
+    return 1e-12, defects.tolist(), _points(PhasePoint, qs, ps)
+
+
+def _brackets(field, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Every bracket {field_a, field_b} of a stacked field, (N, k, k), by
+    Richardson-extrapolated central differences."""
+    return _bracket_batch(field, field, qs, ps, FD_STEP, richardson=True)
 
 
 def _suite_so_brackets(n: int, samples: int, seed: int) -> _Defects:
@@ -507,30 +492,25 @@ def _suite_so_brackets(n: int, samples: int, seed: int) -> _Defects:
 
     {L_ab, L_cd} = d_bc L_da + d_ad L_cb - d_ac L_db - d_bd L_ca with the
     index n standing for the scaled Lenz direction; brackets with fewer or
-    more than three distinct indices vanish.  Richardson-extrapolated
-    central differences.
+    more than three distinct indices vanish.  Each unordered pair of
+    entries is compared once.
     """
-    points = sample_bound_states(n, samples, seed, min_energy=-2.0, max_energy=-0.2)
-    qs, ps = _batch(points)
-    pairs = list(combinations(range(n + 1), 2))
-    fields = {pair: extended_momentum_field(pair[0], pair[1], n) for pair in pairs}
-    values = {pair: field(qs, ps) for pair, field in fields.items()}
-    worst = np.zeros(len(points))
-    for (a, b), (c, d) in combinations_with_replacement(pairs, 2):
-        observed = _bracket_batch(fields[(a, b)], fields[(c, d)], qs, ps, FD_STEP, richardson=True)
-        expected = np.zeros(len(points))
-        for delta, pair, sign in (
-            (b == c, (d, a), 1.0),
-            (a == d, (c, b), 1.0),
-            (a == c, (d, b), -1.0),
-            (b == d, (c, a), -1.0),
-        ):
-            if delta:
-                i, j = pair
-                term = values[(i, j)] if i < j else -values[(j, i)] if i > j else 0.0
-                expected = expected + sign * term
-        worst = np.maximum(worst, np.abs(observed - expected))
-    return 1e-5, worst.tolist(), points
+    qs, ps = _bound_rows(n, samples, seed, min_energy=-2.0, max_energy=-0.2)
+    upper = _extended_rows(qs, ps)
+    values = upper - np.swapaxes(upper, -1, -2)
+    i, j = np.triu_indices(n + 1, 1)
+    observed = _brackets(lambda q, p: _extended_rows(q, p)[..., i, j], qs, ps)
+    # entry (x, y) pairs L_ab, x = (a, b), with L_cd, y = (c, d)
+    a, b, c, d = i[:, None], j[:, None], i, j
+    expected = (
+        (b == c) * values[:, d, a]
+        + (a == d) * values[:, c, b]
+        - (a == c) * values[:, d, b]
+        - (b == d) * values[:, c, a]
+    )
+    x, y = np.triu_indices(len(i))
+    worst = np.max(np.abs(observed - expected)[:, x, y], axis=-1, initial=0.0)
+    return 1e-5, worst.tolist(), _points(PhasePoint, qs, ps)
 
 
 def _suite_lenz_brackets(n: int, samples: int, seed: int) -> _Defects:
@@ -541,35 +521,28 @@ def _suite_lenz_brackets(n: int, samples: int, seed: int) -> _Defects:
     sampled too.
     """
     rng = np.random.default_rng(seed)
-    points: list[PhasePoint] = []
-    while len(points) < samples:
+    drawn = []
+    while len(drawn) < samples:
         q = rng.uniform(-2.0, 2.0, size=n)
         p = rng.uniform(-1.5, 1.5, size=n)
         if np.linalg.norm(q) >= 0.1:
-            points.append(PhasePoint(q, p))
-    qs, ps = _batch(points)
-    worst = np.zeros(samples)
-    lenz_values = {k: lenz_field(k)(qs, ps) for k in range(n)}
-    ang_values = {
-        (i, j): angular_momentum_field(i, j)(qs, ps) for i, j in combinations(range(n), 2)
-    }
-    energy = hamiltonian_field()(qs, ps)
-    for i, j in combinations(range(n), 2):
-        for k in range(n):
-            observed = _bracket_batch(
-                angular_momentum_field(i, j), lenz_field(k), qs, ps, FD_STEP, richardson=True
-            )
-            expected = np.zeros(samples)
-            if i == k:
-                expected = expected + lenz_values[j]
-            if j == k:
-                expected = expected - lenz_values[i]
-            worst = np.maximum(worst, np.abs(observed - expected))
-    for i, j in combinations(range(n), 2):
-        observed = _bracket_batch(lenz_field(i), lenz_field(j), qs, ps, FD_STEP, richardson=True)
-        expected = -2.0 * energy * ang_values[(i, j)]
-        worst = np.maximum(worst, np.abs(observed - expected))
-    return 1e-5, worst.tolist(), points
+            drawn.append((q, p))
+    qs, ps = _check_rows(*map(np.stack, zip(*drawn)), "qp")
+    i, j = np.triu_indices(n, 1)
+    m = len(i)
+    observed = _brackets(
+        lambda q, p: np.concatenate([_wedge_entries(q, p, i, j), _lenz(q, p)], axis=-1), qs, ps
+    )
+    lenz, k = _lenz(qs, ps), np.arange(n)
+    # {L_ij, K_k} at entry (ij, k), then {K_i, K_j} for i < j
+    expected = (i[:, None] == k) * lenz[:, j, None] - (j[:, None] == k) * lenz[:, i, None]
+    lenz_lenz = (-2.0 * _energy(qs, ps))[:, None] * _wedge_entries(qs, ps, i, j)
+    diffs = [
+        np.abs(observed[:, :m, m:] - expected).reshape(samples, -1),
+        np.abs(observed[:, m + i, m + j] - lenz_lenz),
+    ]
+    worst = np.max(np.concatenate(diffs, axis=-1), axis=-1, initial=0.0)
+    return 1e-5, worst.tolist(), _points(PhasePoint, qs, ps)
 
 
 _CONSERVATION_DT = 2e-5
@@ -583,19 +556,15 @@ def _suite_conservation(n: int, samples: int, seed: int) -> _Defects:
     sampling keeps the leapfrog in its accuracy regime as in the
     intertwining suite.
     """
-    points = sample_bound_states(
-        n, samples, seed, pole_gap=0.05, max_eccentricity=0.6, min_energy=-1.0
-    )
-    qs, ps = _batch(points)
-    (end,) = _leapfrog_batch(qs, ps, _CONSERVATION_DT, [_CONSERVATION_STEPS])
-    q_end, p_end = end
-    worst = np.zeros(len(points))
-    fields = [hamiltonian_field()]
-    fields += [angular_momentum_field(i, j) for i, j in combinations(range(n), 2)]
-    fields += [lenz_field(k) for k in range(n)]
-    for field in fields:
-        worst = np.maximum(worst, np.abs(field(q_end, p_end) - field(qs, ps)))
-    return 1e-6, worst.tolist(), points
+    qs, ps = _bound_rows(n, samples, seed, pole_gap=0.05, max_eccentricity=0.6, min_energy=-1.0)
+    ((q_end, p_end),) = _leapfrog_batch(qs, ps, _CONSERVATION_DT, [_CONSERVATION_STEPS])
+    i, j = np.triu_indices(n, 1)
+
+    def integrals(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return np.concatenate([_energy(q, p)[:, None], _wedge_entries(q, p, i, j), _lenz(q, p)], -1)
+
+    drift = np.max(np.abs(integrals(q_end, p_end) - integrals(qs, ps)), axis=-1)
+    return 1e-6, drift.tolist(), _points(PhasePoint, qs, ps)
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +614,11 @@ def run_suite(name: str, n: int, samples: int, seed: int) -> SuiteReport:
         raise ValueError("n must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    tolerance, defects, points = _SUITES[name].runner(n, samples, seed)
+    tolerance, defects, sample = _SUITES[name].runner(n, samples, seed)
     failures = sorted(
         (
-            Failure(where=_where(pt), observed=d, expected=0.0, tolerance=tolerance)
-            for d, pt in zip(defects, points)
+            Failure(where=_where(sample(k)), observed=d, expected=0.0, tolerance=tolerance)
+            for k, d in enumerate(defects)
             if d > tolerance
         ),
         key=lambda f: (-f.observed, f.where),

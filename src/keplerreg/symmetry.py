@@ -133,20 +133,16 @@ def lenz_field(i: int) -> ScalarField:
 
 def extended_momentum_field(i: int, j: int, n: int) -> ScalarField:
     """The so(n+1) component L_ij where an index equal to n means the
-    scaled Lenz component K_i / sqrt(-2H)."""
+    scaled Lenz component K_i / sqrt(-2H); DomainError where H >= 0."""
+    if not (0 <= i <= n and 0 <= j <= n):
+        raise ValueError(f"indices ({i}, {j}) out of range for so({n + 1})")
     if i == j:
         return lambda q, p: np.zeros(np.shape(q)[:-1])
     if i < n and j < n:
         return angular_momentum_field(i, j)
-
-    def scaled_lenz(q: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
-        return _lenz(q, p)[..., k] / np.sqrt(-2.0 * _energy(q, p))
-
     if j == n:
-        return lambda q, p: scaled_lenz(q, p, i)
-    if i == n:
-        return lambda q, p: -scaled_lenz(q, p, j)
-    raise ValueError(f"indices ({i}, {j}) out of range for so({n + 1})")
+        return lambda q, p: _extended_rows(q, p)[..., i, n]
+    return lambda q, p: -_extended_rows(q, p)[..., j, n]
 
 
 def _central_differences(
@@ -212,7 +208,11 @@ def _bracket_batch(
     *,
     richardson: bool = False,
 ) -> np.ndarray:
-    """Canonical bracket {f, g} at a batch of points, by central differences."""
+    """Canonical brackets {f, g} at a batch of points, by central differences.
+
+    Fields valued (..., k) and (..., l) give every bracket {f_a, g_b} as
+    (..., k, l) from one gradient of each field; scalar fields give (...).
+    """
     n = qs.shape[-1]
 
     def flat(field: ScalarField) -> Callable[[np.ndarray], np.ndarray]:
@@ -221,7 +221,12 @@ def _bracket_batch(
     z = np.concatenate([qs, ps], axis=-1)
     df = _central_differences(flat(f), z, h, richardson=richardson)
     dg = _central_differences(flat(g), z, h, richardson=richardson)
-    total = np.zeros(qs.shape[:-1])
+    batch = qs.ndim - 1
+    kf, kg = df[0].ndim - batch, dg[0].ndim - batch
+    # component axes of f first, then those of g
+    df = [d.reshape(d.shape + (1,) * kg) for d in df]
+    dg = [d.reshape(d.shape[:batch] + (1,) * kf + d.shape[batch:]) for d in dg]
+    total = 0.0
     for k in range(n):
         total = total + df[k] * dg[n + k] - df[n + k] * dg[k]
     return total

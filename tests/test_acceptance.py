@@ -56,13 +56,13 @@ def test_01_stereo_roundtrip_and_metric():
 
 def _plane_samples(rng, n, count):
     """Flat (x, y) samples drawn as the stereo-canonical suite draws them."""
-    return [np.concatenate([pl.x, pl.y]) for pl in _sample_plane(rng, n, count, box=0.8)]
+    return np.concatenate(_sample_plane(rng, n, count, box=0.8), axis=1)
 
 
 def _phase_samples(rng, n, count):
     """Flat (q, p) samples drawn as the Moser and Ligon-Schaaf canonicity
     suites draw them."""
-    return [np.concatenate([pt.q, pt.p]) for pt in _sample_phase_compact(rng, n, count)]
+    return np.concatenate(_sample_phase_compact(rng, n, count), axis=1)
 
 
 # Criterion 02 per suite: its samples, the program's flat map and the

@@ -6,6 +6,7 @@ number of scalar calls that does not grow with the sample count."""
 import importlib
 import math
 import sys
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -14,11 +15,16 @@ from keplerreg import (
     DomainError,
     PhasePoint,
     PlaneCotangentPoint,
+    SphereCotangentPoint,
     angle_equation,
+    angular_momentum_field,
     chart_hamiltonians,
     extended_momentum,
+    extended_momentum_field,
+    hamiltonian_field,
     harness,
     kepler_energy,
+    lenz_field,
     ls_angle,
     ls_inverse,
     ls_map,
@@ -33,7 +39,7 @@ from keplerreg import (
 from keplerreg.harness import SUITE_NAMES, flat_ls_map, flat_moser_map, flat_to_sphere
 from keplerreg.ligonschaaf import _ROOT_TOL, _ls_map_rows
 from keplerreg.moser import _chart_hamiltonians, _fibration_rows
-from keplerreg.symmetry import _central_differences
+from keplerreg.symmetry import _bracket_batch, _central_differences
 
 MAP_SUITES = [s for s in SUITE_NAMES if s not in ("intertwine-flows", "conservation")]
 
@@ -172,13 +178,16 @@ _SCALAR = {
     "moser": ("moser_fibration", "moser_map"),
     "stereo": ("to_sphere",),
     "harness": ("jacobian",),
+    "core": ("_freeze_pair",),
+    "symmetry": ("_bracket_batch",),
 }
 
 
 @pytest.fixture
 def scalar_calls(monkeypatch):
-    """Counts calls of the scalar maps and of harness.jacobian, wherever a
-    keplerreg module holds them."""
+    """Counts calls of the scalar maps, of harness.jacobian, of the value
+    objects' check (core._freeze_pair) and of the bracket engine
+    (symmetry._bracket_batch), wherever a keplerreg module holds them."""
     counts: dict[str, int] = {}
     modules = [m for name, m in sys.modules.items() if name.startswith("keplerreg")]
     for origin, names in _SCALAR.items():
@@ -205,14 +214,30 @@ def test_scalar_calls_do_not_grow_with_samples(suite, scalar_calls):
         assert harness.run_suite(suite, 2, samples, 3).passed
         seen.append(dict(scalar_calls))
     assert seen[0] == seen[1]
+    # samples stay rows from draw to report: no value object in a passing run
+    assert "core._freeze_pair" not in seen[1]
     if suite.endswith(("-symplectic", "-canonical")):
         # one Jacobian of the whole batch, where there was one per sample
         assert seen[1] == {"harness.jacobian": 1}
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("suite, most", [("so(n+1)-brackets", 1), ("lenz-brackets", 2)])
+def test_bracket_suites_take_one_gradient_per_field(suite, most, n, scalar_calls):
+    # one bracket call on the stacked fields, where there was one per pair
+    assert harness.run_suite(suite, n, 20, 3).passed
+    assert 1 <= scalar_calls["symmetry._bracket_batch"] <= most
+
+
 # ---------------------------------------------------------------------------
 # The per-sample loops the batched suites replaced, through the public scalar
-# maps, as the reference: each suite's defects must equal them bit for bit.
+# maps, and the per-pair loops the bracket suites replaced, as the reference:
+# each suite's defects must equal them bit for bit.
+
+
+def _wrap(kind, rows) -> list:
+    """A sampler's rows (a, b) as the value objects kind(a[k], b[k])."""
+    return [kind(a, b) for a, b in zip(*rows)]
 
 
 def _max_diff(*pairs) -> float:
@@ -221,8 +246,8 @@ def _max_diff(*pairs) -> float:
 
 def _oracle_stereo_roundtrip(n, samples, seed):
     rng = np.random.default_rng(seed)
-    planes = harness._sample_plane(rng, n, samples)
-    spheres = harness._sample_sphere(rng, n, samples)
+    planes = _wrap(PlaneCotangentPoint, harness._sample_plane(rng, n, samples))
+    spheres = _wrap(SphereCotangentPoint, harness._sample_sphere(rng, n, samples))
     defects = []
     for pl in planes:
         back = to_plane(to_sphere(pl))
@@ -235,7 +260,8 @@ def _oracle_stereo_roundtrip(n, samples, seed):
 
 def _oracle_metric(n, samples, seed):
     defects = []
-    for pl in harness._sample_plane(np.random.default_rng(seed), n, samples):
+    rows = harness._sample_plane(np.random.default_rng(seed), n, samples)
+    for pl in _wrap(PlaneCotangentPoint, rows):
         x2, y2 = float(pl.x @ pl.x), float(pl.y @ pl.y)
         v = to_sphere(pl).v
         defects.append(abs(float(v @ v) - (x2 + 1.0) ** 2 * y2 / 4.0))
@@ -253,7 +279,8 @@ def _oracle_fibration_scale(n, samples, seed):
 
 def _oracle_moser_levelset(n, samples, seed):
     rng = np.random.default_rng(seed)
-    points = harness._sample_sphere(rng, n, samples, min_pole_distance=1.0, unit_covector=True)
+    rows = harness._sample_sphere(rng, n, samples, min_pole_distance=1.0, unit_covector=True)
+    points = _wrap(SphereCotangentPoint, rows)
 
     def geodesic_and_speed_defect(z):
         ham = chart_hamiltonians(PlaneCotangentPoint(z[:n], z[n:]))
@@ -271,7 +298,8 @@ def _oracle_moser_levelset(n, samples, seed):
 
 def _oracle_ls_roundtrip(n, samples, seed):
     points = sample_bound_states(n, samples, seed)
-    spheres = harness._sample_sphere(np.random.default_rng(seed + 1), n, samples)
+    rows = harness._sample_sphere(np.random.default_rng(seed + 1), n, samples)
+    spheres = _wrap(SphereCotangentPoint, rows)
     defects = []
     for pt in points:
         back = ls_inverse(ls_map(pt))
@@ -318,6 +346,73 @@ def _oracle_mu_squared(n, samples, seed):
     ]
 
 
+def _bracket_rows(points):
+    return np.stack([pt.q for pt in points]), np.stack([pt.p for pt in points])
+
+
+def _oracle_so_brackets(n, samples, seed):
+    points = sample_bound_states(n, samples, seed, min_energy=-2.0, max_energy=-0.2)
+    qs, ps = _bracket_rows(points)
+    pairs = list(combinations(range(n + 1), 2))
+    fields = {pair: extended_momentum_field(pair[0], pair[1], n) for pair in pairs}
+    values = {pair: field(qs, ps) for pair, field in fields.items()}
+    worst = np.zeros(len(points))
+    for (a, b), (c, d) in combinations_with_replacement(pairs, 2):
+        observed = _bracket_batch(
+            fields[(a, b)], fields[(c, d)], qs, ps, harness.FD_STEP, richardson=True
+        )
+        expected = np.zeros(len(points))
+        for delta, pair, sign in (
+            (b == c, (d, a), 1.0),
+            (a == d, (c, b), 1.0),
+            (a == c, (d, b), -1.0),
+            (b == d, (c, a), -1.0),
+        ):
+            if delta:
+                i, j = pair
+                term = values[(i, j)] if i < j else -values[(j, i)] if i > j else 0.0
+                expected = expected + sign * term
+        worst = np.maximum(worst, np.abs(observed - expected))
+    return worst.tolist()
+
+
+def _oracle_lenz_brackets(n, samples, seed):
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < samples:
+        q = rng.uniform(-2.0, 2.0, size=n)
+        p = rng.uniform(-1.5, 1.5, size=n)
+        if np.linalg.norm(q) >= 0.1:
+            points.append(PhasePoint(q, p))
+    qs, ps = _bracket_rows(points)
+    worst = np.zeros(samples)
+    lenz_values = {k: lenz_field(k)(qs, ps) for k in range(n)}
+    energy = hamiltonian_field()(qs, ps)
+    for i, j in combinations(range(n), 2):
+        for k in range(n):
+            observed = _bracket_batch(
+                angular_momentum_field(i, j),
+                lenz_field(k),
+                qs,
+                ps,
+                harness.FD_STEP,
+                richardson=True,
+            )
+            expected = np.zeros(samples)
+            if i == k:
+                expected = expected + lenz_values[j]
+            if j == k:
+                expected = expected - lenz_values[i]
+            worst = np.maximum(worst, np.abs(observed - expected))
+    for i, j in combinations(range(n), 2):
+        observed = _bracket_batch(
+            lenz_field(i), lenz_field(j), qs, ps, harness.FD_STEP, richardson=True
+        )
+        expected = -2.0 * energy * angular_momentum_field(i, j)(qs, ps)
+        worst = np.maximum(worst, np.abs(observed - expected))
+    return worst.tolist()
+
+
 ORACLES = {
     "stereo-roundtrip": _oracle_stereo_roundtrip,
     "metric": _oracle_metric,
@@ -327,6 +422,8 @@ ORACLES = {
     "ls-equivariance": _oracle_ls_equivariance,
     "momenta-pullback": _oracle_momenta_pullback,
     "mu-squared": _oracle_mu_squared,
+    "so(n+1)-brackets": _oracle_so_brackets,
+    "lenz-brackets": _oracle_lenz_brackets,
 }
 
 

@@ -213,6 +213,19 @@ class TestExtendedMomentumField:
                         mat.entry(i, j), rel=1e-12, abs=1e-15
                     )
 
+    def test_scaled_lenz_entries_raise_off_the_bound_region(self):
+        # H = 1.125 - 1 > 0: no sqrt(-2H), so no scaled Lenz component
+        q, p = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.5, 0.0])
+        for i, j in ((0, 3), (3, 1)):
+            with pytest.raises(DomainError, match="H must be negative, got H = 0.125"):
+                extended_momentum_field(i, j, 3)(q, p)
+
+    def test_indices_out_of_range_rejected(self):
+        # a negative index would wrap to another component
+        for i, j in ((-1, 3), (0, -1), (4, 3), (1, 5)):
+            with pytest.raises(ValueError, match="out of range for so\\(4\\)"):
+                extended_momentum_field(i, j, 3)
+
     def test_hamiltonian_field_matches(self):
         # on a batch, the fields equal the point functions bit for bit
         for n in (2, 3):

@@ -21,18 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, PhasePoint, SphereCotangentPoint, _energy, _lenz, kepler_energy
-from .dynamics import (
-    CollisionApproachError,
-    _delaunay_energy,
-    _regularized_rows,
-    delaunay_energy,
-    kepler_integrate,
-)
+from .core import DomainError, PhasePoint, SphereCotangentPoint, kepler_energy
+from .dynamics import CollisionApproachError, _regularized_rows, delaunay_energy, kepler_integrate
 from .harness import SUITE_NAMES, UnknownSuiteError, run_suite
+from .kernels import _delaunay_energy, _energy, _lenz, _wedge_entries
 from .ligonschaaf import PunctureError, ls_inverse, ls_map
 from .moser import moser_fibration, moser_map, moser_map_inverse
-from .symmetry import _wedge_entries
 
 __all__ = ["main", "build_parser", "Scenario", "parse_scenario"]
 

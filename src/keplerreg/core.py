@@ -3,7 +3,8 @@
 Units are normalized so that GM = 1 throughout: the Kepler Hamiltonian is
 H = p^2/2 - 1/|q|.  All types are immutable value objects and every
 operation in this package is a pure function of its inputs, so everything
-here is safe to use from concurrent callers.
+here is safe to use from concurrent callers.  The array formulas, the row
+check and ``DomainError`` live in ``keplerreg.kernels``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .kernels import (
+    _CONSTRAINT_TOL,
+    DomainError,
+    _check_rows,
+    _energy,
+    _lenz,
+    _norm_squared,
+    _on_pole,
+)
 
 __all__ = [
     "DomainError",
@@ -22,35 +33,6 @@ __all__ = [
     "kepler_energy",
     "sample_bound_states",
 ]
-
-
-class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
-# How far sphere points may sit off their constraints |u| = 1 and u.v = 0,
-# and how close to the projection pole a point may come before it counts as
-# on the polar fiber.
-_CONSTRAINT_TOL = 1e-10
-
-
-def _check_rows(a: np.ndarray, b: np.ndarray, names: str, *, sphere: bool = False):
-    """The value objects' checks of one point (k,) or rows (m, k): finite
-    entries and, for a sphere pair (u, v), |u.u - 1| and |u.v| <= 1e-10.
-    Returns (a, b)."""
-    for name, arr in zip(names, (a, b)):
-        if not np.isfinite(arr).all():
-            raise DomainError(f"{name} must have finite entries")
-    if sphere:
-        defects = np.abs((np.vecdot(a, a) - 1.0, np.vecdot(a, b)))
-        bad = defects > _CONSTRAINT_TOL
-        if bad.any():
-            k = 0 if bad[0].any() else 1
-            label = ("|u.u - 1|", "|u.v|")[k]
-            meaning = ("u must lie on the unit sphere", "v must be tangent at u")[k]
-            value = defects[k][bad[k]][0]
-            raise DomainError(f"{label} = {value:.3e} exceeds {_CONSTRAINT_TOL:g}; {meaning}")
-    return a, b
 
 
 def _freeze_pair(obj, names: str, *, sphere: bool = False) -> None:
@@ -144,7 +126,7 @@ class SphereCotangentPoint:
 
     def off_pole(self) -> bool:
         """True when the pole gap 1 - u_(n+1) is at least 1e-10."""
-        return self.pole_gap >= _CONSTRAINT_TOL
+        return not _on_pole(self.u)
 
     def is_regular(self) -> bool:
         """True off both the zero section and the polar fiber.
@@ -224,30 +206,6 @@ class MomentumMatrix:
     def norm_squared(self) -> float:
         """Sum of squares over the independent (i < j) entries."""
         return float(_norm_squared(self.upper))
-
-
-def _norm_squared(upper: np.ndarray) -> np.ndarray:
-    """Sum of squares of each matrix (..., k, k), each summed as one flat array."""
-    return np.sum((upper * upper).reshape(upper.shape[:-2] + (-1,)), axis=-1)
-
-
-def _inverse_radius(q: np.ndarray, what: str) -> np.ndarray:
-    """1/|q| over (..., n) arrays; DomainError at q = 0, where ``what`` is undefined."""
-    q2 = np.vecdot(q, q)
-    if (q2 == 0.0).any():
-        raise DomainError(f"q must be nonzero ({what} undefined at collision)")
-    return 1.0 / np.sqrt(q2)
-
-
-def _energy(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """H = p.p/2 - 1/|q| over (..., n) arrays; DomainError at q = 0."""
-    return 0.5 * np.vecdot(p, p) - _inverse_radius(q, "energy")
-
-
-def _lenz(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """K = (p.p - 1/|q|) q - (q.p) p over (..., n) arrays; DomainError at q = 0."""
-    coeff = np.vecdot(p, p) - _inverse_radius(q, "Lenz vector")
-    return coeff[..., None] * q - np.vecdot(q, p)[..., None] * p
 
 
 def kepler_energy(point: PhasePoint) -> float:

@@ -6,7 +6,7 @@ deliberately near collisions.  The regularized path conjugates the flow
 through the Ligon-Schaaf map to the Delaunay flow on T*S^n, which is a
 great-circle rotation at angular rate |v|^-3 and is therefore evaluated in
 closed form: exact, unconditionally stable, and well defined straight
-through collision instants.
+through collision instants.  The formulas live in ``keplerreg.kernels``.
 """
 
 from __future__ import annotations
@@ -18,15 +18,9 @@ from typing import Iterator
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .core import (
-    _CONSTRAINT_TOL,
-    DomainError,
-    PhasePoint,
-    SphereCotangentPoint,
-    _check_rows,
-    _energy,
-)
-from .ligonschaaf import PunctureError, _ls_inverse_rows, _reproject, _rotate, ls_map
+from .core import DomainError, PhasePoint, SphereCotangentPoint
+from .kernels import _accelerations, _delaunay_energy, _delaunay_flow_rows, _energy
+from .ligonschaaf import PunctureError, _ls_inverse_rows, ls_map
 
 __all__ = [
     "CollisionApproachError",
@@ -119,16 +113,11 @@ class FlowTimes:
 
 
 def kepler_vector_field(point: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side of the Kepler equations: (p, -q/|q|^3)."""
-    r = point.radius
-    if r == 0.0:
+    """Right-hand side of the Kepler equations: (p, -q (q.q)^-1.5), the leapfrog's force."""
+    if point.radius == 0.0:
         raise DomainError("q must be nonzero (vector field singular at collision)")
-    return point.p.copy(), -point.q / r**3
-
-
-def _accelerations(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    r2 = np.einsum("ij,ij->i", qs, qs)
-    return -qs * (r2**-1.5)[:, None], r2
+    acc, _ = _accelerations(point.q[None])
+    return point.p.copy(), acc[0]
 
 
 def _collision_floor_r2(dt: float) -> float:
@@ -228,34 +217,9 @@ def kepler_integrate(
     )
 
 
-def _delaunay_energy(v: np.ndarray) -> np.ndarray:
-    """-1/(2 v.v) of one covector (n+1,) or of rows (m, n+1)."""
-    v2 = np.vecdot(v, v)
-    if (v2 == 0.0).any():
-        raise DomainError("|v| must be nonzero (zero section)")
-    return -0.5 / v2
-
-
 def delaunay_energy(sp: SphereCotangentPoint) -> float:
     """The Delaunay Hamiltonian -1/(2 v.v) on the punctured bundle."""
     return float(_delaunay_energy(sp.v))
-
-
-def _delaunay_flow_rows(u: np.ndarray, v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``delaunay_flow`` of rows (m, n+1), or of one point (n+1,) for every
-    row, to times t (m,), with its checks on every row: (u, v, at_puncture)."""
-    _check_rows(u, v, "uv", sphere=True)
-    rho = np.sqrt(np.vecdot(v, v))
-    if (rho == 0.0).any():
-        raise DomainError("|v| must be nonzero (zero section has no flow)")
-    # float_power evaluates rho^3 as the C library's pow does; numpy's
-    # vectorized power differs from it in the last bit for some rho.
-    angle = t / np.float_power(rho, 3)
-    rho = rho[..., None]
-    u_new, w = _reproject(*_rotate(u, v / rho, angle))
-    v_new = rho * (w / np.sqrt(np.vecdot(w, w))[..., None])
-    _check_rows(u_new, v_new, "uv", sphere=True)
-    return u_new, v_new, 1.0 - u_new[:, -1] < _CONSTRAINT_TOL
 
 
 def delaunay_flow(sp: SphereCotangentPoint, t: float) -> SphereCotangentPoint:

@@ -34,21 +34,26 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    PhasePoint,
-    PlaneCotangentPoint,
-    SphereCotangentPoint,
-    _bound_rows,
+from .core import PhasePoint, PlaneCotangentPoint, SphereCotangentPoint, _bound_rows
+from .dynamics import _leapfrog_batch
+from .kernels import (
+    _chart_hamiltonians,
     _check_rows,
+    _delaunay_flow_rows,
     _energy,
+    _extended_rows,
+    _fibration_rows,
     _lenz,
+    _lift,
+    _ls_map_rows,
     _norm_squared,
+    _project,
+    _reproject,
+    _scale,
+    _wedge_entries,
 )
-from .dynamics import _delaunay_flow_rows, _leapfrog_batch
-from .ligonschaaf import _ROOT_TOL, _ls_inverse_rows, _ls_map_rows, _reproject, angle_equation
-from .moser import _chart_hamiltonians, _fibration_rows, _scale
-from .stereo import _lift, _project
-from .symmetry import _bracket_batch, _central_differences, _extended_rows, _wedge_entries
+from .ligonschaaf import _ROOT_TOL, _ls_inverse_rows, angle_equation
+from .symmetry import _bracket_batch, _central_differences
 
 __all__ = [
     "UnknownSuiteError",

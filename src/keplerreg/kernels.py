@@ -1,0 +1,206 @@
+"""Array kernels: each closed-form formula over one point (n,) or rows (m, n),
+checking every row as the value objects do (``_check_rows``); numpy only."""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+class DomainError(ValueError):
+    """An argument lies outside the mathematical domain of an operation."""
+
+
+# How far sphere points may sit off their constraints |u| = 1 and u.v = 0,
+# and how close to the projection pole a point may come before it counts as
+# on the polar fiber.
+_CONSTRAINT_TOL = 1e-10
+
+
+def _check_rows(a: np.ndarray, b: np.ndarray, names: str, *, sphere: bool = False):
+    """The value objects' checks of one point (k,) or rows (m, k): finite
+    entries and, for a sphere pair (u, v), |u.u - 1| and |u.v| <= 1e-10.
+    Returns (a, b)."""
+    for name, arr in zip(names, (a, b)):
+        if not np.isfinite(arr).all():
+            raise DomainError(f"{name} must have finite entries")
+    if sphere:
+        defects = np.abs((np.vecdot(a, a) - 1.0, np.vecdot(a, b)))
+        bad = defects > _CONSTRAINT_TOL
+        if bad.any():
+            k = 0 if bad[0].any() else 1
+            label = ("|u.u - 1|", "|u.v|")[k]
+            meaning = ("u must lie on the unit sphere", "v must be tangent at u")[k]
+            value = defects[k][bad[k]][0]
+            raise DomainError(f"{label} = {value:.3e} exceeds {_CONSTRAINT_TOL:g}; {meaning}")
+    return a, b
+
+
+def _on_pole(u: np.ndarray) -> np.ndarray:
+    """1 - u_(n+1) < 1e-10 for each base point (..., n+1): on the polar fiber."""
+    return 1.0 - u[..., -1] < _CONSTRAINT_TOL
+
+
+def _norm_squared(upper: np.ndarray) -> np.ndarray:
+    """Sum of squares of each matrix (..., k, k), each summed as one flat array."""
+    return np.sum((upper * upper).reshape(upper.shape[:-2] + (-1,)), axis=-1)
+
+
+def _inverse_radius(q: np.ndarray, what: str) -> np.ndarray:
+    """1/|q| over (..., n) arrays; DomainError at q = 0, where ``what`` is undefined."""
+    q2 = np.vecdot(q, q)
+    if (q2 == 0.0).any():
+        raise DomainError(f"q must be nonzero ({what} undefined at collision)")
+    return 1.0 / np.sqrt(q2)
+
+
+def _energy(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """H = p.p/2 - 1/|q| over (..., n) arrays; DomainError at q = 0."""
+    return 0.5 * np.vecdot(p, p) - _inverse_radius(q, "energy")
+
+
+def _lenz(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """K = (p.p - 1/|q|) q - (q.p) p over (..., n) arrays; DomainError at q = 0."""
+    coeff = np.vecdot(p, p) - _inverse_radius(q, "Lenz vector")
+    return coeff[..., None] * q - np.vecdot(q, p)[..., None] * p
+
+
+def _wedge_entries(a: np.ndarray, b: np.ndarray, i, j) -> np.ndarray:
+    """Entries a_i b_j - a_j b_i of a ^ b over (..., k) arrays, at indices i, j."""
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+
+def _extended_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``extended_momentum`` of one point (n,) or rows (m, n), as strict upper
+    triangles (..., n+1, n+1); DomainError unless every row is bound."""
+    energy = _energy(q, p)
+    bad = energy >= 0.0
+    if bad.any():
+        raise DomainError(f"H must be negative, got H = {energy[bad][0]:.6g}")
+    n = q.shape[-1]
+    upper = np.zeros(q.shape[:-1] + (n + 1, n + 1))
+    i, j = np.triu_indices(n, 1)
+    upper[..., i, j] = _wedge_entries(q, p, i, j)
+    upper[..., :n, n] = _lenz(q, p) / np.sqrt(-2.0 * energy)[..., None]
+    return upper
+
+
+def _accelerations(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    r2 = np.einsum("ij,ij->i", qs, qs)
+    return -qs * (r2**-1.5)[:, None], r2
+
+
+def _scale(q: np.ndarray, p: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:
+    """(rho^2 q, p/rho) of one point (n,) and rho > 0, or of rows (m, n) and rho (m,)."""
+    rho = np.asarray(rho)[..., None]
+    return rho * rho * q, p / rho
+
+
+def _project(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) -> (x, y) of one point (n+1,) or rows (m, n+1), off the polar fiber,
+    with the plane point's checks on every row."""
+    bad = _on_pole(u)
+    gap = 1.0 - u[..., -1]
+    if bad.any():
+        raise DomainError(
+            f"north pole fiber: 1 - u_(n+1) = {gap[bad][0]:.3e} is below {_CONSTRAINT_TOL:g}"
+        )
+    gap = gap[..., None]
+    x, y = u[..., :-1] / gap, v[..., :-1] * gap + v[..., -1:] * u[..., :-1]
+    _check_rows(x, y, "xy")
+    return x, y
+
+
+def _lift(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stereographic lift (x, y) -> (u, v) of one point (n,) or of a
+    batch (m, n), with the sphere point's checks on every row."""
+    x2 = np.vecdot(x, x)
+    xy = np.vecdot(x, y)
+    denom = x2 + 1.0
+    u = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    v = np.empty_like(u)
+    # The transposed views put coordinates first, so the per-point scalars
+    # broadcast the same way for one point and for a batch.
+    u.T[:-1] = 2.0 * x.T / denom
+    u.T[-1] = (x2 - 1.0) / denom
+    v.T[:-1] = 0.5 * denom * y.T - xy * x.T
+    v.T[-1] = xy
+    _check_rows(u, v, "uv", sphere=True)
+    return u, v
+
+
+def _fibration_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``moser_fibration`` of one point (n,) or rows (m, n), with its checks on
+    every row: (u, v, w) with w = sqrt(-2H)."""
+    _check_rows(q, p, "qp")
+    r = np.sqrt(np.vecdot(q, q))
+    if (r == 0.0).any():
+        raise DomainError("q must be nonzero (collision point)")
+    energy = _energy(q, p)
+    bad = energy >= 0.0
+    if bad.any():
+        raise DomainError(f"H must be negative for the fibration, got H = {energy[bad][0]:.6g}")
+    w = np.sqrt(-2.0 * energy)
+    qp = np.vecdot(q, p)
+    u = np.concatenate([(w * r)[..., None] * p, (r * np.vecdot(p, p) - 1.0)[..., None]], axis=-1)
+    v = np.concatenate([-q / r[..., None] + qp[..., None] * p, (-w * qp)[..., None]], axis=-1)
+    _check_rows(u, v, "uv", sphere=True)
+    return u, v, w
+
+
+def _chart_hamiltonians(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(geodesic, speed_defect, kepler_form) over (..., n) arrays."""
+    x2 = np.vecdot(x, x)
+    y2 = np.vecdot(y, y)
+    ynorm = np.sqrt(y2)
+    # float_power is the C library's pow, as a numpy scalar's ** is; an array's ** 2 is not
+    geodesic = np.float_power(x2 + 1.0, 2) * y2 / 8.0
+    return geodesic, 0.5 * (x2 + 1.0) * ynorm - 1.0, 0.5 * x2 - 1.0 / ynorm
+
+
+def _rotate(u: np.ndarray, v: np.ndarray, angle) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate the pair (u, v) by angle in the plane they span:
+    (cos(angle) u + sin(angle) v, -sin(angle) u + cos(angle) v), for one
+    pair (n,) and a scalar angle or for angles (m,) and rows (m, n)."""
+    cos_a, sin_a = np.cos(angle)[..., None], np.sin(angle)[..., None]
+    return cos_a * u + sin_a * v, -sin_a * u + cos_a * v
+
+
+def _reproject(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize u and make v tangent there: (u/|u|, v - (u.v) u), over (..., n)."""
+    u = u / np.sqrt(np.vecdot(u, u))[..., None]
+    return u, v - np.vecdot(u, v)[..., None] * u
+
+
+def _ls_map_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``ls_map`` of one point (n,) or rows (m, n), with its checks on every
+    row: (r, s, puncture)."""
+    u, v, w = _fibration_rows(q, p)
+    r, s = _rotate(u, v, v[..., -1])
+    s = s / w[..., None]
+    _check_rows(r, s, "uv", sphere=True)
+    return r, s, _on_pole(r)
+
+
+def _delaunay_energy(v: np.ndarray) -> np.ndarray:
+    """-1/(2 v.v) of one covector (n+1,) or of rows (m, n+1)."""
+    v2 = np.vecdot(v, v)
+    if (v2 == 0.0).any():
+        raise DomainError("|v| must be nonzero (zero section)")
+    return -0.5 / v2
+
+
+def _delaunay_flow_rows(u: np.ndarray, v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``delaunay_flow`` of rows (m, n+1), or of one point (n+1,) for every
+    row, to times t (m,), with its checks on every row: (u, v, at_puncture)."""
+    _check_rows(u, v, "uv", sphere=True)
+    rho = np.sqrt(np.vecdot(v, v))
+    if (rho == 0.0).any():
+        raise DomainError("|v| must be nonzero (zero section has no flow)")
+    # float_power evaluates rho^3 as the C library's pow does; numpy's
+    # vectorized power differs from it in the last bit for some rho.
+    angle = t / np.float_power(rho, 3)
+    rho = rho[..., None]
+    u_new, w = _reproject(*_rotate(u, v / rho, angle))
+    v_new = rho * (w / np.sqrt(np.vecdot(w, w))[..., None])
+    _check_rows(u_new, v_new, "uv", sphere=True)
+    return u_new, v_new, _on_pole(u_new)

@@ -9,7 +9,7 @@ parameter.
 
 No closed-form inverse is available; the inverse implemented here solves a
 scalar monotone root problem for the rotation angle and then undoes the
-Moser map and the scale action.
+Moser map and the scale action.  The closed-form formulas live in ``keplerreg.kernels``.
 """
 
 from __future__ import annotations
@@ -19,15 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
+from .core import DomainError, PhasePoint, SphereCotangentPoint
+from .kernels import (
     _CONSTRAINT_TOL,
-    DomainError,
-    PhasePoint,
-    SphereCotangentPoint,
     _check_rows,
+    _fibration_rows,
+    _ls_map_rows,
+    _on_pole,
+    _project,
+    _reproject,
+    _rotate,
+    _scale,
 )
-from .moser import _fibration_rows, _scale
-from .stereo import _project
 
 __all__ = [
     "PunctureError",
@@ -73,30 +76,6 @@ def ls_angle(point: PhasePoint) -> LSAngle:
     """Rotation angle theta = -sqrt(-2H) (q.p) of the Ligon-Schaaf map, the
     last covector coordinate of the Moser fibration."""
     return LSAngle(float(_fibration_rows(point.q, point.p)[1][-1]))
-
-
-def _rotate(u: np.ndarray, v: np.ndarray, angle) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate the pair (u, v) by angle in the plane they span:
-    (cos(angle) u + sin(angle) v, -sin(angle) u + cos(angle) v), for one
-    pair (n,) and a scalar angle or for angles (m,) and rows (m, n)."""
-    cos_a, sin_a = np.cos(angle)[..., None], np.sin(angle)[..., None]
-    return cos_a * u + sin_a * v, -sin_a * u + cos_a * v
-
-
-def _reproject(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize u and make v tangent there: (u/|u|, v - (u.v) u), over (..., n)."""
-    u = u / np.sqrt(np.vecdot(u, u))[..., None]
-    return u, v - np.vecdot(u, v)[..., None] * u
-
-
-def _ls_map_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``ls_map`` of one point (n,) or rows (m, n), with its checks on every
-    row: (r, s, puncture)."""
-    u, v, w = _fibration_rows(q, p)
-    r, s = _rotate(u, v, v[..., -1])
-    s = s / w[..., None]
-    _check_rows(r, s, "uv", sphere=True)
-    return r, s, np.abs(1.0 - r[..., -1]) < _CONSTRAINT_TOL
 
 
 def ls_map(point: PhasePoint) -> SphereCotangentPoint:
@@ -176,7 +155,7 @@ def _ls_inverse_rows(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarr
     s_hat = s / sigma[:, None]
     theta = _solve_rotation_angle(r[:, -1], s_hat[:, -1])
     u, v = _rotate(r, s_hat, -theta)
-    puncture = 1.0 - u[:, -1] < _CONSTRAINT_TOL
+    puncture = _on_pole(u)
     regular = ~puncture
     # Re-project onto the constraint set so that input defects up to the
     # constraint tolerance cannot be rejected downstream.

@@ -7,24 +7,16 @@ scale-invariant variant (the Moser fibration) projects the whole
 negative-energy region onto the unit-covector bundle.  The chart
 Hamiltonians tie the geodesic energy on the sphere to the Kepler
 Hamiltonian through a level-set argument; they are exposed so the harness
-can test that argument directly.
+can test that argument directly.  The formulas live in ``keplerreg.kernels``.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
-from .core import (
-    DomainError,
-    PhasePoint,
-    PlaneCotangentPoint,
-    SphereCotangentPoint,
-    _check_rows,
-    _energy,
-)
-from .stereo import _lift, to_plane
+from .core import DomainError, PhasePoint, PlaneCotangentPoint, SphereCotangentPoint
+from .kernels import _chart_hamiltonians, _fibration_rows, _lift, _scale
+from .stereo import to_plane
 
 __all__ = [
     "fourier",
@@ -70,25 +62,6 @@ def moser_map_inverse(sp: SphereCotangentPoint) -> PhasePoint:
     return fourier_inverse(to_plane(sp))
 
 
-def _fibration_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``moser_fibration`` of one point (n,) or rows (m, n), with its checks on
-    every row: (u, v, w) with w = sqrt(-2H)."""
-    _check_rows(q, p, "qp")
-    r = np.sqrt(np.vecdot(q, q))
-    if (r == 0.0).any():
-        raise DomainError("q must be nonzero (collision point)")
-    energy = _energy(q, p)
-    bad = energy >= 0.0
-    if bad.any():
-        raise DomainError(f"H must be negative for the fibration, got H = {energy[bad][0]:.6g}")
-    w = np.sqrt(-2.0 * energy)
-    qp = np.vecdot(q, p)
-    u = np.concatenate([(w * r)[..., None] * p, (r * np.vecdot(p, p) - 1.0)[..., None]], axis=-1)
-    v = np.concatenate([-q / r[..., None] + qp[..., None] * p, (-w * qp)[..., None]], axis=-1)
-    _check_rows(u, v, "uv", sphere=True)
-    return u, v, w
-
-
 def moser_fibration(point: PhasePoint) -> SphereCotangentPoint:
     """Scale-invariant projection of the bound region onto unit covectors.
 
@@ -105,12 +78,6 @@ def moser_fibration(point: PhasePoint) -> SphereCotangentPoint:
     conditioning is the caller's concern.
     """
     return SphereCotangentPoint(*_fibration_rows(point.q, point.p)[:2])
-
-
-def _scale(q: np.ndarray, p: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:
-    """(rho^2 q, p/rho) of one point (n,) and rho > 0, or of rows (m, n) and rho (m,)."""
-    rho = np.asarray(rho)[..., None]
-    return rho * rho * q, p / rho
 
 
 def scale_phase(point: PhasePoint, rho: float) -> PhasePoint:
@@ -150,16 +117,6 @@ class ChartHamiltonians(NamedTuple):
     geodesic: float
     speed_defect: float
     kepler_form: float
-
-
-def _chart_hamiltonians(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(geodesic, speed_defect, kepler_form) over (..., n) arrays."""
-    x2 = np.vecdot(x, x)
-    y2 = np.vecdot(y, y)
-    ynorm = np.sqrt(y2)
-    # float_power is the C library's pow, as a numpy scalar's ** is; an array's ** 2 is not
-    geodesic = np.float_power(x2 + 1.0, 2) * y2 / 8.0
-    return geodesic, 0.5 * (x2 + 1.0) * ynorm - 1.0, 0.5 * x2 - 1.0 / ynorm
 
 
 def chart_hamiltonians(pl: PlaneCotangentPoint) -> ChartHamiltonians:

@@ -9,7 +9,7 @@ differences so every identity can be checked without symbolic machinery.
 
 Scalar fields for the bracket engine are callables f(q, p) -> value that
 accept (..., n)-shaped arrays and operate along the last axis, so the same
-field works on single points and on batches.
+field works on single points and on batches.  Formulas: ``keplerreg.kernels``.
 """
 
 from __future__ import annotations
@@ -19,14 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    DomainError,
-    MomentumMatrix,
-    PhasePoint,
-    SphereCotangentPoint,
-    _energy,
-    _lenz,
-)
+from .core import DomainError, MomentumMatrix, PhasePoint, SphereCotangentPoint
+from .kernels import _energy, _extended_rows, _lenz, _wedge_entries
 
 __all__ = [
     "angular_momentum",
@@ -56,21 +50,6 @@ def lenz_vector(point: PhasePoint) -> np.ndarray:
     points along the major axis.
     """
     return _lenz(point.q, point.p)
-
-
-def _extended_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``extended_momentum`` of one point (n,) or rows (m, n), as strict upper
-    triangles (..., n+1, n+1); DomainError unless every row is bound."""
-    energy = _energy(q, p)
-    bad = energy >= 0.0
-    if bad.any():
-        raise DomainError(f"H must be negative, got H = {energy[bad][0]:.6g}")
-    n = q.shape[-1]
-    upper = np.zeros(q.shape[:-1] + (n + 1, n + 1))
-    i, j = np.triu_indices(n, 1)
-    upper[..., i, j] = _wedge_entries(q, p, i, j)
-    upper[..., :n, n] = _lenz(q, p) / np.sqrt(-2.0 * energy)[..., None]
-    return upper
 
 
 def extended_momentum(point: PhasePoint) -> MomentumMatrix:
@@ -104,17 +83,13 @@ def momentum_norm_squared(obj: PhasePoint | SphereCotangentPoint) -> float:
 
 def hamiltonian_field() -> ScalarField:
     """The Kepler Hamiltonian as a bracket-engine scalar field."""
-
     return _energy
 
 
-def _wedge_entries(a: np.ndarray, b: np.ndarray, i, j) -> np.ndarray:
-    """Entries a_i b_j - a_j b_i of a ^ b over (..., k) arrays, at indices i, j."""
-    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
-
-
 def angular_momentum_field(i: int, j: int) -> ScalarField:
-    """The component L_ij = q_i p_j - q_j p_i as a scalar field."""
+    """The component L_ij = q_i p_j - q_j p_i (i, j >= 0) as a scalar field."""
+    if i < 0 or j < 0:
+        raise ValueError(f"indices ({i}, {j}) must be nonnegative")
 
     def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         return _wedge_entries(q, p, i, j)
@@ -123,7 +98,9 @@ def angular_momentum_field(i: int, j: int) -> ScalarField:
 
 
 def lenz_field(i: int) -> ScalarField:
-    """The Lenz component K_i as a scalar field."""
+    """The Lenz component K_i (i >= 0) as a scalar field."""
+    if i < 0:
+        raise ValueError(f"index {i} must be nonnegative")
 
     def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         return _lenz(q, p)[..., i]

@@ -1,0 +1,62 @@
+"""The array kernels and the one-row wrappers that must agree with them."""
+
+import math
+
+import numpy as np
+import pytest
+
+from keplerreg import (
+    DomainError,
+    SphereCotangentPoint,
+    angular_momentum_field,
+    kepler_vector_field,
+    lenz_field,
+    sample_bound_states,
+    to_plane,
+)
+from keplerreg.kernels import _accelerations, _on_pole
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kepler_vector_field_is_the_leapfrog_force_bit_for_bit(n):
+    points = sample_bound_states(n, 500, 11 + n)
+    batch, _ = _accelerations(np.array([pt.q for pt in points]))
+    for pt, expected in zip(points, batch):
+        velocity, force = kepler_vector_field(pt)
+        assert np.array_equal(velocity, pt.p)
+        assert np.array_equal(force, expected), pt
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: angular_momentum_field(-1, 0),
+        lambda: angular_momentum_field(0, -1),
+        lambda: angular_momentum_field(-2, -1),
+        lambda: lenz_field(-1),
+    ],
+)
+def test_negative_field_index_is_rejected_at_construction(make):
+    with pytest.raises(ValueError, match="nonnegative"):
+        make()
+
+
+def test_field_index_past_n_still_fails_when_called():
+    q, p = np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.9, 0.1])
+    momentum, lenz = angular_momentum_field(0, 3), lenz_field(3)
+    for field in (momentum, lenz):
+        with pytest.raises(IndexError):
+            field(q, p)
+
+
+@pytest.mark.parametrize("gap, on_pole", [(2e-10, False), (0.5e-10, True), (0.0, True)])
+def test_one_puncture_predicate(gap, on_pole):
+    last = 1.0 - gap
+    sp = SphereCotangentPoint([math.sqrt(1.0 - last * last), 0.0, last], [0.0, 1.0, 0.0])
+    assert bool(_on_pole(sp.u)) is on_pole
+    assert sp.off_pole() is (not on_pole)
+    if on_pole:
+        with pytest.raises(DomainError, match="north pole fiber"):
+            to_plane(sp)
+    else:
+        assert np.isfinite(to_plane(sp).x).all()

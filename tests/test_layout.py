@@ -1,0 +1,155 @@
+"""Module layout: the closed-form formulas live in keplerreg.kernels, the
+other modules depend on each other through few private names, and the
+benchmark's tracer still sees every layer it times."""
+
+import ast
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import keplerreg
+from keplerreg import core, kernels
+from keplerreg.cli import main
+
+_ROOT = Path(__file__).resolve().parents[1]
+_PACKAGE = _ROOT / "src" / "keplerreg"
+_PERFBENCH = _ROOT / "perfbench"
+
+# The formulas over (..., n) rows; each is defined in kernels.py alone.
+_KERNELS = (
+    "DomainError",
+    "_CONSTRAINT_TOL",
+    "_check_rows",
+    "_on_pole",
+    "_norm_squared",
+    "_inverse_radius",
+    "_energy",
+    "_lenz",
+    "_lift",
+    "_project",
+    "_fibration_rows",
+    "_scale",
+    "_chart_hamiltonians",
+    "_rotate",
+    "_reproject",
+    "_ls_map_rows",
+    "_accelerations",
+    "_delaunay_energy",
+    "_delaunay_flow_rows",
+    "_wedge_entries",
+    "_extended_rows",
+)
+
+# (importer, origin, name) of every private name one non-kernel module
+# imports from another.
+_PRIVATE_IMPORTS = {
+    ("cli", "dynamics", "_regularized_rows"),
+    ("dynamics", "ligonschaaf", "_ls_inverse_rows"),
+    ("harness", "core", "_bound_rows"),
+    ("harness", "dynamics", "_leapfrog_batch"),
+    ("harness", "ligonschaaf", "_ROOT_TOL"),
+    ("harness", "ligonschaaf", "_ls_inverse_rows"),
+    ("harness", "symmetry", "_bracket_batch"),
+    ("harness", "symmetry", "_central_differences"),
+}
+
+# Traced functions the tiny seed-0 workloads must reach between them.
+_TRACED_LAYERS = (
+    "ligonschaaf.ls_map",
+    "ligonschaaf.angle_equation",
+    "cli.parse_scenario",
+    "core.PhasePoint",
+    "dynamics.kepler_integrate",
+    "symmetry._bracket_batch",
+    "harness.jacobian",
+    "harness.run_suite",
+)
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in _PACKAGE.glob("*.py")}
+
+
+def _imports_from(tree: ast.Module):
+    """(origin module, name) of every ``from keplerreg.X import name`` or
+    ``from .X import name`` in tree; origin is None for another package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                origin = module
+            elif module.startswith("keplerreg."):
+                origin = module.removeprefix("keplerreg.")
+            else:
+                origin = None
+            for alias in node.names:
+                yield origin, alias.name
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_kernels_import_only_numpy_and_own_every_formula():
+    modules = _modules()
+    tree = modules.pop("kernels")
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import shows as ".module"
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"__future__", "numpy"}
+    assert set(_KERNELS) <= _top_level_names(tree)
+    for name, other in modules.items():
+        assert not set(_KERNELS) & _top_level_names(other), name
+    assert keplerreg.DomainError is core.DomainError is kernels.DomainError
+
+
+def test_private_imports_between_wrapper_modules():
+    found = set()
+    for importer, tree in _modules().items():
+        if importer == "kernels":
+            continue
+        for origin, name in _imports_from(tree):
+            if origin not in (None, "kernels") and name.startswith("_"):
+                found.add((importer, origin, name))
+    assert found == _PRIVATE_IMPORTS
+
+
+def _load(name: str, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tiny_workloads_reach_every_traced_layer(tmp_path, monkeypatch, capsys):
+    workloads = _load("workloads", monkeypatch)
+    tracing = _load("tracing", monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for workload in workloads.WORKLOADS:
+            workdir = tmp_path / workload
+            workdir.mkdir()
+            for op in workloads.build(workload, 0, workdir, tiny=True):
+                for path, text in op.files.items():
+                    path.write_text(text)
+                assert tracer.call(op.ident, main, op.argv) == 0, op.ident
+    finally:
+        tracer.uninstall()
+    counts = np.bincount(tracer.arrays(0, tracer.mark())["name"], minlength=len(tracer.names))
+    calls = dict(zip(tracer.names, counts.tolist()))
+    missing = [name for name in _TRACED_LAYERS if not calls.get(name)]
+    assert not missing, f"tiny workloads no longer reach traced layers: {missing}"

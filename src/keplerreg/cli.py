@@ -14,6 +14,7 @@ or domain failure during propagation.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import numpy as np
 from .core import DomainError, PhasePoint, SphereCotangentPoint, kepler_energy
 from .dynamics import CollisionApproachError, _regularized_rows, delaunay_energy, kepler_integrate
 from .harness import SUITE_NAMES, UnknownSuiteError, run_suite
-from .kernels import _delaunay_energy, _energy, _lenz, _wedge_entries
+from .kernels import _delaunay_energy, _integral_rows, _wedge_entries
 from .ligonschaaf import PunctureError, ls_inverse, ls_map
 from .moser import moser_fibration, moser_map, moser_map_inverse
 
@@ -96,6 +97,8 @@ class Scenario:
                 raise DomainError("output_times must not exceed t_end")
         if self.output_count < 2:
             raise DomainError("output_count must be >= 2")
+        if self.output_times is None and np.any(np.diff(self.times()) <= 0.0):
+            raise DomainError(f"t_end is too small for {self.output_count} distinct output times")
 
     def times(self) -> np.ndarray:
         if self.output_times is not None:
@@ -226,30 +229,28 @@ def _csv_header(n: int) -> str:
     return ",".join(cols)
 
 
-def _csv_rows(t, q, p, energy, momenta, lenz, collision) -> list[str]:
-    """One CSV row per entry of t, in header order; a row marked in
-    ``collision`` prints empty q and p cells and the flag ``collision``."""
+def _csv_rows(t, q, p, integrals, collision) -> list[str]:
+    """One CSV row per entry of t, in header order, from the first-integral
+    rows (H, L_ij, K); a row marked in ``collision`` prints empty q and p
+    cells and the flag ``collision``."""
     n = q.shape[1]
-    table = np.column_stack([t, q, p, energy, momenta, lenz, np.sqrt(np.vecdot(lenz, lenz))])
-    tail = ["%.17g"] * (2 + momenta.shape[1] + n)
+    lenz = integrals[:, -n:]
+    table = np.column_stack([t, q, p, integrals, np.sqrt(np.vecdot(lenz, lenz))])
+    tail = ["%.17g"] * (integrals.shape[1] + 1)
     phase = ",".join(["%.17g"] * (1 + 2 * n) + tail + [""])
     # "%.0s" prints nothing, which keeps a collision row's q and p cells empty.
     hit = ",".join(["%.17g"] + ["%.0s"] * (2 * n) + tail + ["collision"])
     return [(hit if c else phase) % tuple(row) for row, c in zip(table.tolist(), collision)]
 
 
-def _phase_quantities(q: np.ndarray, p: np.ndarray):
-    """H, the L_ij (i < j < n) and K of phase rows (m, n)."""
-    return _energy(q, p), _wedge_entries(q, p, *np.triu_indices(q.shape[1], 1)), _lenz(q, p)
-
-
-def _sphere_quantities(u: np.ndarray, v: np.ndarray):
-    """H, the L_ij and K of sphere rows (m, n+1), where q and p are undefined:
-    the Delaunay energy and u ^ v, whose last column is K / sqrt(-2H)."""
+def _sphere_integrals(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The first-integral rows (H, L_ij, K) of sphere rows (m, n+1), where q
+    and p are undefined: the Delaunay energy and u ^ v, whose last column is
+    K / sqrt(-2H)."""
     energy = _delaunay_energy(v)
     n = u.shape[1] - 1
     lenz = _wedge_entries(u, v, np.arange(n), np.full(n, n)) * np.sqrt(-2.0 * energy)[:, None]
-    return energy, _wedge_entries(u, v, *np.triu_indices(n, 1)), lenz
+    return np.concatenate([energy[:, None], _wedge_entries(u, v, *np.triu_indices(n, 1)), lenz], -1)
 
 
 def _propagate_regularized(scenario: Scenario) -> list[str]:
@@ -262,9 +263,9 @@ def _propagate_regularized(scenario: Scenario) -> list[str]:
     q[moving], p[moving] = q_t, p_t
     collision = np.zeros(times.size, dtype=bool)
     collision[moving] = hit
-    energy, momenta, lenz = _phase_quantities(q, p)
-    energy[collision], momenta[collision], lenz[collision] = _sphere_quantities(u[hit], v[hit])
-    return _csv_rows(times, q, p, energy, momenta, lenz, collision)
+    integrals = _integral_rows(q, p)
+    integrals[collision] = _sphere_integrals(u[hit], v[hit])
+    return _csv_rows(times, q, p, integrals, collision)
 
 
 def _propagate_direct(scenario: Scenario) -> list[str]:
@@ -275,18 +276,15 @@ def _propagate_direct(scenario: Scenario) -> list[str]:
     for t in times:
         t = float(t)
         if t != 0.0:
-            span = t - current_t
-            if span <= 0.0:
-                raise DomainError("output times must be strictly increasing")
             try:
-                traj = kepler_integrate(state, span, scenario.dt, record_every=10**9)
+                traj = kepler_integrate(state, t - current_t, scenario.dt, record_every=10**9)
             except CollisionApproachError as exc:
                 raise CollisionApproachError(current_t + exc.t) from None
             state = traj.end
             current_t = t
         states.append(state)
     q, p = np.array([s.q for s in states]), np.array([s.p for s in states])
-    return _csv_rows(times, q, p, *_phase_quantities(q, p), np.zeros(times.size, dtype=bool))
+    return _csv_rows(times, q, p, _integral_rows(q, p), np.zeros(times.size, dtype=bool))
 
 
 def _cmd_propagate(args, out) -> int:
@@ -401,9 +399,15 @@ def _merge_vector_flags(argv: list[str]) -> list[str]:
     return merged
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: argparse keeps no state between parses."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_merge_vector_flags(list(argv if argv is not None else sys.argv[1:])))
+    argv = list(argv if argv is not None else sys.argv[1:])
+    args = _parser().parse_args(_merge_vector_flags(argv))
     try:
         if args.command == "map":
             return _cmd_map(args, sys.stdout)

@@ -138,28 +138,38 @@ def _leapfrog_batch(
     Kick-drift-kick leapfrog with one force evaluation per step.  Raises
     CollisionApproachError, with the time reached, when |q|^3 falls below
     10 dt^2; the starting states are checked as well.
+
+    The step writes into arrays allocated once per call, and computes each
+    half-kick product (dt/2) a once: the closing half kick of one step is
+    the opening half kick of the next.  The arithmetic and its order are
+    the textbook p += (dt/2) a, q += dt p, p += (dt/2) a.
     """
     targets = sorted(checkpoints)
     if targets and targets[0] < 0:
         raise ValueError("checkpoints must be nonnegative step counts")
     qs = np.array(qs, dtype=float)
     ps = np.array(ps, dtype=float)
-    half_dt = 0.5 * dt
-    floor_r2 = _collision_floor_r2(dt)
+    # numpy scalars spare each ufunc call in the loop the conversion of a float
+    floor_r2 = np.float64(_collision_floor_r2(dt))
+    dt, half_dt = np.float64(dt), np.float64(0.5 * dt)
     acc, r2 = _accelerations(qs)
-    if bool(np.any(r2 < floor_r2)):
+    if (r2 < floor_r2).any():
         raise CollisionApproachError(0.0)
+    kick = half_dt * acc
+    drift = np.empty_like(qs)
     out: list[tuple[np.ndarray, np.ndarray]] = []
     step = 0
     for target in targets:
         while step < target:
             step += 1
-            p_half = ps + half_dt * acc
-            qs = qs + dt * p_half
-            acc, r2 = _accelerations(qs)
-            if bool(np.any(r2 < floor_r2)):
-                raise CollisionApproachError(step * dt)
-            ps = p_half + half_dt * acc
+            ps += kick
+            np.multiply(ps, dt, out=drift)
+            qs += drift
+            _accelerations(qs, out=(acc, r2))
+            if (r2 < floor_r2).any():
+                raise CollisionApproachError(float(step * dt))
+            np.multiply(acc, half_dt, out=kick)
+            ps += kick
         out.append((qs.copy(), ps.copy()))
     return out
 

@@ -43,6 +43,7 @@ from .kernels import (
     _energy,
     _extended_rows,
     _fibration_rows,
+    _integral_rows,
     _lenz,
     _lift,
     _ls_map_rows,
@@ -563,12 +564,7 @@ def _suite_conservation(n: int, samples: int, seed: int) -> _Defects:
     """
     qs, ps = _bound_rows(n, samples, seed, pole_gap=0.05, max_eccentricity=0.6, min_energy=-1.0)
     ((q_end, p_end),) = _leapfrog_batch(qs, ps, _CONSERVATION_DT, [_CONSERVATION_STEPS])
-    i, j = np.triu_indices(n, 1)
-
-    def integrals(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.concatenate([_energy(q, p)[:, None], _wedge_entries(q, p, i, j), _lenz(q, p)], -1)
-
-    drift = np.max(np.abs(integrals(q_end, p_end) - integrals(qs, ps)), axis=-1)
+    drift = np.max(np.abs(_integral_rows(q_end, p_end) - _integral_rows(qs, ps)), axis=-1)
     return 1e-6, drift.tolist(), _points(PhasePoint, qs, ps)
 
 

@@ -69,6 +69,13 @@ def _wedge_entries(a: np.ndarray, b: np.ndarray, i, j) -> np.ndarray:
     return a[..., i] * b[..., j] - a[..., j] * b[..., i]
 
 
+def _integral_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The first integrals (H, every L_ij with i < j, K) of rows (m, n), as
+    rows (m, 1 + n(n-1)/2 + n); DomainError at q = 0."""
+    i, j = np.triu_indices(q.shape[-1], 1)
+    return np.concatenate([_energy(q, p)[:, None], _wedge_entries(q, p, i, j), _lenz(q, p)], -1)
+
+
 def _extended_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """``extended_momentum`` of one point (n,) or rows (m, n), as strict upper
     triangles (..., n+1, n+1); DomainError unless every row is bound."""
@@ -84,9 +91,15 @@ def _extended_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return upper
 
 
-def _accelerations(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    r2 = np.einsum("ij,ij->i", qs, qs)
-    return -qs * (r2**-1.5)[:, None], r2
+def _accelerations(qs: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """The Kepler force -q (q.q)^-1.5 and q.q of rows (m, n); with
+    out=(force, r2) both are written into the caller's arrays."""
+    force, r2 = (None, None) if out is None else out
+    # einsum adds (q0^2 + q2^2) + q1^2 at n = 3, which np.vecdot does not
+    r2 = np.einsum("ij,ij->i", qs, qs, out=r2)
+    force = np.negative(qs, out=force)
+    force *= (r2**-1.5)[:, None]
+    return force, r2
 
 
 def _scale(q: np.ndarray, p: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:

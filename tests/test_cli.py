@@ -285,6 +285,59 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+class TestParserReuse:
+    """main parses every call with one parser built once per process."""
+
+    CALLS = (
+        ["verify", "--suite", "metric", "--n", "3", "--samples", "many", "--seed", "7"],
+        ["map", "--which", "ls", "--q", "1,0", "--p", "0,1.1"],
+        ["propagate", "{scn}", "--out", "{csv}"],
+        ["verify", "--suite", "metric", "--n", "3", "--samples", "20", "--seed", "7"],
+        ["map", "--which", "fibration", "--q", "0.5,-0.2", "--p", "-0.3,1"],
+        ["verify", "--suite", "metric", "--samples", "20"],
+    )
+
+    def _results(self, tmp_path, capsys, fresh_parser_each_call):
+        from keplerreg import cli
+
+        scn = write_scenario(tmp_path, "c.scn", CIRCULAR_REG)
+        csv = tmp_path / "c.csv"
+        results = []
+        for argv in self.CALLS:
+            if fresh_parser_each_call:
+                cli._parser.cache_clear()
+            try:
+                code = main([arg.format(scn=scn, csv=csv) for arg in argv])
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            written = csv.read_bytes() if csv.exists() else None
+            csv.unlink(missing_ok=True)
+            results.append((code, captured.out, captured.err, written))
+        return results
+
+    def test_no_value_default_or_exit_code_carries_over(self, tmp_path, capsys):
+        in_a_row = self._results(tmp_path, capsys, fresh_parser_each_call=False)
+        alone = self._results(tmp_path, capsys, fresh_parser_each_call=True)
+        assert [code for code, *_ in in_a_row] == [1, 0, 0, 0, 0, 0]
+        assert "invalid int value: 'many'" in in_a_row[0][2]
+        assert in_a_row == alone
+
+    def test_one_parser_per_process(self):
+        from keplerreg import cli
+
+        parser = cli._parser()
+        assert cli._parser() is parser
+        assert cli.build_parser() is not cli.build_parser()
+        parser.parse_args(["verify", "--suite", "all", "--n", "3", "--seed", "7", "--out", "r"])
+        args = parser.parse_args(["verify", "--suite", "metric"])
+        assert (args.n, args.samples, args.seed, args.out) == (2, 500, 42, None)
+        parser.parse_args(["map", "--which", "ls", "--q=1,0", "--p=0,1"])
+        args = parser.parse_args(["map", "--which", "ls-inverse"])
+        assert (args.q, args.p, args.u, args.v) == (None, None, None, None)
+        assert not hasattr(args, "suite")
+
+
 class TestScenarioParsing:
     def test_roundtrip_fields(self):
         scenario = parse_scenario(CIRCULAR_REG)
@@ -316,6 +369,12 @@ class TestScenarioParsing:
     def test_output_times_beyond_t_end(self):
         with pytest.raises(DomainError, match="t_end"):
             parse_scenario(RECT_REG.replace("t_end = 2.2214414690791831", "t_end = 2"))
+
+    @pytest.mark.parametrize("mode", ["direct\ndt = 1e-3", "regularized"])
+    def test_grid_of_repeated_times_rejected(self, mode):
+        # 100 grid points on [0, 1e-322] repeat subnormal values
+        with pytest.raises(DomainError, match="too small for 100 distinct output times"):
+            parse_scenario(f"n = 2\nq = 1,0\np = 0,1\nt_end = 1e-322\nmode = {mode}\n")
 
     @pytest.mark.parametrize(
         "scenario",

@@ -8,23 +8,44 @@ import pytest
 from keplerreg import (
     DomainError,
     SphereCotangentPoint,
+    angular_momentum,
     angular_momentum_field,
+    kepler_energy,
     kepler_vector_field,
     lenz_field,
+    lenz_vector,
     sample_bound_states,
     to_plane,
 )
-from keplerreg.kernels import _accelerations, _on_pole
+from keplerreg.kernels import _accelerations, _integral_rows, _on_pole
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_kepler_vector_field_is_the_leapfrog_force_bit_for_bit(n):
     points = sample_bound_states(n, 500, 11 + n)
-    batch, _ = _accelerations(np.array([pt.q for pt in points]))
+    qs = np.array([pt.q for pt in points])
+    batch, r2 = _accelerations(qs)
     for pt, expected in zip(points, batch):
         velocity, force = kepler_vector_field(pt)
         assert np.array_equal(velocity, pt.p)
         assert np.array_equal(force, expected), pt
+    # the leapfrog's form writes the same bits into the caller's arrays
+    out = (np.full_like(qs, np.nan), np.full(len(qs), np.nan))
+    written = _accelerations(qs, out=out)
+    assert written[0] is out[0] and written[1] is out[1]
+    assert np.array_equal(out[0], batch) and np.array_equal(out[1], r2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integral_rows_are_the_first_integrals(n):
+    points = sample_bound_states(n, 50, 3 + n)
+    rows = _integral_rows(np.array([pt.q for pt in points]), np.array([pt.p for pt in points]))
+    i, j = np.triu_indices(n, 1)
+    assert rows.shape == (50, 1 + len(i) + n)
+    for pt, row in zip(points, rows):
+        assert row[0] == kepler_energy(pt)
+        assert np.array_equal(row[1 : 1 + len(i)], angular_momentum(pt).upper[i, j])
+        assert np.array_equal(row[1 + len(i) :], lenz_vector(pt))
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ _KERNELS = (
     "_delaunay_energy",
     "_delaunay_flow_rows",
     "_wedge_entries",
+    "_integral_rows",
     "_extended_rows",
 )
 

@@ -390,8 +390,8 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int) -> _Defects:
     """Two-sided inverse identities plus the monotone-root contract.
 
     Round-trip defects are reported directly.  Root-finder residuals are
-    folded in scaled by (round-trip tolerance / the solver's 1e-14 stop) so
-    a residual above that stop fails the suite; the root slope must be
+    folded in scaled by (round-trip tolerance / the solver's 1e-14 bound)
+    so a residual above that bound fails the suite; the root slope must be
     strictly negative (the monotone-root invariant), and a non-negative
     slope or an unexpected puncture is reported as an outright failure.
     """

@@ -7,9 +7,9 @@ space onto the regular part of the punctured cotangent bundle of S^n, and
 it intertwines the Kepler flow with the Delaunay flow in the same time
 parameter.
 
-No closed-form inverse is available; the inverse implemented here solves a
-scalar monotone root problem for the rotation angle and then undoes the
-Moser map and the scale action.  The closed-form formulas live in ``keplerreg.kernels``.
+No closed-form inverse is available; the inverse implemented here solves
+Kepler's equation for the rotation angle and then undoes the Moser map and
+the scale action.  The closed-form formulas live in ``keplerreg.kernels``.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ __all__ = [
     "angle_equation",
 ]
 
-_ANGLE_BRACKET = math.sqrt(2.0)
-# The rotation-angle root solve stops once |f(theta)| is at most this.
+# Every row of the rotation-angle solve must end with |f(theta)| at most this.
 _ROOT_TOL = 1e-14
 
 
@@ -116,33 +115,33 @@ def angle_equation(theta, r_last, s_last):
 
 
 def _solve_rotation_angle(r_last: np.ndarray, s_last: np.ndarray) -> np.ndarray:
-    """The root of the angle equation in [-sqrt(2), sqrt(2)] for each element.
-
-    Bisection keeps a sign-changing bracket at all times; Newton steps are
-    taken whenever they land strictly inside it, giving a quadratic tail.
-    An element is frozen once |f| <= 1e-14 or its bracket is below 1e-17.
+    """The root of the angle equation for each element, as a root of
+    Kepler's equation (Danby 1988, ch. 6): with e = hypot(r_last, s_last)
+    and M = atan2(s_last, r_last), f(theta) is -(E - e sin E - M) at
+    E = theta + M.  On |M|, six Newton steps descend to the root from the
+    upper bound E_0 = min(|M| + e, pi, |M|/(1 - e), cbrt(6|M|)) (Mikkola
+    1987 for e -> 1), and theta takes the sign of M.  Rows with 1 < e <=
+    sqrt(2), from constraint slack at tiny |s|, are solved shrunk to e = 1.
+    DomainError if e > sqrt(2) or a final residual exceeds 1e-14.
     """
-    lo = np.full(r_last.shape, -_ANGLE_BRACKET)
-    hi = -lo
-    f_lo, _ = angle_equation(lo, r_last, s_last)
-    f_hi, _ = angle_equation(hi, r_last, s_last)
-    if not np.all((f_lo >= 0.0) & (f_hi <= 0.0)):
-        raise DomainError("rotation-angle bracket failed; point is off T*S^n")
-    theta = 0.5 * (lo + hi)
-    active = np.ones(r_last.shape, dtype=bool)
+    e = np.hypot(r_last, s_last)
+    shrink = 1.0 / np.maximum(e, 1.0)
+    r, s, ecc = r_last * shrink, np.abs(s_last) * shrink, np.minimum(e, 1.0)
+    mean = np.arctan2(s, r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(200):
-            value, slope = angle_equation(theta, r_last, s_last)
-            active &= np.abs(value) > _ROOT_TOL
-            if not active.any():
-                break
-            lo = np.where(active & (value > 0.0), theta, lo)
-            hi = np.where(active & (value <= 0.0), theta, hi)
-            candidate = theta - value / slope
-            newton = (slope < 0.0) & (lo < candidate) & (candidate < hi)
-            theta = np.where(active, np.where(newton, candidate, 0.5 * (lo + hi)), theta)
-            active &= hi - lo >= 1e-17
-    return theta
+        start = np.fmin(mean / (1.0 - ecc), np.cbrt(6.0 * mean))
+        theta = np.fmin(np.fmin(mean + ecc, np.pi), start) - mean
+        for _ in range(6):
+            value, slope = angle_equation(theta, r, s)
+            # A zero residual takes no step: at the pole (e = 1, M = 0) it is 0/0.
+            theta = theta - np.where(value == 0.0, 0.0, value / slope)
+        value, _ = angle_equation(theta, r, s)
+    bad = (e > math.sqrt(2.0)) | ~(np.abs(value) <= _ROOT_TOL)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise DomainError(f"rotation angle unsolved at e = {e[k]:.6g}, |f| = {abs(value[k]):.3e} "
+                          f"(needs e <= sqrt(2), |f| <= {_ROOT_TOL:g}); point is off T*S^n")
+    return np.copysign(1.0, s_last) * theta
 
 
 def _ls_inverse_rows(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,7 +159,6 @@ def _ls_inverse_rows(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # Re-project onto the constraint set so that input defects up to the
     # constraint tolerance cannot be rejected downstream.
     u, v = _reproject(u[regular], v[regular])
-    _check_rows(u, v, "uv", sphere=True)
     x, y = _project(u, v)
     q_reg, p_reg = _scale(-y, x, sigma[regular])
     _check_rows(q_reg, p_reg, "qp")
@@ -177,14 +175,16 @@ def ls_inverse(sp: SphereCotangentPoint) -> PhasePoint:
 
         sin(theta) r_(n+1) + cos(theta) s_hat_(n+1) = theta,
 
-    after which (u, v) = (cos(theta) r - sin(theta) s_hat,
+    Kepler's equation in E = theta + atan2(s_hat_(n+1), r_(n+1)), solved
+    by six Newton steps.  Then (u, v) = (cos(theta) r - sin(theta) s_hat,
     sin(theta) r + cos(theta) s_hat) lies on the unit-covector bundle,
     the Moser map is inverted there, and the scale action by sigma
     restores the original energy.
 
-    Raises DomainError when |s| = 0 and PunctureError when the unrotated
-    base point sits on the polar fiber within 1e-10 (a collision
-    completion point, outside the image of the forward map).
+    Raises DomainError when |s| = 0 or the angle's residual exceeds 1e-14,
+    and PunctureError when the unrotated base point sits on the polar
+    fiber within 1e-10 (a collision completion point, outside the image
+    of the forward map).
     """
     q, p, puncture = _ls_inverse_rows(sp.u[None], sp.v[None])
     if puncture[0]:

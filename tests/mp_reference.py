@@ -7,7 +7,9 @@ latter through ``keplerreg.moser.moser_fibration``), on flat vectors
 ordered (positions..., momenta...).  Alongside them, a central-difference
 Jacobian on the stencil of ``keplerreg.harness.jacobian`` whose stencil
 values are kept to 30 digits instead of being rounded to double, and the
-symplectic defect of that Jacobian.
+symplectic defect of that Jacobian.  ``ls_map`` also gives, under
+``mpmath.workdps(50)``, the exact forward images that the near-parabolic
+test of ``ls_inverse`` in ``tests/test_ligonschaaf.py`` inverts.
 
 Nothing here imports keplerreg, so the reference does not share code with
 the maps it is used to check.

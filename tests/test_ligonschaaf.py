@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,8 +21,12 @@ from keplerreg import (
     scale_phase,
     scale_sphere,
 )
+from keplerreg.ligonschaaf import _solve_rotation_angle
 
+import mp_reference as ref
 from conftest import max_abs
+
+EPS = np.finfo(float).eps
 
 
 class TestLSAngle:
@@ -184,3 +189,44 @@ class TestAngleEquation:
         for r_last, s_last in [(-0.3, 0.4), (0.7, 0.1), (0.0, -0.9)]:
             values = [angle_equation(t, r_last, s_last)[0] for t in thetas]
             assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+class TestSolveRotationAngle:
+    def test_kepler_grid(self):
+        # r_last = e cos M, s_last = e sin M: f(theta) is Kepler's equation
+        # in E = theta + M, including the e -> 1, M -> 0 corner and the pole.
+        # Rows with 1 < e <= sqrt(2) must solve too (e = 3 raises, see
+        # test_propagate_batch); the residual bound holds where e <= 1.
+        one = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-12, 1.4])
+        ecc = np.concatenate([np.linspace(0.0, 1.0, 201), one])
+        mean = np.concatenate([[0.0, 1e-300], np.logspace(-18, math.log10(math.pi), 200)])
+        e, m = (a.ravel() for a in np.meshgrid(ecc, np.concatenate([mean, -mean])))
+        r_last, s_last = e * np.cos(m), e * np.sin(m)
+        theta = _solve_rotation_angle(r_last, s_last)
+        assert not np.isnan(theta).any()
+        residual, _ = angle_equation(theta, r_last, s_last)
+        assert np.abs(residual[e <= 1.0]).max() <= 4 * EPS
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_near_parabolic_inverse_against_reference(self, n):
+        # The exact forward image, rounded to doubles, goes back to its
+        # point to the cancellation floor eps/|H| of H = p^2/2 - 1/|q|.
+        rng = np.random.default_rng(40 + n)
+        for energy in (-1e-2, -1e-4, -1e-6, -1e-8):
+            worst = 0.0
+            for _ in range(40):
+                q = rng.standard_normal(n)
+                q *= rng.uniform(0.5, 2.0) / np.linalg.norm(q)
+                p = rng.standard_normal(n)
+                p *= math.sqrt(2.0 * (energy + 1.0 / np.linalg.norm(q))) / np.linalg.norm(p)
+                with mpmath.workdps(50):
+                    image = ref.ls_map([mpmath.mpf(float(c)) for c in np.concatenate([q, p])], n)
+                    image = np.array([float(c) for c in image])
+                back = ls_inverse(SphereCotangentPoint(image[: n + 1], image[n + 1 :]))
+                radius = np.linalg.norm(q)
+                worst = max(
+                    worst,
+                    np.linalg.norm(back.q - q) / radius,
+                    np.linalg.norm(back.p - p) * math.sqrt(radius),
+                )
+            assert worst <= 4 * EPS / abs(energy), energy

@@ -175,10 +175,12 @@ def test_off_constraint_row_raises_as_value_object():
     _same_error(lambda: _ls_inverse_rows(u, v), lambda: SphereCotangentPoint(u[9], v[9]))
 
 
-def test_failed_bracket_row_raises():
+def test_unsolvable_angle_row_raises():
+    # e = hypot(3, 0) = 3 > sqrt(2): theta = 0 has zero residual there, but
+    # no point of T*S^n gives such a row.
     r_last, s_last = np.array([0.2, -0.5, 3.0]), np.array([0.1, 0.4, 0.0])
     assert np.all(np.isfinite(_solve_rotation_angle(r_last[:2], s_last[:2])))
-    with pytest.raises(DomainError, match="bracket failed"):
+    with pytest.raises(DomainError, match="rotation angle unsolved at e = 3"):
         _solve_rotation_angle(r_last, s_last)
 
 

@@ -1,25 +1,28 @@
 """Kepler and Delaunay dynamics.
 
 The direct path integrates the Kepler equations q' = p, p' = -q/|q|^3 with
-a fixed-step leapfrog scheme; it exists as a reference oracle and fails
-deliberately near collisions.  The regularized path conjugates the flow
-through the Ligon-Schaaf map to the Delaunay flow on T*S^n, which is a
-great-circle rotation at angular rate |v|^-3 and is therefore evaluated in
-closed form: exact, unconditionally stable, and well defined straight
-through collision instants.  The formulas live in ``keplerreg.kernels``.
+a fixed-step leapfrog scheme, one orbit on Python floats; it exists as a
+reference integrator and fails deliberately near collisions.  The
+regularized path conjugates the flow through the Ligon-Schaaf map to the
+Delaunay flow on T*S^n, which is a great-circle rotation at angular rate
+|v|^-3 and is therefore evaluated in closed form: exact, unconditionally
+stable, and well defined straight through collision instants.  The
+formulas live in ``keplerreg.kernels``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 from typing import Iterator
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .core import DomainError, PhasePoint, SphereCotangentPoint
-from .kernels import _accelerations, _delaunay_energy, _delaunay_flow_rows, _energy
+from .kernels import _delaunay_energy, _delaunay_flow_rows, _energy
 from .ligonschaaf import PunctureError, _ls_inverse_rows, ls_map
 
 __all__ = [
@@ -112,12 +115,25 @@ class FlowTimes:
     s: float
 
 
+def _kepler_force(q: list[float], scale: float = 1.0) -> tuple[list[float], float]:
+    """scale times the Kepler force -q (q.q)^-1.5 at one position q, a list of
+    floats, and q.q.  q.q adds the squares at the even indices, then those at
+    the odd ones (numpy einsum's order); the power is the C library's pow."""
+    even = odd = 0.0
+    for x in q[0::2]:
+        even += x * x
+    for x in q[1::2]:
+        odd += x * x
+    r2 = even + odd
+    factor = -(r2**-1.5)
+    return [x * factor * scale for x in q], r2
+
+
 def kepler_vector_field(point: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of the Kepler equations: (p, -q (q.q)^-1.5), the leapfrog's force."""
     if point.radius == 0.0:
         raise DomainError("q must be nonzero (vector field singular at collision)")
-    acc, _ = _accelerations(point.q[None])
-    return point.p.copy(), acc[0]
+    return point.p.copy(), np.array(_kepler_force(point.q.tolist())[0])
 
 
 def _collision_floor_r2(dt: float) -> float:
@@ -126,51 +142,35 @@ def _collision_floor_r2(dt: float) -> float:
     return (10.0 * dt * dt) ** (2.0 / 3.0)
 
 
-def _leapfrog_batch(
-    qs: np.ndarray,
-    ps: np.ndarray,
-    dt: float,
-    checkpoints: list[int],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Advance a batch of states, returning copies at the given step counts
-    (0 is the start).
+def _leapfrog(
+    q: list[float], p: list[float], dt: float, checkpoints: list[int]
+) -> list[tuple[list[float], list[float]]]:
+    """Advance one state (q, p), lists of floats, returning copies of the
+    state at each of the given sorted step counts (0 is the start).
 
-    Kick-drift-kick leapfrog with one force evaluation per step.  Raises
-    CollisionApproachError, with the time reached, when |q|^3 falls below
-    10 dt^2; the starting states are checked as well.
-
-    The step writes into arrays allocated once per call, and computes each
-    half-kick product (dt/2) a once: the closing half kick of one step is
-    the opening half kick of the next.  The arithmetic and its order are
-    the textbook p += (dt/2) a, q += dt p, p += (dt/2) a.
+    Kick-drift-kick leapfrog, p += (dt/2) a, q += dt p, p += (dt/2) a, with
+    one force evaluation per step: the closing half kick of one step is the
+    opening half kick of the next.  Raises CollisionApproachError, with the
+    time reached, when |q|^3 falls below 10 dt^2; the start is checked as
+    well.
     """
-    targets = sorted(checkpoints)
-    if targets and targets[0] < 0:
-        raise ValueError("checkpoints must be nonnegative step counts")
-    qs = np.array(qs, dtype=float)
-    ps = np.array(ps, dtype=float)
-    # numpy scalars spare each ufunc call in the loop the conversion of a float
-    floor_r2 = np.float64(_collision_floor_r2(dt))
-    dt, half_dt = np.float64(dt), np.float64(0.5 * dt)
-    acc, r2 = _accelerations(qs)
-    if (r2 < floor_r2).any():
+    floor_r2 = _collision_floor_r2(dt)
+    half_dt, drift = 0.5 * dt, repeat(dt)
+    kick, r2 = _kepler_force(q, half_dt)
+    if r2 < floor_r2:
         raise CollisionApproachError(0.0)
-    kick = half_dt * acc
-    drift = np.empty_like(qs)
-    out: list[tuple[np.ndarray, np.ndarray]] = []
+    out = []
     step = 0
-    for target in targets:
+    for target in checkpoints:
         while step < target:
             step += 1
-            ps += kick
-            np.multiply(ps, dt, out=drift)
-            qs += drift
-            _accelerations(qs, out=(acc, r2))
-            if (r2 < floor_r2).any():
-                raise CollisionApproachError(float(step * dt))
-            np.multiply(acc, half_dt, out=kick)
-            ps += kick
-        out.append((qs.copy(), ps.copy()))
+            p = list(map(add, p, kick))
+            q = list(map(add, q, map(mul, p, drift)))
+            kick, r2 = _kepler_force(q, half_dt)
+            if r2 < floor_r2:
+                raise CollisionApproachError(step * dt)
+            p = list(map(add, p, kick))
+        out.append((q[:], p[:]))
     return out
 
 
@@ -204,17 +204,17 @@ def kepler_integrate(
     recorded = list(range(record_every, n_full + 1, record_every))
     if remainder == 0.0 and n_full % record_every:
         recorded.append(n_full)
-    q0, p0 = start.q[None, :], start.p[None, :]
-    *states, (q_full, p_full) = _leapfrog_batch(q0, p0, dt, [0, *recorded, n_full])
+    q0, p0 = start.q.tolist(), start.p.tolist()
+    *states, (q_full, p_full) = _leapfrog(q0, p0, dt, [0, *recorded, n_full])
     times = [0.0] + [step * dt for step in recorded]
     if remainder > 0.0:
         try:
-            states += _leapfrog_batch(q_full, p_full, remainder, [1])
+            states += _leapfrog(q_full, p_full, remainder, [1])
         except CollisionApproachError:
             raise CollisionApproachError(t_end) from None
         times.append(t_end)
-    qarr = np.concatenate([q for q, _ in states])
-    parr = np.concatenate([p for _, p in states])
+    qarr = np.array([q for q, _ in states])
+    parr = np.array([p for _, p in states])
     energies = _energy(qarr, parr)
     drift = float(np.max(np.abs(energies - energies[0])))
     return Trajectory(

@@ -18,12 +18,13 @@ Tolerances are stratified by error source: identities built from exact
 closed-form compositions use 1e-12, checks that pass through central
 differences use the complete first-derivative error model
 100 h^2 + 5 eps / h (truncation plus the evaluation-roundoff floor; the
-floor dominates at h = 1e-6 where it sits near 1.1e-9), and checks that
-pass through ODE integration use 1e-6.  Sampling avoids near-singular
-regions (|q| >= 0.1, H <= -0.05, base points away from the projection
-pole); the invariants hold analytically everywhere, but finite differences
-and fixed-step integration degrade near the singular sets, whose behavior
-is covered by targeted unit tests instead.
+floor dominates at h = 1e-6 where it sits near 1.1e-9), and the two flow
+suites, whose oracle is the closed-form Kepler flow, divide each sample's
+error by its conditioning and bound that by 100 eps.  Sampling avoids
+near-singular regions (|q| >= 0.1, H <= -0.05, base points away from the
+projection pole); the invariants hold analytically everywhere, but finite
+differences degrade near the singular sets, whose behavior is covered by
+targeted unit tests instead.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import Callable
 import numpy as np
 
 from .core import PhasePoint, PlaneCotangentPoint, SphereCotangentPoint, _bound_rows
-from .dynamics import _leapfrog_batch
 from .kernels import (
     _chart_hamiltonians,
     _check_rows,
@@ -53,7 +53,7 @@ from .kernels import (
     _scale,
     _wedge_entries,
 )
-from .ligonschaaf import _ROOT_TOL, _ls_inverse_rows, angle_equation
+from .ligonschaaf import _ROOT_TOL, _ls_inverse_rows, _solve_rotation_angle, angle_equation
 from .symmetry import _bracket_batch, _central_differences
 
 __all__ = [
@@ -446,27 +446,64 @@ def _suite_ls_equivariance(n: int, samples: int, seed: int) -> _Defects:
     return 1e-12, defects.tolist(), _points(PhasePoint, qs, ps)
 
 
-_INTERTWINE_DT = 1e-5
-_INTERTWINE_STEPS = (10_000, 100_000, 500_000)  # t = 0.1, 1, 5
+# The flow suites' bound on each sample's error per unit of conditioning.
+_FLOW_TOL = 100.0 * float(np.finfo(float).eps)
+
+
+def _flow_rows(n: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bound rows (q, p) for the flow suites: energy in [-1, -0.05] and, for
+    n >= 2, eccentricity at most 0.6 (every n = 1 orbit is radial)."""
+    cap = 0.6 if n > 1 else None
+    return _bound_rows(n, samples, seed, pole_gap=0.05, max_eccentricity=cap, min_energy=-1.0)
+
+
+def _kepler_flow(q: np.ndarray, p: np.ndarray, t: float) -> tuple[np.ndarray, ...]:
+    """The Kepler flow of bound rows (m, n) for a time t in closed form:
+    Lagrange's f and g at the eccentric-anomaly increment dE (Danby 1988,
+    ch. 6).  With a = -1/(2H), e cos E0 = 1 - |q|/a and e sin E0 = q.p/sqrt(a),
+    the rotation-angle solve gives E - M at M = E0 - e sin E0 + t a^-1.5,
+    and dE = t a^-1.5 + (E - M) - e sin E0.  Returns (q, p, a, kappa), where
+    kappa = a/|q| is the larger conditioning 1/(1 - e cos E) of the start
+    and the end."""
+    r0, qp = np.sqrt(np.vecdot(q, q)), np.vecdot(q, p)
+    a = -0.5 / _energy(q, p)
+    root_a, motion = np.sqrt(a), t * a**-1.5
+    e_cos, e_sin = 1.0 - r0 / a, qp / root_a
+    e, mean = np.hypot(e_cos, e_sin), np.arctan2(e_sin, e_cos) - e_sin + motion
+    d_anomaly = motion + _solve_rotation_angle(e * np.cos(mean), e * np.sin(mean)) - e_sin
+    sin_d, vers = np.sin(d_anomaly), 2.0 * np.sin(0.5 * d_anomaly) ** 2
+    r = r0 + (a - r0) * vers + qp * root_a * sin_d
+    f, g = 1.0 - a / r0 * vers, r0 * root_a * sin_d + a * qp * vers
+    f_dot, g_dot = -root_a * sin_d / (r * r0), 1.0 - a / r * vers
+    q_t, p_t = f[:, None] * q + g[:, None] * p, f_dot[:, None] * q + g_dot[:, None] * p
+    return q_t, p_t, a, a / np.minimum(r0, r)
+
+
+def _flow_defects(errors: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """errors / scale, with scale capped where _FLOW_TOL scale reaches 1e-6:
+    no sample's bound on its error exceeds 1e-6."""
+    return errors / np.minimum(scale, 1e-6 / _FLOW_TOL)
 
 
 def _suite_intertwine(n: int, samples: int, seed: int) -> _Defects:
-    """Direct leapfrog propagation against the conjugated Delaunay flow at
+    """The closed-form Kepler flow against the conjugated Delaunay flow at
     t in {0.1, 1, 5}.
 
-    The tolerance is integrator-limited, so sampling keeps the leapfrog in
-    its accuracy regime: eccentricity at most 0.6 and energy in [-1, -0.05]
-    (perihelion bounded away from the collision set).
+    The error is the largest entry of |dr| and |ds|/sqrt(a) (|s| = sqrt(a)),
+    and the defect divides it by kappa^2 + t a^-1.5: near pericentre f and g
+    cancel to eps a in q, and the phase t a^-1.5 is rounded.
     """
-    qs, ps = _bound_rows(n, samples, seed, pole_gap=0.05, max_eccentricity=0.6, min_energy=-1.0)
-    states = _leapfrog_batch(qs, ps, _INTERTWINE_DT, list(_INTERTWINE_STEPS))
+    qs, ps = _flow_rows(n, samples, seed)
     r0, s0, _ = _ls_map_rows(qs, ps)
     worst = np.zeros(samples)
-    for steps, (qarr, parr) in zip(_INTERTWINE_STEPS, states):
-        expected = _delaunay_flow_rows(r0, s0, np.full(samples, steps * _INTERTWINE_DT))
-        observed = _ls_map_rows(qarr, parr)
-        worst = np.maximum(worst, _max_abs_diff(*zip(observed[:2], expected[:2])))
-    return 1e-6, worst.tolist(), _points(PhasePoint, qs, ps)
+    for t in (0.1, 1.0, 5.0):
+        q, p, a, kappa = _kepler_flow(qs, ps, t)
+        r, s, _ = _ls_map_rows(q, p)
+        r_ref, s_ref, _ = _delaunay_flow_rows(r0, s0, np.full(samples, t))
+        root_a = np.sqrt(a)[:, None]
+        errors = _max_abs_diff((r, r_ref), (s / root_a, s_ref / root_a))
+        worst = np.maximum(worst, _flow_defects(errors, kappa**2 + t * a**-1.5))
+    return _FLOW_TOL, worst.tolist(), _points(PhasePoint, qs, ps)
 
 
 def _suite_momenta_pullback(n: int, samples: int, seed: int) -> _Defects:
@@ -551,21 +588,13 @@ def _suite_lenz_brackets(n: int, samples: int, seed: int) -> _Defects:
     return 1e-5, worst.tolist(), _points(PhasePoint, qs, ps)
 
 
-_CONSERVATION_DT = 2e-5
-_CONSERVATION_STEPS = 25_000  # horizon t = 0.5
-
-
 def _suite_conservation(n: int, samples: int, seed: int) -> _Defects:
-    """Drift of H, every L_ij and every K_i along leapfrog trajectories.
-
-    Both families are first integrals, so any drift is integrator error;
-    sampling keeps the leapfrog in its accuracy regime as in the
-    intertwining suite.
-    """
-    qs, ps = _bound_rows(n, samples, seed, pole_gap=0.05, max_eccentricity=0.6, min_energy=-1.0)
-    ((q_end, p_end),) = _leapfrog_batch(qs, ps, _CONSERVATION_DT, [_CONSERVATION_STEPS])
-    drift = np.max(np.abs(_integral_rows(q_end, p_end) - _integral_rows(qs, ps)), axis=-1)
-    return 1e-6, drift.tolist(), _points(PhasePoint, qs, ps)
+    """Drift of H, every L_ij and every K_i along the closed-form Kepler flow
+    to t = 0.5, divided by kappa^2 (the cancellation near pericentre)."""
+    qs, ps = _flow_rows(n, samples, seed)
+    q, p, _, kappa = _kepler_flow(qs, ps, 0.5)
+    drift = np.max(np.abs(_integral_rows(q, p) - _integral_rows(qs, ps)), axis=-1)
+    return _FLOW_TOL, _flow_defects(drift, kappa**2).tolist(), _points(PhasePoint, qs, ps)
 
 
 # ---------------------------------------------------------------------------

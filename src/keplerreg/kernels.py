@@ -18,20 +18,24 @@ _CONSTRAINT_TOL = 1e-10
 
 def _check_rows(a: np.ndarray, b: np.ndarray, names: str, *, sphere: bool = False):
     """The value objects' checks of one point (k,) or rows (m, k): finite
-    entries and, for a sphere pair (u, v), |u.u - 1| and |u.v| <= 1e-10.
+    entries and, for a sphere pair (u, v), |u.u - 1| <= 1e-10 and
+    |u.v| <= 1e-10 min(1, |v|), so that a short v must be tangent too.
     Returns (a, b)."""
     for name, arr in zip(names, (a, b)):
         if not np.isfinite(arr).all():
             raise DomainError(f"{name} must have finite entries")
     if sphere:
-        defects = np.abs((np.vecdot(a, a) - 1.0, np.vecdot(a, b)))
-        bad = defects > _CONSTRAINT_TOL
-        if bad.any():
-            k = 0 if bad[0].any() else 1
-            label = ("|u.u - 1|", "|u.v|")[k]
-            meaning = ("u must lie on the unit sphere", "v must be tangent at u")[k]
-            value = defects[k][bad[k]][0]
-            raise DomainError(f"{label} = {value:.3e} exceeds {_CONSTRAINT_TOL:g}; {meaning}")
+        unit = np.abs(np.vecdot(a, a) - 1.0), _CONSTRAINT_TOL
+        short = np.minimum(1.0, np.sqrt(np.vecdot(b, b)))
+        tangent = np.abs(np.vecdot(a, b)), _CONSTRAINT_TOL * short
+        for label, (defect, bound), meaning in (
+            ("|u.u - 1|", unit, "u must lie on the unit sphere"),
+            ("|u.v|", tangent, "v must be tangent at u"),
+        ):
+            bad = defect > bound
+            if bad.any():
+                bound = np.broadcast_to(bound, bad.shape)[bad][0]
+                raise DomainError(f"{label} = {defect[bad][0]:.3e} exceeds {bound:.3g}; {meaning}")
     return a, b
 
 
@@ -89,17 +93,6 @@ def _extended_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     upper[..., i, j] = _wedge_entries(q, p, i, j)
     upper[..., :n, n] = _lenz(q, p) / np.sqrt(-2.0 * energy)[..., None]
     return upper
-
-
-def _accelerations(qs: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """The Kepler force -q (q.q)^-1.5 and q.q of rows (m, n); with
-    out=(force, r2) both are written into the caller's arrays."""
-    force, r2 = (None, None) if out is None else out
-    # einsum adds (q0^2 + q2^2) + q1^2 at n = 3, which np.vecdot does not
-    r2 = np.einsum("ij,ij->i", qs, qs, out=r2)
-    force = np.negative(qs, out=force)
-    force *= (r2**-1.5)[:, None]
-    return force, r2
 
 
 def _scale(q: np.ndarray, p: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:

@@ -201,11 +201,14 @@ def test_08_flow_intertwining():
                 float(np.max(np.abs(observed.u - expected.u))),
                 float(np.max(np.abs(observed.v - expected.v))),
             )
-    ok = worst <= 1e-6 and worst_moser <= 1e-6
+    # the suite's defect is its error per unit of conditioning (kappa^2 + t a^-1.5)
+    bound = 100.0 * np.finfo(float).eps
+    ok = worst <= bound and worst_moser <= 1e-6
     assert report(
         "08 flow intertwining",
         ok,
-        f"delaunay vs leapfrog {worst:.3e} <= 1e-6; moser arc-time {worst_moser:.3e} <= 1e-6",
+        f"delaunay vs closed-form kepler {worst:.3e} <= {bound:.3e}; "
+        f"moser arc-time {worst_moser:.3e} <= 1e-6",
     )
 
 

@@ -225,6 +225,15 @@ class TestVerifyCommand:
         assert code == 2
         assert out.strip().endswith("fail")
 
+    @pytest.mark.parametrize("suite", ["all", "conservation"])
+    def test_n1_reports_every_suite(self, suite, capsys):
+        # every n = 1 orbit is radial; the flow suites sample them uncapped
+        code, out, err = run_cli(["verify", "--suite", suite, "--n", "1"], capsys)
+        lines = out.strip().splitlines()
+        assert code == 0 and err == ""
+        assert len(lines) == (15 if suite == "all" else 1)
+        assert all(line.endswith(",pass") for line in lines)
+
     def test_report_file_written(self, tmp_path, capsys):
         out_path = tmp_path / "report.txt"
         code, out, _ = run_cli(

@@ -23,7 +23,7 @@ from keplerreg import (
     sample_bound_states,
     to_reference_shell,
 )
-from keplerreg.dynamics import _leapfrog_batch
+from keplerreg.dynamics import _leapfrog
 
 from conftest import max_abs
 
@@ -106,15 +106,15 @@ class TestKeplerIntegrate:
         steps = list(range(record_every, 101, record_every))
         if not closing and 100 % record_every:
             steps.append(100)
-        q0, p0 = circular.q[None, :], circular.p[None, :]
-        *states, end = _leapfrog_batch(q0, p0, dt, steps + [100])
+        q0, p0 = circular.q.tolist(), circular.p.tolist()
+        *states, end = _leapfrog(q0, p0, dt, steps + [100])
         times = [0.0] + [step * dt for step in steps]
         if closing:
-            states += _leapfrog_batch(*end, closing, [1])
+            states += _leapfrog(*end, closing, [1])
             times.append(t_end)
         assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.qs, np.concatenate([q0] + [q for q, _ in states]))
-        assert np.array_equal(traj.ps, np.concatenate([p0] + [p for _, p in states]))
+        assert np.array_equal(traj.qs, [q0] + [q for q, _ in states])
+        assert np.array_equal(traj.ps, [p0] + [p for _, p in states])
 
 
 class TestDelaunayEnergy:

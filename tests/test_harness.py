@@ -144,9 +144,7 @@ class TestReports:
         assert a.max_defect == b.max_defect
         assert len(a.failures) == len(b.failures)
 
-    @pytest.mark.parametrize(
-        "suite", [s for s in SUITE_NAMES if s not in ("intertwine-flows", "conservation")]
-    )
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_line_format(self, suite):
         report = run_suite(suite, 2, 30, 3)
         name, samples, defect, status = report.line().rsplit(",", 3)
@@ -222,6 +220,7 @@ class TestReports:
         "ls-symplectic",
         "ls-roundtrip",
         "ls-equivariance",
+        "intertwine-flows",
         "momenta-pullback",
         "so(n+1)-brackets",
         "lenz-brackets",
@@ -232,3 +231,21 @@ class TestReports:
 def test_suite_passes_smoke(name):
     report = run_suite(name, 2, 60, 42)
     assert report.passed, f"{name}: max_defect {report.max_defect:.3e}"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["intertwine-flows", "conservation"])
+def test_flow_suites_within_the_conditioning_bound(name, n):
+    # intertwine-flows' own 500 samples; the defect is the error per unit of
+    # conditioning, so the error bound is 100 eps (kappa^2 [+ t a^-1.5])
+    report = run_suite(name, n, 500, 42)
+    assert report.tolerance == 100.0 * np.finfo(float).eps
+    assert report.passed and 0.0 < report.max_defect <= report.tolerance
+
+
+def test_flow_suites_sample_radial_orbits_at_n1():
+    qs, ps = harness._flow_rows(1, 500, 42)
+    eccentricity = np.abs(harness._lenz(qs, ps))[:, 0]
+    assert np.all(np.abs(eccentricity - 1.0) <= 1e-12)
+    for name in ("intertwine-flows", "conservation"):
+        assert run_suite(name, 1, 500, 42).passed

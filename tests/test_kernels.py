@@ -17,23 +17,26 @@ from keplerreg import (
     sample_bound_states,
     to_plane,
 )
-from keplerreg.kernels import _accelerations, _integral_rows, _on_pole
+from keplerreg.dynamics import _kepler_force
+from keplerreg.kernels import _integral_rows, _on_pole
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_kepler_vector_field_is_the_leapfrog_force_bit_for_bit(n):
     points = sample_bound_states(n, 500, 11 + n)
-    qs = np.array([pt.q for pt in points])
-    batch, r2 = _accelerations(qs)
-    for pt, expected in zip(points, batch):
+    half_dt = 0.5e-3
+    for pt in points:
         velocity, force = kepler_vector_field(pt)
         assert np.array_equal(velocity, pt.p)
-        assert np.array_equal(force, expected), pt
-    # the leapfrog's form writes the same bits into the caller's arrays
-    out = (np.full_like(qs, np.nan), np.full(len(qs), np.nan))
-    written = _accelerations(qs, out=out)
-    assert written[0] is out[0] and written[1] is out[1]
-    assert np.array_equal(out[0], batch) and np.array_equal(out[1], r2)
+        shared, r2 = _kepler_force(pt.q.tolist())
+        assert force.tolist() == shared, pt
+        # -q (q.q)^-1.5 spelled out: even-index squares, then odd, and C pow
+        q = pt.q
+        assert r2 == np.sum(q[0::2] * q[0::2]) + np.sum(q[1::2] * q[1::2])
+        assert np.array_equal(force, -q * np.float_power(r2, -1.5)), pt
+        # the leapfrog's half kick is this force times dt/2, entry by entry
+        kick, _ = _kepler_force(pt.q.tolist(), half_dt)
+        assert kick == [f * half_dt for f in shared]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -35,7 +35,6 @@ _KERNELS = (
     "_rotate",
     "_reproject",
     "_ls_map_rows",
-    "_accelerations",
     "_delaunay_energy",
     "_delaunay_flow_rows",
     "_wedge_entries",
@@ -49,9 +48,9 @@ _PRIVATE_IMPORTS = {
     ("cli", "dynamics", "_regularized_rows"),
     ("dynamics", "ligonschaaf", "_ls_inverse_rows"),
     ("harness", "core", "_bound_rows"),
-    ("harness", "dynamics", "_leapfrog_batch"),
     ("harness", "ligonschaaf", "_ROOT_TOL"),
     ("harness", "ligonschaaf", "_ls_inverse_rows"),
+    ("harness", "ligonschaaf", "_solve_rotation_angle"),
     ("harness", "symmetry", "_bracket_batch"),
     ("harness", "symmetry", "_central_differences"),
 }

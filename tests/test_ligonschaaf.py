@@ -21,7 +21,7 @@ from keplerreg import (
     scale_phase,
     scale_sphere,
 )
-from keplerreg.ligonschaaf import _solve_rotation_angle
+from keplerreg.ligonschaaf import _ls_inverse_rows, _solve_rotation_angle
 
 import mp_reference as ref
 from conftest import max_abs
@@ -169,6 +169,28 @@ class TestLSInverse:
     def test_puncture_rejected(self):
         with pytest.raises(PunctureError, match="collision point"):
             ls_inverse(SphereCotangentPoint([0, 0, 1], [-0.5, 0, 0]))
+
+    def test_short_covector_along_the_base_point_is_rejected(self):
+        # |s| in [1e-14, 1e-10] and s nearly parallel to r: |r.s| <= 1e-10
+        # passes an absolute tangency test, but no such pair is on T*S^n,
+        # and the inverse used to return a point that is not a preimage.
+        rng = np.random.default_rng(8)
+        r = rng.standard_normal((200, 3))
+        r /= np.linalg.norm(r, axis=1)[:, None]
+        tangent = rng.standard_normal((200, 3))
+        tangent -= np.vecdot(r, tangent)[:, None] * r
+        tangent /= np.linalg.norm(tangent, axis=1)[:, None]
+        sigma = 10.0 ** rng.uniform(-14.0, -10.0, (200, 1))
+        s = sigma * (r + 0.1 * tangent)
+        assert np.all(np.abs(np.vecdot(r, s)) <= 1e-10)
+        for k in range(200):
+            with pytest.raises(DomainError, match="v must be tangent at u"):
+                SphereCotangentPoint(r[k], s[k])
+        with pytest.raises(DomainError, match="v must be tangent at u"):
+            _ls_inverse_rows(r, s)
+        # their tangent parts are short covectors on T*S^n
+        for k in range(200):
+            SphereCotangentPoint(r[k], sigma[k] * tangent[k])
 
     def test_puncture_flag_round_trips_as_error(self):
         # a flagged forward image is exactly what the inverse must refuse

@@ -25,7 +25,7 @@ import numpy as np
 from .core import DomainError, PhasePoint, SphereCotangentPoint, kepler_energy
 from .dynamics import CollisionApproachError, _regularized_rows, delaunay_energy, kepler_integrate
 from .harness import SUITE_NAMES, UnknownSuiteError, run_suite
-from .kernels import _delaunay_energy, _integral_rows, _wedge_entries
+from .kernels import _check_rows, _delaunay_energy, _integral_rows, _wedge_entries
 from .ligonschaaf import PunctureError, ls_inverse, ls_map
 from .moser import moser_fibration, moser_map, moser_map_inverse
 
@@ -81,6 +81,7 @@ class Scenario:
             raise DomainError(f"mode must be direct or regularized, got {self.mode!r}")
         if self.q.size != self.n or self.p.size != self.n:
             raise DomainError("q and p must have length n")
+        _check_rows(self.q, self.p, "qp")
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
             raise DomainError("t_end must be positive and finite")
         if self.dt is not None and not math.isfinite(self.dt):

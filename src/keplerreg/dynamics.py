@@ -19,7 +19,6 @@ from operator import add, mul
 from typing import Iterator
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .core import DomainError, PhasePoint, SphereCotangentPoint
 from .kernels import _delaunay_energy, _delaunay_flow_rows, _energy
@@ -284,9 +283,12 @@ def arc_time(traj: Trajectory) -> list[FlowTimes]:
     integrand 1/|q| is positive, so s is strictly increasing in t.
     """
     radii = np.linalg.norm(traj.qs, axis=1)
+    if radii.size == 0:
+        raise DomainError("trajectory has no samples; arc time undefined")
     if np.any(radii == 0.0):
         raise DomainError("trajectory touches the collision set; arc time undefined")
-    s_vals = cumulative_trapezoid(1.0 / radii, traj.times, initial=0.0)
+    y = 1.0 / radii
+    s_vals = np.concatenate(([0.0], np.cumsum(np.diff(traj.times) * (y[1:] + y[:-1]) / 2.0)))
     return [FlowTimes(float(t), float(s)) for t, s in zip(traj.times, s_vals)]
 
 

@@ -563,14 +563,14 @@ def _suite_lenz_brackets(n: int, samples: int, seed: int) -> _Defects:
     the bound region as analytic identities, so positive energies are
     sampled too.
     """
-    rng = np.random.default_rng(seed)
-    drawn = []
-    while len(drawn) < samples:
-        q = rng.uniform(-2.0, 2.0, size=n)
-        p = rng.uniform(-1.5, 1.5, size=n)
-        if np.linalg.norm(q) >= 0.1:
-            drawn.append((q, p))
-    qs, ps = _check_rows(*map(np.stack, zip(*drawn)), "qp")
+    # A candidate takes its n + n uniforms whether it is kept or not, so
+    # drawing blocks of candidates gives the same samples as one at a time.
+    rng, half = np.random.default_rng(seed), np.array((2.0,) * n + (1.5,) * n)
+    rows = np.empty((0, 2 * n))
+    while len(rows) < samples:
+        block = rng.uniform(-half, half, size=(samples, 2 * n))
+        rows = np.concatenate([rows, block[np.linalg.norm(block[:, :n], axis=1) >= 0.1]])
+    qs, ps = _check_rows(rows[:samples, :n], rows[:samples, n:], "qp")
     i, j = np.triu_indices(n, 1)
     m = len(i)
     observed = _brackets(

@@ -385,17 +385,32 @@ class TestScenarioParsing:
         with pytest.raises(DomainError, match="too small for 100 distinct output times"):
             parse_scenario(f"n = 2\nq = 1,0\np = 0,1\nt_end = 1e-322\nmode = {mode}\n")
 
+    # q or p with a nan or inf entry, in each mode: (id, scenario text)
+    _NON_FINITE_STATES = [
+        (
+            f"{field}-{bad}-{mode.split()[0]}",
+            f"n = 2\nq = {q}\np = {p}\nt_end = 1\nmode = {mode}\noutput_count = 3\n",
+        )
+        for bad in ("nan", "inf")
+        for field, q, p in (("q", f"{bad},0", "0,1"), ("p", "1,0", f"0,{bad}"))
+        for mode in ("regularized", "direct\ndt = 1e-3")
+    ]
+
     @pytest.mark.parametrize(
         "scenario",
         [
             "n = 2\nq = 1,0\np = 0,1\nt_end = inf\nmode = regularized\noutput_count = 3\n",
             "n = 2\nq = 1,0\np = 0,1\nt_end = 1\nmode = direct\ndt = inf\noutput_count = 3\n",
+            *(scenario for _, scenario in _NON_FINITE_STATES),
         ],
-        ids=["t_end", "dt"],
+        ids=["t_end", "dt", *(ident for ident, _ in _NON_FINITE_STATES)],
     )
     def test_non_finite_field_exit_1(self, scenario, tmp_path, capsys):
         # Invalid input, not a numeric failure (exit 3) deep in propagation.
         scn = write_scenario(tmp_path, "inf.scn", scenario)
         code, _, err = run_cli(["propagate", str(scn), "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 1
-        assert "must be positive and finite" in err or "dt must be finite" in err
+        assert any(
+            text in err
+            for text in ("must be positive and finite", "dt must be finite", "must have finite entries")
+        )

@@ -250,6 +250,46 @@ class TestArcTime:
         assert all(b > a for a, b in zip(svals, svals[1:]))
 
 
+class TestArcTimeTrapezoid:
+    """arc_time is numpy's composite trapezoid, bit for bit scipy's
+    cumulative_trapezoid(1/|q|, t, initial=0)."""
+
+    @staticmethod
+    def _scipy_reference(traj):
+        from scipy.integrate import cumulative_trapezoid
+
+        radii = np.linalg.norm(traj.qs, axis=1)
+        return cumulative_trapezoid(1.0 / radii, traj.times, initial=0.0)
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_leapfrog_trajectory_with_closing_step(self, record_every):
+        pt = PhasePoint([1.3, 0.2, -0.1], [0.1, 0.6, 0.2])
+        traj = kepler_integrate(pt, 2.0 + 3.7e-4, 1e-3, record_every=record_every)
+        assert traj.times[-1] - traj.times[-2] < 1e-3 * record_every
+        observed = np.array([ft.s for ft in arc_time(traj)])
+        assert observed.tobytes() == self._scipy_reference(traj).tobytes()
+
+    def test_uneven_time_grid(self):
+        from keplerreg import Trajectory
+
+        rng = np.random.default_rng(5)
+        times = np.cumsum(rng.uniform(1e-4, 0.3, size=400))
+        qs = rng.uniform(0.2, 3.0, size=(400, 2)) * rng.choice([-1.0, 1.0], size=(400, 2))
+        traj = Trajectory(times, qs, -qs, integrator="exact", dt=0.0, energy_drift=0.0)
+        flow_times = arc_time(traj)
+        assert [ft.t for ft in flow_times] == times.tolist()
+        observed = np.array([ft.s for ft in flow_times])
+        assert observed.tobytes() == self._scipy_reference(traj).tobytes()
+
+    def test_empty_trajectory_rejected(self):
+        from keplerreg import Trajectory
+
+        empty = np.empty((0, 2))
+        traj = Trajectory(np.empty(0), empty, empty, integrator="exact", dt=0.0, energy_drift=0.0)
+        with pytest.raises(DomainError, match="no samples"):
+            arc_time(traj)
+
+
 class TestKeplerPeriod:
     def test_reference_shell(self):
         assert kepler_period(-0.5) == pytest.approx(2 * math.pi, rel=1e-15)

@@ -1,9 +1,12 @@
 """Module layout: the closed-form formulas live in keplerreg.kernels, the
-other modules depend on each other through few private names, and the
-benchmark's tracer still sees every layer it times."""
+other modules depend on each other through few private names, the
+package needs numpy alone at run time, and the benchmark's tracer still
+sees every layer it times."""
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -153,3 +156,39 @@ def test_tiny_workloads_reach_every_traced_layer(tmp_path, monkeypatch, capsys):
     calls = dict(zip(tracer.names, counts.tolist()))
     missing = [name for name in _TRACED_LAYERS if not calls.get(name)]
     assert not missing, f"tiny workloads no longer reach traced layers: {missing}"
+
+
+def test_runtime_imports_numpy_alone():
+    # a fresh interpreter: no test module has imported scipy into it
+    code = (
+        "import sys, keplerreg, keplerreg.cli\n"
+        "from keplerreg import PhasePoint, arc_time, kepler_integrate\n"
+        "arc_time(kepler_integrate(PhasePoint([1.0, 0.0], [0.0, 1.0]), 0.5, 0.01))\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_package_imports_name_stdlib_numpy_or_itself():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "keplerreg"}
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["keplerreg" if node.level else node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in allowed, (module, name)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    import tomllib
+
+    project = tomllib.loads((_ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=2.0"]

@@ -29,6 +29,7 @@ targeted unit tests instead.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -226,18 +227,36 @@ def _sample_phase_compact(
 
     Used by the finite-difference canonicity suites, whose roundoff floor
     scales with the magnitude of the map outputs.
+
+    A candidate draws a direction, a radius and a momentum, in that order
+    (a zero direction draws no more), so the generator calls stay one
+    candidate at a time; only the scaling and the energy window run over a
+    round at once.  A round runs as many candidates as samples are still
+    missing, and each gives at most one sample, so no round draws past the
+    point where a one-candidate-at-a-time loop would stop: the rows, and the
+    generator's state after the call, are the same as such a loop's.
     """
-    out = []
-    while len(out) < count:
-        direction = rng.standard_normal(n)
-        norm = np.linalg.norm(direction)
-        if norm < 1e-8:
-            continue
-        q = direction / norm * rng.uniform(0.5, 1.1)
-        p = rng.uniform(-0.6, 0.6, size=n)
-        if -1.8 <= _energy(q, p) <= -0.5:
-            out.append((q, p))
-    return _check_rows(*map(np.stack, zip(*out)), "qp")
+    qs, ps, found = [], [], 0
+    while found < count:
+        dirs, norms, radii, moms = [], [], [], []
+        for _ in range(count - found):
+            direction = rng.standard_normal(n)
+            # np.linalg.norm's own expression for a vector
+            norm = math.sqrt(direction.dot(direction))
+            if norm < 1e-8:
+                continue
+            dirs.append(direction)
+            norms.append(norm)
+            radii.append(rng.uniform(0.5, 1.1))
+            moms.append(rng.uniform(-0.6, 0.6, size=n))
+        q = np.reshape(dirs, (-1, n)) / np.array(norms)[:, None] * np.array(radii)[:, None]
+        p = np.reshape(moms, (-1, n))
+        energy = _energy(q, p)
+        keep = (-1.8 <= energy) & (energy <= -0.5)
+        qs.append(q[keep])
+        ps.append(p[keep])
+        found += int(keep.sum())
+    return _check_rows(np.concatenate(qs), np.concatenate(ps), "qp")
 
 
 def _sample_sphere(
@@ -249,23 +268,51 @@ def _sample_sphere(
     unit_covector: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows (u, v) of shape (count, n+1): sphere covectors off the pole and
-    off the zero section."""
-    out = []
-    while len(out) < count:
-        u = rng.standard_normal(n + 1)
-        norm = np.linalg.norm(u)
-        if norm < 1e-8 or 2.0 * (1.0 - u[-1] / norm) < min_pole_distance**2:
-            continue
-        u, v = _reproject(u, rng.standard_normal(n + 1))
-        vnorm = np.linalg.norm(v)
-        if vnorm < 0.1:
-            continue
+    off the zero section.
+
+    Every draw is a block of n+1 standard normals: a candidate u, and after
+    an accepted u its v.  So a round draws its blocks at once and walks them
+    as a one-candidate-at-a-time loop would: a rejected u moves one block
+    on, an accepted u takes the next block as its v and moves two on (an
+    accepted u in the last block waits for the next round's first).  A
+    round draws two blocks per missing sample, and a sample needs two, so
+    no round draws past the point where that loop would stop: the rows, and
+    the generator's state after the call, are the same as the loop's.
+    """
+    us, vs, found = [], [], 0
+    carried = np.empty((0, n + 1))
+    while found < count:
+        blocks = np.concatenate(
+            [carried, rng.standard_normal((2 * (count - found) - len(carried), n + 1))]
+        )
+        norms = np.sqrt(np.vecdot(blocks, blocks))
+        accepted = norms >= 1e-8
+        accepted[accepted] = (
+            2.0 * (1.0 - blocks[accepted, -1] / norms[accepted]) >= min_pole_distance**2
+        )
+        pairs, k, accepted = [], 0, accepted.tolist()
+        while k < len(blocks):
+            if not accepted[k]:
+                k += 1
+            elif k + 1 == len(blocks):
+                break
+            else:
+                pairs.append(k)
+                k += 2
+        carried = blocks[k:]
+        pairs = np.array(pairs, dtype=int)
+        u, v = _reproject(blocks[pairs], blocks[pairs + 1])
+        vnorm = np.sqrt(np.vecdot(v, v))
+        keep = vnorm >= 0.1
+        u, v, vnorm = u[keep], v[keep], vnorm[keep, None]
         if unit_covector:
             v = v / vnorm
-        elif vnorm > 3.0:
-            v = 3.0 * v / vnorm
-        out.append((u, v))
-    return _check_rows(*map(np.stack, zip(*out)), "uv", sphere=True)
+        else:
+            v = np.where(vnorm > 3.0, 3.0 * v / vnorm, v)
+        us.append(u)
+        vs.append(v)
+        found += len(u)
+    return _check_rows(np.concatenate(us), np.concatenate(vs), "uv", sphere=True)
 
 
 def _points(kind: type, a: np.ndarray, b: np.ndarray) -> Callable[[int], object]:
@@ -644,6 +691,8 @@ def run_suite(name: str, n: int, samples: int, seed: int) -> SuiteReport:
         raise ValueError("n must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     tolerance, defects, sample = _SUITES[name].runner(n, samples, seed)
     failures = sorted(
         (

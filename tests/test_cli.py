@@ -205,6 +205,10 @@ class TestVerifyCommand:
         assert code == 1
         assert "unknown suite" in err
 
+    def test_negative_seed_exit_1(self, capsys):
+        code, out, err = run_cli(["verify", "--suite", "metric", "--seed", "-1"], capsys)
+        assert (code, out, err) == (1, "", "error: seed must be >= 0\n")
+
     def test_failing_suite_exit_2(self, capsys, monkeypatch):
         from keplerreg import Failure, SuiteReport
         from keplerreg import cli as cli_mod

@@ -134,6 +134,8 @@ class TestRegistry:
             run_suite("metric", 0, 10, 0)
         with pytest.raises(ValueError):
             run_suite("metric", 2, 0, 0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            run_suite("metric", 2, 10, -1)
 
 
 class TestReports:

@@ -37,6 +37,7 @@ from keplerreg import (
     to_sphere,
 )
 from keplerreg.harness import SUITE_NAMES, flat_ls_map, flat_moser_map, flat_to_sphere
+from keplerreg.kernels import _energy, _reproject
 from keplerreg.ligonschaaf import _ROOT_TOL, _ls_map_rows
 from keplerreg.moser import _chart_hamiltonians, _fibration_rows
 from keplerreg.symmetry import _bracket_batch, _central_differences
@@ -432,3 +433,140 @@ ORACLES = {
 def test_suite_defects_equal_per_sample_oracle(suite, n):
     _, defects, _ = harness.suite_registry()[suite].runner(n, 60, 7)
     assert defects == ORACLES[suite](n, 60, 7)
+
+
+# ---------------------------------------------------------------------------
+# The per-draw sampler loops the block draws replaced, as the reference:
+# the same rows bit for bit, and the generator left in the same state.
+
+
+def _oracle_sample_phase_compact(rng, n, count):
+    out = []
+    while len(out) < count:
+        direction = rng.standard_normal(n)
+        norm = np.linalg.norm(direction)
+        if norm < 1e-8:
+            continue
+        q = direction / norm * rng.uniform(0.5, 1.1)
+        p = rng.uniform(-0.6, 0.6, size=n)
+        if -1.8 <= _energy(q, p) <= -0.5:
+            out.append((q, p))
+    return tuple(map(np.stack, zip(*out)))
+
+
+def _oracle_sample_sphere(rng, n, count, *, min_pole_distance=0.05, unit_covector=False):
+    out = []
+    while len(out) < count:
+        u = rng.standard_normal(n + 1)
+        norm = np.linalg.norm(u)
+        if norm < 1e-8 or 2.0 * (1.0 - u[-1] / norm) < min_pole_distance**2:
+            continue
+        u, v = _reproject(u, rng.standard_normal(n + 1))
+        vnorm = np.linalg.norm(v)
+        if vnorm < 0.1:
+            continue
+        if unit_covector:
+            v = v / vnorm
+        elif vnorm > 3.0:
+            v = 3.0 * v / vnorm
+        out.append((u, v))
+    return tuple(map(np.stack, zip(*out)))
+
+
+SAMPLERS = {
+    "sphere": (harness._sample_sphere, _oracle_sample_sphere, {}),
+    "sphere-cap-unit": (
+        harness._sample_sphere,
+        _oracle_sample_sphere,
+        {"min_pole_distance": 1.0, "unit_covector": True},
+    ),
+    "phase-compact": (harness._sample_phase_compact, _oracle_sample_phase_compact, {}),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_block_samplers_equal_per_draw_loops(sampler, n):
+    blocks, per_draw, options = SAMPLERS[sampler]
+    for seed in range(8):
+        for count in (1, 10, 500):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = blocks(rng, n, count, **options)
+            expected = per_draw(oracle_rng, n, count, **options)
+            assert all(_same(a, b) for a, b in zip(rows, expected))
+            # a later draw from the same generator (stereo-roundtrip draws its
+            # plane and sphere rows from one) is unchanged
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class _ScriptedNormals:
+    """Serves a fixed list of standard normals, in any requested shape, and
+    records the shape of each request; running out is an error."""
+
+    def __init__(self, values):
+        self.values, self.used, self.requests = np.array(values, dtype=float), 0, []
+
+    def standard_normal(self, size):
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        end = self.used + math.prod(shape)
+        assert end <= len(self.values), "the scripted stream ran out"
+        self.requests.append(shape)
+        out, self.used = self.values[self.used : end].reshape(shape), end
+        return out
+
+
+# Blocks of n + 1 = 2 normals at n = 1, as the per-draw loop reads them: u, or
+# an accepted u and its v.  Three samples take three rounds of 6, 4 and 1 blocks.
+_SCRIPT = [
+    (0.0, 0.0),  # zero u
+    (0.001, 1.0),  # u inside the pole cap
+    (1.0, 0.0),  # accepted u ...
+    (0.5, 0.05),  # ... whose v - (u.v) u = (0, 0.05) is shorter than 0.1
+    (0.0, -1.0),  # accepted u ...
+    (10.0, 0.0),  # ... whose v is clamped to length 3: sample 0
+    (1.0, 1.0),  # second round: accepted u ...
+    (1.0, -1.0),  # ... and its v: sample 1
+    (0.0, 0.0),  # zero u
+    (-1.0, 0.5),  # accepted u as the round's last block, carried over
+    (0.3, 0.6),  # third round: its v, sample 2
+]
+
+
+def test_sphere_sampler_rare_branches_on_a_scripted_stream():
+    values = np.ravel(_SCRIPT)
+    stream, oracle_stream = _ScriptedNormals(values), _ScriptedNormals(values)
+    u, v = harness._sample_sphere(stream, 1, 3)
+    expected = _oracle_sample_sphere(oracle_stream, 1, 3)
+    assert _same(u, expected[0]) and _same(v, expected[1])
+    assert stream.used == oracle_stream.used == len(values)
+    assert stream.requests == [(6, 2), (4, 2), (1, 2)]
+    assert _same(u[0], np.array([0.0, -1.0])) and _same(v[0], np.array([3.0, 0.0]))
+
+
+class _CountingNormals:
+    """A generator that counts its standard_normal calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("options", [{}, {"min_pole_distance": 1.0, "unit_covector": True}])
+def test_sphere_sampler_draws_in_blocks(options):
+    # a per-draw loop makes at least two calls per sample
+    for count in (10, 500):
+        rng = _CountingNormals(3)
+        harness._sample_sphere(rng, 2, count, **options)
+        assert 1 <= rng.calls <= 12
+
+
+def test_compact_sampler_takes_one_energy_per_round(monkeypatch):
+    calls = []
+    energy = harness._energy
+    monkeypatch.setattr(harness, "_energy", lambda q, p: calls.append(len(q)) or energy(q, p))
+    harness._sample_phase_compact(np.random.default_rng(3), 2, 500)
+    # a per-draw loop makes at least one call per sample
+    assert 1 <= len(calls) <= 12 and calls[0] == 500

@@ -130,9 +130,10 @@ def _kepler_force(q: list[float], scale: float = 1.0) -> tuple[list[float], floa
 
 def kepler_vector_field(point: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of the Kepler equations: (p, -q (q.q)^-1.5), the leapfrog's force."""
-    if point.radius == 0.0:
-        raise DomainError("q must be nonzero (vector field singular at collision)")
-    return point.p.copy(), np.array(_kepler_force(point.q.tolist())[0])
+    try:
+        return point.p.copy(), np.array(_kepler_force(point.q.tolist())[0])
+    except (ZeroDivisionError, OverflowError):  # q.q is 0, or (q.q)^-1.5 overflows
+        raise DomainError("q must be nonzero (vector field singular at collision)") from None
 
 
 def _collision_floor_r2(dt: float) -> float:
@@ -150,27 +151,53 @@ def _leapfrog(
     Kick-drift-kick leapfrog, p += (dt/2) a, q += dt p, p += (dt/2) a, with
     one force evaluation per step: the closing half kick of one step is the
     opening half kick of the next.  Raises CollisionApproachError, with the
-    time reached, when |q|^3 falls below 10 dt^2; the start is checked as
-    well.
+    time reached, when |q|^3 falls below 10 dt^2 at any force evaluation,
+    the opening one included, or when q is so near 0 that the force itself
+    is out of float range.
     """
     floor_r2 = _collision_floor_r2(dt)
     half_dt, drift = 0.5 * dt, repeat(dt)
-    kick, r2 = _kepler_force(q, half_dt)
-    if r2 < floor_r2:
-        raise CollisionApproachError(0.0)
     out = []
     step = 0
-    for target in checkpoints:
-        while step < target:
-            step += 1
-            p = list(map(add, p, kick))
-            q = list(map(add, q, map(mul, p, drift)))
-            kick, r2 = _kepler_force(q, half_dt)
-            if r2 < floor_r2:
-                raise CollisionApproachError(step * dt)
-            p = list(map(add, p, kick))
-        out.append((q[:], p[:]))
+    try:
+        kick, r2 = _kepler_force(q, half_dt)
+        if r2 < floor_r2:
+            raise CollisionApproachError(0.0)
+        for target in checkpoints:
+            while step < target:
+                step += 1
+                p = list(map(add, p, kick))
+                q = list(map(add, q, map(mul, p, drift)))
+                kick, r2 = _kepler_force(q, half_dt)
+                if r2 < floor_r2:
+                    raise CollisionApproachError(step * dt)
+                p = list(map(add, p, kick))
+            out.append((q[:], p[:]))
+    except (ZeroDivisionError, OverflowError):  # q.q is 0, or (q.q)^-1.5 overflows
+        raise CollisionApproachError(step * dt) from None
     return out
+
+
+def _leapfrog_span(q: list[float], p: list[float], span: float, dt: float, every: int = 0):
+    """Advance (q, p), lists of floats, over time span by floor(span/dt + 1e-12)
+    steps of dt and, if the rest is at least 1e-12 dt, one closing step of it,
+    in which a collision is reported at t = span.  Returns the times and states
+    at the start, every ``every``-th step (none for 0) and the end, once each."""
+    n_full = int(math.floor(span / dt + 1e-12))
+    remainder = span - n_full * dt
+    closing = remainder >= 1e-12 * dt
+    steps = [0, *range(every, n_full + 1, every)] if every else [0]
+    if not closing and steps[-1] != n_full:
+        steps.append(n_full)
+    *states, end = _leapfrog(q, p, dt, [*steps, n_full])
+    times = [step * dt for step in steps]
+    if closing:
+        try:
+            states += _leapfrog(*end, remainder, [1])
+        except CollisionApproachError:
+            raise CollisionApproachError(span) from None
+        times.append(span)
+    return times, states
 
 
 def kepler_integrate(
@@ -195,23 +222,7 @@ def kepler_integrate(
         raise ValueError(f"t_end must be positive, got {t_end}")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    n_full = int(math.floor(t_end / dt + 1e-12))
-    remainder = t_end - n_full * dt
-    if remainder < 1e-12 * dt:
-        remainder = 0.0
-
-    recorded = list(range(record_every, n_full + 1, record_every))
-    if remainder == 0.0 and n_full % record_every:
-        recorded.append(n_full)
-    q0, p0 = start.q.tolist(), start.p.tolist()
-    *states, (q_full, p_full) = _leapfrog(q0, p0, dt, [0, *recorded, n_full])
-    times = [0.0] + [step * dt for step in recorded]
-    if remainder > 0.0:
-        try:
-            states += _leapfrog(q_full, p_full, remainder, [1])
-        except CollisionApproachError:
-            raise CollisionApproachError(t_end) from None
-        times.append(t_end)
+    times, states = _leapfrog_span(start.q.tolist(), start.p.tolist(), t_end, dt, record_every)
     qarr = np.array([q for q, _ in states])
     parr = np.array([p for _, p in states])
     energies = _energy(qarr, parr)

@@ -54,6 +54,12 @@ class TestVectorField:
         with pytest.raises(DomainError):
             kepler_vector_field(PhasePoint([0, 0], [0, 1]))
 
+    @pytest.mark.parametrize("q", [[1e-200, 0], [1e-120, 0]])
+    def test_force_out_of_float_range_rejected(self, q):
+        # q.q underflows to 0, or (q.q)^-1.5 overflows
+        with pytest.raises(DomainError, match="q must be nonzero"):
+            kepler_vector_field(PhasePoint(q, [0, 1]))
+
 
 class TestKeplerIntegrate:
     def test_circular_period(self, circular):
@@ -76,6 +82,19 @@ class TestKeplerIntegrate:
         with pytest.raises(CollisionApproachError) as info:
             kepler_integrate(rectilinear, 1.5, 1e-4)
         assert info.value.t < 1.2
+
+    @pytest.mark.parametrize("q", [[0, 0], [1e-200, 0], [1e-120, 0], [1e-30, 0]])
+    def test_start_at_the_collision_set_stops_at_zero(self, q):
+        with pytest.raises(CollisionApproachError) as info:
+            kepler_integrate(PhasePoint(q, [0, 1]), 1, 1e-3)
+        assert info.value.t == 0.0
+
+    def test_force_out_of_range_mid_run_stops_at_the_step(self):
+        # dt^2 underflows, so the guard radius is 0; q reaches 0 at step 2
+        dt = 1e-200
+        with pytest.raises(CollisionApproachError) as info:
+            _leapfrog([2e-100, 0.0], [-1e100, 0.0], dt, [5])
+        assert info.value.t == 2 * dt
 
     def test_step_validation(self, circular):
         with pytest.raises(ValueError, match="dt"):

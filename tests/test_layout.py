@@ -48,6 +48,7 @@ _KERNELS = (
 # (importer, origin, name) of every private name one non-kernel module
 # imports from another.
 _PRIVATE_IMPORTS = {
+    ("cli", "dynamics", "_leapfrog_span"),
     ("cli", "dynamics", "_regularized_rows"),
     ("dynamics", "ligonschaaf", "_ls_inverse_rows"),
     ("harness", "core", "_bound_rows"),
@@ -64,7 +65,6 @@ _TRACED_LAYERS = (
     "ligonschaaf.angle_equation",
     "cli.parse_scenario",
     "core.PhasePoint",
-    "dynamics.kepler_integrate",
     "symmetry._bracket_batch",
     "harness.jacobian",
     "harness.run_suite",

@@ -284,7 +284,15 @@ def _propagate_direct(scenario: Scenario) -> list[str]:
             _check_rows(np.array(q), np.array(p), "qp")
         rows.append(q + p)
     q, p = np.hsplit(np.array(rows), 2)
-    return _csv_rows(times, q, p, _integral_rows(q, p), np.zeros(times.size, dtype=bool))
+    # A finite state can still overflow H, K or |K|; such a row is an error, not inf/nan cells.
+    with np.errstate(all="ignore"):
+        integrals = _integral_rows(q, p)
+        lenz = integrals[:, -scenario.n:]
+        finite = np.isfinite(integrals).all(axis=1) & np.isfinite(np.vecdot(lenz, lenz))
+    if not finite.all():
+        t_bad = times[np.argmin(finite)]
+        raise DomainError(f"first integrals are not finite at t = {_fmt(t_bad)}")
+    return _csv_rows(times, q, p, integrals, np.zeros(times.size, dtype=bool))
 
 
 def _cmd_propagate(args, out) -> int:

@@ -2,7 +2,9 @@
 
 The direct path integrates the Kepler equations q' = p, p' = -q/|q|^3 with
 a fixed-step leapfrog scheme, one orbit on Python floats; it exists as a
-reference integrator and fails deliberately near collisions.  The
+reference integrator and fails deliberately near collisions.  Its force and
+step loop run on scalar locals, rendered to source once per dimension n from
+one template, with the arithmetic of a loop over lists.  The
 regularized path conjugates the flow through the Ligon-Schaaf map to the
 Delaunay flow on T*S^n, which is a great-circle rotation at angular rate
 |v|^-3 and is therefore evaluated in closed form: exact, unconditionally
@@ -12,10 +14,10 @@ formulas live in ``keplerreg.kernels``.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, mul
 from typing import Iterator
 
 import numpy as np
@@ -114,18 +116,78 @@ class FlowTimes:
     s: float
 
 
+# The Kepler force and the leapfrog step loop over scalar locals q0..q{n-1},
+# p0.., k0.. for one dimension n.  {force} is the one force formula: q.q adds
+# the squares at the even indices, then those at the odd ones (numpy einsum's
+# order), the power is the C library's pow, and k = h times the force.
+_TEMPLATE = """\
+def force(q, h):
+    {q}, = q
+    {force}
+    return [{k}], r2
+
+
+def leapfrog(q, p, dt, checkpoints):
+    floor_r2 = _collision_floor_r2(dt)
+    h = 0.5 * dt
+    {q}, = q
+    {p}, = p
+    out = []
+    step = 0
+    try:
+        {force}
+        if r2 < floor_r2:
+            raise CollisionApproachError(0.0)
+        for target in checkpoints:
+            while step < target:
+                step += 1
+                {kick}
+                {drift}
+                {force}
+                if r2 < floor_r2:
+                    raise CollisionApproachError(step * dt)
+                {kick}
+            out.append(([{q}], [{p}]))
+    except (ZeroDivisionError, OverflowError):  # q.q is 0, or (q.q)^-1.5 overflows
+        raise CollisionApproachError(step * dt) from None
+    return out
+"""
+
+
+@functools.cache
+def _rendered(n: int):
+    """(force, leapfrog) at dimension n: _TEMPLATE rendered, compiled once
+    under the name <leapfrog n=...> and registered in linecache, so that
+    tracebacks, inspect and cProfile show the generated lines."""
+    idx = range(n)
+    even = " + ".join(f"q{i} * q{i}" for i in idx[0::2])
+    odd = " + ".join(f"q{i} * q{i}" for i in idx[1::2]) or "0.0"
+    force = "; ".join(
+        [f"r2 = ({even}) + ({odd})", "f = -(r2 ** -1.5)", *(f"k{i} = q{i} * f * h" for i in idx)]
+    )
+    src = _TEMPLATE.format(
+        q=", ".join(f"q{i}" for i in idx),
+        p=", ".join(f"p{i}" for i in idx),
+        k=", ".join(f"k{i}" for i in idx),
+        force=force,
+        kick="; ".join(f"p{i} += k{i}" for i in idx),
+        drift="; ".join(f"q{i} += p{i} * dt" for i in idx),
+    )
+    name = f"<leapfrog n={n}>"
+    linecache.cache[name] = (len(src), None, src.splitlines(True), name)
+    namespace = {
+        "__name__": __name__,
+        "CollisionApproachError": CollisionApproachError,
+        "_collision_floor_r2": _collision_floor_r2,
+    }
+    exec(compile(src, name, "exec"), namespace)
+    return namespace["force"], namespace["leapfrog"]
+
+
 def _kepler_force(q: list[float], scale: float = 1.0) -> tuple[list[float], float]:
     """scale times the Kepler force -q (q.q)^-1.5 at one position q, a list of
-    floats, and q.q.  q.q adds the squares at the even indices, then those at
-    the odd ones (numpy einsum's order); the power is the C library's pow."""
-    even = odd = 0.0
-    for x in q[0::2]:
-        even += x * x
-    for x in q[1::2]:
-        odd += x * x
-    r2 = even + odd
-    factor = -(r2**-1.5)
-    return [x * factor * scale for x in q], r2
+    floats, and q.q: the force line of the step loop's template."""
+    return _rendered(len(q))[0](q, scale)
 
 
 def kepler_vector_field(point: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
@@ -153,29 +215,11 @@ def _leapfrog(
     opening half kick of the next.  Raises CollisionApproachError, with the
     time reached, when |q|^3 falls below 10 dt^2 at any force evaluation,
     the opening one included, or when q is so near 0 that the force itself
-    is out of float range.
+    is out of float range.  The loop runs on scalar locals, rendered once per
+    dimension from _TEMPLATE, and does a loop over lists' arithmetic in the
+    same order: q.q, the force, each half kick as its own add, each drift.
     """
-    floor_r2 = _collision_floor_r2(dt)
-    half_dt, drift = 0.5 * dt, repeat(dt)
-    out = []
-    step = 0
-    try:
-        kick, r2 = _kepler_force(q, half_dt)
-        if r2 < floor_r2:
-            raise CollisionApproachError(0.0)
-        for target in checkpoints:
-            while step < target:
-                step += 1
-                p = list(map(add, p, kick))
-                q = list(map(add, q, map(mul, p, drift)))
-                kick, r2 = _kepler_force(q, half_dt)
-                if r2 < floor_r2:
-                    raise CollisionApproachError(step * dt)
-                p = list(map(add, p, kick))
-            out.append((q[:], p[:]))
-    except (ZeroDivisionError, OverflowError):  # q.q is 0, or (q.q)^-1.5 overflows
-        raise CollisionApproachError(step * dt) from None
-    return out
+    return _rendered(len(q))[1](q, p, dt, checkpoints)
 
 
 def _leapfrog_span(q: list[float], p: list[float], span: float, dt: float, every: int = 0):

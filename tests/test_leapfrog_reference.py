@@ -5,13 +5,15 @@ arithmetic: q.q adds the squares at the even indices, then those at the odd
 ones, and the power is np.float_power, the C library's pow, so the bits it
 pins do not depend on numpy's SIMD kernels."""
 
+import linecache
 import math
+import traceback
 
 import numpy as np
 import pytest
 
 from keplerreg import CollisionApproachError, kepler_integrate
-from keplerreg.dynamics import _leapfrog
+from keplerreg.dynamics import _kepler_force, _leapfrog, _rendered
 
 
 def _force(q):
@@ -54,7 +56,7 @@ def _safe_rows(n, rows, seed):
 
 
 @pytest.mark.parametrize("rows", [1, 500])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_matches_textbook_loop_bit_for_bit(n, rows):
     qs, ps = _safe_rows(n, rows, 100 * n + rows)
     dt, steps = 1e-3, [0, 1, 7, 50, 200]
@@ -108,3 +110,32 @@ def test_falling_row_137_stops_at_the_textbook_step():
     with pytest.raises(CollisionApproachError) as info:
         _leapfrog(qs[137].tolist(), ps[137].tolist(), dt, [500, 2000])
     assert info.value.t == fell * dt
+
+
+def test_body_is_rendered_once_per_dimension():
+    codes = set()
+    for n in range(1, 7):
+        q, p = [1.0] + [0.5] * (n - 1), [0.0] * n
+        _leapfrog(q, p, 1e-3, [2])
+        _kepler_force(q)
+        force, leapfrog = _rendered(n)
+        _leapfrog(q, p, 1e-3, [3])
+        _kepler_force(q, 0.5)
+        assert _rendered(n) == (force, leapfrog)
+        assert leapfrog.__code__.co_filename == f"<leapfrog n={n}>"
+        codes |= {force.__code__, leapfrog.__code__}
+    assert len(codes) == 12
+
+
+def test_rendered_lines_are_in_linecache():
+    force, _ = _rendered(3)
+    # the force line is the first line of the force function's body after the unpacking
+    line = linecache.getline("<leapfrog n=3>", force.__code__.co_firstlineno + 2)
+    assert line.strip().startswith("r2 = (q0 * q0 + q2 * q2) + (q1 * q1); f = -(r2 ** -1.5);")
+    # a collision traceback shows the generated guard line
+    try:
+        _leapfrog([1e-3, 0.0, 0.0], [0.0, 0.0, 0.0], 1e-3, [5])
+    except CollisionApproachError as exc:
+        frames = traceback.extract_tb(exc.__traceback__)
+    assert frames[-1].filename == "<leapfrog n=3>"
+    assert frames[-1].line == "raise CollisionApproachError(0.0)"

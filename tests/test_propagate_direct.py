@@ -1,8 +1,9 @@
 """CLI direct propagation steps each output interval through the leapfrog's
 one step rule.  These tests hold its CSV bytes and its error lines to the
 path it replaced, one ``kepler_integrate`` call per interval, written out
-here as the reference."""
+here as the reference, and its q and p cells to the textbook leapfrog loop."""
 
+import math
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from keplerreg import CollisionApproachError, PhasePoint, kepler_integrate
 from keplerreg.cli import _csv_header, _csv_rows, main, parse_scenario
 from keplerreg.kernels import _integral_rows
+from test_leapfrog_reference import textbook_leapfrog
 
 # (q, p) per dimension: bound orbits that stay clear of the collision
 # guard up to t = 2, and a radial fall from rest that reaches q = 0 at
@@ -41,7 +43,10 @@ _CASES = {
 
 def old_direct_text(scenario) -> str:
     """The CSV text of a direct scenario as one kepler_integrate call per
-    output interval produced it, keeping each call's end state."""
+    output interval produced it, keeping each call's end state.  It shares
+    the CLI's step body, so it pins the step rule (step counts, closing
+    steps, collision times) and the row format, not the arithmetic inside a
+    step; test_rows_are_the_textbook_loop pins that."""
     state, now, states = PhasePoint(scenario.q, scenario.p), 0.0, []
     times = scenario.times()
     for t in times.tolist():
@@ -103,3 +108,55 @@ def test_state_overflowing_mid_run_exits_3_without_warnings(tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
     assert (code, out) == (3, "")
     assert err == f"error: propagation failed for {path}: q must have finite entries\n"
+
+
+def _cells(row: str, n: int) -> tuple[list[float], list[float]]:
+    cells = [float(c) for c in row.split(",")[1 : 1 + 2 * n]]
+    return cells[:n], cells[n:]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rows_are_the_textbook_loop(n, tmp_path, capsys):
+    # shaped like a benchmark scenario: dt = 1e-3, 60 rows up to t = 3.5
+    q, p = _ORBITS[n]
+    text = f"n = {n}\nq = {q}\np = {p}\nmode = direct\nt_end = 3.5\ndt = 0.001\noutput_count = 60\n"
+    path = tmp_path / "bench.scn"
+    path.write_text(text)
+    assert main(["propagate", str(path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    scenario = parse_scenario(text)
+    dt, times = scenario.dt, scenario.times().tolist()
+    state, closings = (scenario.q[None], scenario.p[None]), 0
+    assert _cells(rows[0], n) == (scenario.q.tolist(), scenario.p.tolist())
+    for row, now, t in zip(rows[1:], times[:-1], times[1:], strict=True):
+        # the step rule: floor(span/dt + 1e-12) steps of dt, then the rest if >= 1e-12 dt
+        steps = math.floor((t - now) / dt + 1e-12)
+        (state,), fell = textbook_leapfrog(*state, dt, [steps])
+        assert fell is None
+        rest = (t - now) - steps * dt
+        if rest >= 1e-12 * dt:
+            (state,), _ = textbook_leapfrog(*state, rest, [1])
+            closings += 1
+        assert _cells(row, n) == (state[0][0].tolist(), state[1][0].tolist())
+    assert closings > 0
+
+
+@pytest.mark.parametrize(
+    ("q", "p", "times", "t_bad"),
+    [
+        # q and p are finite, but H = |p|^2 / 2 overflows, and K and |K| with it
+        ("1e200,0", "1e160,0", "output_count = 3", "0"),
+        # H and K are finite, |K| = |q| |p|^2 ~ 1e160 is too, but K.K overflows
+        ("1e100,0", "0,1e30", "output_times = 0.25,1", "0.25"),
+    ],
+)
+def test_overflowing_first_integrals_exit_3_without_warnings(q, p, times, t_bad, tmp_path, capsys):
+    path = tmp_path / "huge.scn"
+    path.write_text(f"n = 2\nq = {q}\np = {p}\ndt = 0.5\nt_end = 1\n{times}\nmode = direct\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["propagate", str(path)])
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (3, "")
+    assert err == f"error: propagation failed for {path}: first integrals are not finite at t = {t_bad}\n"

@@ -17,7 +17,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .core import DomainError, PhasePoint, SphereCotangentPoint, kepler_energy
 from .dynamics import CollisionApproachError, _leapfrog_span, _regularized_rows, delaunay_energy
 from .harness import SUITE_NAMES, UnknownSuiteError, run_suite
-from .kernels import _check_rows, _delaunay_energy, _integral_rows, _wedge_entries
+from .kernels import _check_rows, _delaunay_energy, _integral_rows, _upper_pairs, _wedge_entries
 from .ligonschaaf import PunctureError, ls_inverse, ls_map
 from .moser import moser_fibration, moser_map, moser_map_inverse
 
@@ -75,6 +75,7 @@ class Scenario:
     dt: float | None = None
     output_times: np.ndarray | None = None
     output_count: int = 100
+    _times: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("direct", "regularized"):
@@ -88,8 +89,8 @@ class Scenario:
             raise DomainError("dt must be finite")
         if self.mode == "direct" and (self.dt is None or not self.dt > 0.0):
             raise DomainError("direct mode requires dt > 0")
-        if self.output_times is not None:
-            times = self.output_times
+        times = self.output_times
+        if times is not None:
             if times.size == 0:
                 raise DomainError("output_times must be nonempty when given")
             if np.any(times < 0.0) or np.any(np.diff(times) <= 0.0):
@@ -98,13 +99,19 @@ class Scenario:
                 raise DomainError("output_times must not exceed t_end")
         if self.output_count < 2:
             raise DomainError("output_count must be >= 2")
-        if self.output_times is None and np.any(np.diff(self.times()) <= 0.0):
-            raise DomainError(f"t_end is too small for {self.output_count} distinct output times")
+        if times is None:
+            times = np.linspace(0.0, self.t_end, self.output_count)
+            if np.any(np.diff(times) <= 0.0):
+                raise DomainError(
+                    f"t_end is too small for {self.output_count} distinct output times"
+                )
+            times.setflags(write=False)
+        object.__setattr__(self, "_times", times)
 
     def times(self) -> np.ndarray:
-        if self.output_times is not None:
-            return self.output_times
-        return np.linspace(0.0, self.t_end, self.output_count)
+        """The output times: ``output_times``, or else ``output_count``
+        evenly spaced times from 0 to t_end, built once."""
+        return self._times
 
 
 _SCENARIO_KEYS = ("n", "q", "p", "t_end", "mode", "dt", "output_times", "output_count")
@@ -233,15 +240,34 @@ def _csv_header(n: int) -> str:
 def _csv_rows(t, q, p, integrals, collision) -> list[str]:
     """One CSV row per entry of t, in header order, from the first-integral
     rows (H, L_ij, K); a row marked in ``collision`` prints empty q and p
-    cells and the flag ``collision``."""
+    cells and the flag ``collision``.
+
+    Every cell is ``'%.17g'`` of its double.  Regularized rows keep H, L_ij
+    and K to rounding, so those cells often repeat bit for bit; when at most
+    half of them are distinct bit patterns, each pattern is converted once
+    and the rows are built from those strings, which gives the same bytes."""
     n = q.shape[1]
     lenz = integrals[:, -n:]
-    table = np.column_stack([t, q, p, integrals, np.sqrt(np.vecdot(lenz, lenz))])
-    tail = ["%.17g"] * (integrals.shape[1] + 1)
-    phase = ",".join(["%.17g"] * (1 + 2 * n) + tail + [""])
+    tail = np.column_stack([integrals, np.sqrt(np.vecdot(lenz, lenz))])
+    # Bit patterns, not values: -0.0 == 0.0 prints differently.
+    bits = tail.view(np.int64)
+    ordered = np.sort(bits, axis=None)
+    distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
+    if 2 * distinct <= bits.size:
+        patterns, inverse = np.unique(bits, return_inverse=True)
+        text = np.array(["%.17g" % x for x in patterns.view(float).tolist()], dtype=object)
+        cells = text[inverse.reshape(bits.shape)]
+        table = np.concatenate([np.column_stack([t, q, p]).astype(object), cells], 1)
+        cell = "%s"
+    else:
+        table = np.column_stack([t, q, p, tail])
+        cell = "%.17g"
+    tail_cells = [cell] * tail.shape[1]
+    phase = ",".join(["%.17g"] * (1 + 2 * n) + tail_cells + [""])
     # "%.0s" prints nothing, which keeps a collision row's q and p cells empty.
-    hit = ",".join(["%.17g"] + ["%.0s"] * (2 * n) + tail + ["collision"])
-    return [(hit if c else phase) % tuple(row) for row, c in zip(table.tolist(), collision)]
+    hit = ",".join(["%.17g"] + ["%.0s"] * (2 * n) + tail_cells + ["collision"])
+    rows = zip(table.tolist(), collision.tolist())
+    return [(hit if c else phase) % tuple(row) for row, c in rows]
 
 
 def _sphere_integrals(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -251,7 +277,7 @@ def _sphere_integrals(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     energy = _delaunay_energy(v)
     n = u.shape[1] - 1
     lenz = _wedge_entries(u, v, np.arange(n), np.full(n, n)) * np.sqrt(-2.0 * energy)[:, None]
-    return np.concatenate([energy[:, None], _wedge_entries(u, v, *np.triu_indices(n, 1)), lenz], -1)
+    return np.concatenate([energy[:, None], _wedge_entries(u, v, *_upper_pairs(n)), lenz], -1)
 
 
 def _propagate_regularized(scenario: Scenario) -> list[str]:
@@ -265,7 +291,8 @@ def _propagate_regularized(scenario: Scenario) -> list[str]:
     collision = np.zeros(times.size, dtype=bool)
     collision[moving] = hit
     integrals = _integral_rows(q, p)
-    integrals[collision] = _sphere_integrals(u[hit], v[hit])
+    if hit.any():
+        integrals[collision] = _sphere_integrals(u[hit], v[hit])
     return _csv_rows(times, q, p, integrals, collision)
 
 

@@ -106,6 +106,20 @@ class SphereCotangentPoint:
     def __post_init__(self) -> None:
         _freeze_pair(self, "uv", sphere=True)
 
+    @classmethod
+    def _from_checked(
+        cls, u: np.ndarray, v: np.ndarray, at_puncture: bool = False
+    ) -> "SphereCotangentPoint":
+        """The point of float rows u, v (n+1,) that a kernel has just put
+        through the sphere check, frozen without a second check.  Only the
+        map wrappers call this; the public constructor keeps every check."""
+        point = object.__new__(cls)
+        for name, arr in (("u", u), ("v", v)):
+            arr.setflags(write=False)
+            object.__setattr__(point, name, arr)
+        object.__setattr__(point, "at_puncture", at_puncture)
+        return point
+
     @property
     def n(self) -> int:
         """Dimension of the underlying sphere S^n."""

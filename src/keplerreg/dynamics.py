@@ -258,7 +258,9 @@ def kepler_integrate(
     closing step lands exactly on t_end.
 
     Raises CollisionApproachError when |q|^3 falls below 10 dt^2, the
-    radius at which a step of size dt can no longer resolve the dynamics.
+    radius at which a step of size dt can no longer resolve the dynamics,
+    and DomainError when a state is finite but its energy, or the energy's
+    change since the start, is not (it overflows).
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -269,8 +271,13 @@ def kepler_integrate(
     times, states = _leapfrog_span(start.q.tolist(), start.p.tolist(), t_end, dt, record_every)
     qarr = np.array([q for q, _ in states])
     parr = np.array([p for _, p in states])
-    energies = _energy(qarr, parr)
-    drift = float(np.max(np.abs(energies - energies[0])))
+    with np.errstate(all="ignore"):
+        change = _energy(qarr, parr)
+        change -= change[0]
+    finite = np.isfinite(change)
+    if not finite.all():
+        raise DomainError(f"energy drift is not finite at t = {times[np.argmin(finite)]:.17g}")
+    drift = float(np.max(np.abs(change)))
     return Trajectory(
         times=np.asarray(times),
         qs=qarr,
@@ -301,7 +308,7 @@ def delaunay_flow(sp: SphereCotangentPoint, t: float) -> SphereCotangentPoint:
     length rho) to suppress drift over long flows.
     """
     u, v, at_puncture = _delaunay_flow_rows(sp.u, sp.v, np.array([t], float))
-    return SphereCotangentPoint(u[0], v[0], at_puncture=bool(at_puncture[0]))
+    return SphereCotangentPoint._from_checked(u[0], v[0], bool(at_puncture[0]))
 
 
 def _regularized_rows(start: SphereCotangentPoint, t: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -52,6 +52,7 @@ from .kernels import (
     _project,
     _reproject,
     _scale,
+    _upper_pairs,
     _wedge_entries,
 )
 from .ligonschaaf import _ROOT_TOL, _ls_inverse_rows, _solve_rotation_angle, angle_equation
@@ -558,7 +559,7 @@ def _suite_momenta_pullback(n: int, samples: int, seed: int) -> _Defects:
     momentum, entrywise."""
     qs, ps = _bound_rows(n, samples, seed)
     r, s, _ = _ls_map_rows(qs, ps)
-    i, j = np.triu_indices(n + 1, 1)
+    i, j = _upper_pairs(n + 1)
     diff = _wedge_entries(r, s, i, j) - _extended_rows(qs, ps)[:, i, j]
     return 1e-12, np.max(np.abs(diff), axis=-1).tolist(), _points(PhasePoint, qs, ps)
 
@@ -588,7 +589,7 @@ def _suite_so_brackets(n: int, samples: int, seed: int) -> _Defects:
     qs, ps = _bound_rows(n, samples, seed, min_energy=-2.0, max_energy=-0.2)
     upper = _extended_rows(qs, ps)
     values = upper - np.swapaxes(upper, -1, -2)
-    i, j = np.triu_indices(n + 1, 1)
+    i, j = _upper_pairs(n + 1)
     observed = _brackets(lambda q, p: _extended_rows(q, p)[..., i, j], qs, ps)
     # entry (x, y) pairs L_ab, x = (a, b), with L_cd, y = (c, d)
     a, b, c, d = i[:, None], j[:, None], i, j
@@ -618,7 +619,7 @@ def _suite_lenz_brackets(n: int, samples: int, seed: int) -> _Defects:
         block = rng.uniform(-half, half, size=(samples, 2 * n))
         rows = np.concatenate([rows, block[np.linalg.norm(block[:, :n], axis=1) >= 0.1]])
     qs, ps = _check_rows(rows[:samples, :n], rows[:samples, n:], "qp")
-    i, j = np.triu_indices(n, 1)
+    i, j = _upper_pairs(n)
     m = len(i)
     observed = _brackets(
         lambda q, p: np.concatenate([_wedge_entries(q, p, i, j), _lenz(q, p)], axis=-1), qs, ps

@@ -73,10 +73,25 @@ def _wedge_entries(a: np.ndarray, b: np.ndarray, i, j) -> np.ndarray:
     return a[..., i] * b[..., j] - a[..., j] * b[..., i]
 
 
+# np.triu_indices(n, 1) by n, read-only: built once per process and dimension.
+_UPPER_PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j) with 0 <= i < j < n, as np.triu_indices(n, 1)."""
+    pairs = _UPPER_PAIRS.get(n)
+    if pairs is None:
+        pairs = np.triu_indices(n, 1)
+        for index in pairs:
+            index.setflags(write=False)
+        _UPPER_PAIRS[n] = pairs
+    return pairs
+
+
 def _integral_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The first integrals (H, every L_ij with i < j, K) of rows (m, n), as
     rows (m, 1 + n(n-1)/2 + n); DomainError at q = 0."""
-    i, j = np.triu_indices(q.shape[-1], 1)
+    i, j = _upper_pairs(q.shape[-1])
     return np.concatenate([_energy(q, p)[:, None], _wedge_entries(q, p, i, j), _lenz(q, p)], -1)
 
 
@@ -89,7 +104,7 @@ def _extended_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         raise DomainError(f"H must be negative, got H = {energy[bad][0]:.6g}")
     n = q.shape[-1]
     upper = np.zeros(q.shape[:-1] + (n + 1, n + 1))
-    i, j = np.triu_indices(n, 1)
+    i, j = _upper_pairs(n)
     upper[..., i, j] = _wedge_entries(q, p, i, j)
     upper[..., :n, n] = _lenz(q, p) / np.sqrt(-2.0 * energy)[..., None]
     return upper

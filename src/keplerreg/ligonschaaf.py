@@ -92,7 +92,7 @@ def ls_map(point: PhasePoint) -> SphereCotangentPoint:
     rather than rejected; only the inverse map must refuse them.
     """
     r, s, at_puncture = _ls_map_rows(point.q, point.p)
-    return SphereCotangentPoint(r, s, at_puncture=bool(at_puncture))
+    return SphereCotangentPoint._from_checked(r, s, bool(at_puncture))
 
 
 def angle_equation(theta, r_last, s_last):

@@ -54,7 +54,7 @@ def moser_map(point: PhasePoint) -> SphereCotangentPoint:
 
     the stereographic lift of the geometric Fourier transform (p, -q).
     """
-    return SphereCotangentPoint(*_lift(point.p, -point.q))
+    return SphereCotangentPoint._from_checked(*_lift(point.p, -point.q))
 
 
 def moser_map_inverse(sp: SphereCotangentPoint) -> PhasePoint:
@@ -77,7 +77,7 @@ def moser_fibration(point: PhasePoint) -> SphereCotangentPoint:
     rounding error); the domain is still all of the bound region, so
     conditioning is the caller's concern.
     """
-    return SphereCotangentPoint(*_fibration_rows(point.q, point.p)[:2])
+    return SphereCotangentPoint._from_checked(*_fibration_rows(point.q, point.p)[:2])
 
 
 def scale_phase(point: PhasePoint, rho: float) -> PhasePoint:

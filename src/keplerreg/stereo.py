@@ -33,4 +33,4 @@ def to_sphere(pl: PlaneCotangentPoint) -> SphereCotangentPoint:
 
     The output satisfies |u| = 1 and u.v = 0 to machine precision.
     """
-    return SphereCotangentPoint(*_lift(pl.x, pl.y))
+    return SphereCotangentPoint._from_checked(*_lift(pl.x, pl.y))

@@ -10,10 +10,15 @@ from keplerreg import (
     PlaneCotangentPoint,
     SphereCotangentPoint,
     core,
+    delaunay_flow,
     harness,
     kepler_energy,
     ligonschaaf,
+    ls_map,
+    moser_fibration,
+    moser_map,
     sample_bound_states,
+    to_sphere,
 )
 
 
@@ -89,6 +94,24 @@ class TestSphereCotangentPoint:
         u = np.array([0.0, 0.0, 1.0 + 5e-9])
         with pytest.raises(DomainError):
             SphereCotangentPoint(u, [1, 0, 0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_map_wrappers_freeze_the_rows_their_kernels_checked(self, n):
+        # The wrappers skip the constructor's second check; what they return
+        # must still pass it and be as read-only as a constructed point.
+        pt = sample_bound_states(n, 1, 5)[0]
+        made = [
+            moser_map(pt),
+            moser_fibration(pt),
+            ls_map(pt),
+            delaunay_flow(ls_map(pt), 0.7),
+            to_sphere(PlaneCotangentPoint(pt.p, -pt.q)),
+        ]
+        for sp in made:
+            assert type(sp.at_puncture) is bool
+            assert not (sp.u.flags.writeable or sp.v.flags.writeable)
+            again = SphereCotangentPoint(sp.u, sp.v, sp.at_puncture)
+            assert (again.u.tobytes(), again.v.tobytes()) == (sp.u.tobytes(), sp.v.tobytes())
 
 
 class TestPlaneCotangentPoint:

@@ -70,6 +70,12 @@ class TestKeplerIntegrate:
         traj = kepler_integrate(circular, 20 * math.pi, 1e-3, record_every=100)
         assert traj.energy_drift <= 1e-6
 
+    def test_overflowing_energy_raises_without_warnings(self):
+        # A finite state whose H overflows: DomainError, not energy_drift = nan
+        # after numpy warnings, which pytest would raise as errors here.
+        with pytest.raises(DomainError, match="energy drift is not finite at t = 0$"):
+            kepler_integrate(PhasePoint([1e200, 0], [1e160, 0]), 1.0, 0.5)
+
     def test_matches_exact_circle(self, circular):
         # closed-form oracle: q(t) = (cos t, sin t), p(t) = (-sin t, cos t)
         traj = kepler_integrate(circular, 2.0, 1e-4, record_every=2500)

@@ -41,6 +41,7 @@ _KERNELS = (
     "_delaunay_energy",
     "_delaunay_flow_rows",
     "_wedge_entries",
+    "_upper_pairs",
     "_integral_rows",
     "_extended_rows",
 )

@@ -104,8 +104,21 @@ def _near_parabolic(n: int) -> str:
     )
 
 
+def _planar(n: int) -> str:
+    # A bound orbit in the (q1, q2) plane: for n >= 3 the other L_ij and K_i
+    # are signed zeros, 0 or -0 by the signs of q1, q2, p1 and p2 along it.
+    q, p = np.zeros(n), np.zeros(n)
+    q[0], p[0] = 1.0, 0.3
+    if n > 1:
+        p[1] = 1.1
+    return (
+        f"n = {n}\nq = {_vec(q)}\np = {_vec(p)}\nt_end = 12\n"
+        f"mode = regularized\noutput_count = 50\n"
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("kind", [_radial, _near_parabolic])
+@pytest.mark.parametrize("kind", [_radial, _near_parabolic, _planar])
 def test_cli_matches_per_row_oracle(kind, n, tmp_path, capsys):
     text = kind(n)
     scn = tmp_path / "s.scn"
@@ -115,6 +128,9 @@ def test_cli_matches_per_row_oracle(kind, n, tmp_path, capsys):
     assert rows == oracle_rows(parse_scenario(text))
     if kind is _radial:
         assert sum(row.endswith(",collision") for row in rows) == 2
+    if kind is _planar and n >= 3:
+        integral_cells = {cell for row in rows for cell in row.split(",")[1 + 2 * n : -1]}
+        assert {"0", "-0"} <= integral_cells
 
 
 def _sphere_rows(n: int, seed: int):

@@ -308,7 +308,8 @@ def _propagate_direct(scenario: Scenario) -> list[str]:
             except CollisionApproachError as exc:
                 raise CollisionApproachError(now + exc.t) from None
             (q, p), now = states[-1], t
-            _check_rows(np.array(q), np.array(p), "qp")
+            if not all(map(math.isfinite, q + p)):
+                _check_rows(np.array(q), np.array(p), "qp")  # raises, naming q or p
         rows.append(q + p)
     q, p = np.hsplit(np.array(rows), 2)
     # A finite state can still overflow H, K or |K|; such a row is an error, not inf/nan cells.

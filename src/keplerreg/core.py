@@ -50,6 +50,16 @@ def _freeze_pair(obj, names: str, *, sphere: bool = False) -> None:
     _check_rows(a, b, names, sphere=sphere)
 
 
+def _adopt(cls, **rows: np.ndarray):
+    """An instance of cls holding float rows a kernel has already checked,
+    made read-only without a second check: the value objects' ``_from_checked``."""
+    point = object.__new__(cls)
+    for name, arr in rows.items():
+        arr.setflags(write=False)
+        object.__setattr__(point, name, arr)
+    return point
+
+
 @dataclass(frozen=True, eq=False)
 class PhasePoint:
     """A point (q, p) of Kepler phase space T*R^n.
@@ -113,10 +123,7 @@ class SphereCotangentPoint:
         """The point of float rows u, v (n+1,) that a kernel has just put
         through the sphere check, frozen without a second check.  Only the
         map wrappers call this; the public constructor keeps every check."""
-        point = object.__new__(cls)
-        for name, arr in (("u", u), ("v", v)):
-            arr.setflags(write=False)
-            object.__setattr__(point, name, arr)
+        point = _adopt(cls, u=u, v=v)
         object.__setattr__(point, "at_puncture", at_puncture)
         return point
 
@@ -163,6 +170,13 @@ class PlaneCotangentPoint:
 
     def __post_init__(self) -> None:
         _freeze_pair(self, "xy")
+
+    @classmethod
+    def _from_checked(cls, x: np.ndarray, y: np.ndarray) -> "PlaneCotangentPoint":
+        """The point of float rows x, y (n,) that a kernel has just put
+        through the plane check, frozen without a second check.  Only the
+        map wrappers call this; the public constructor keeps every check."""
+        return _adopt(cls, x=x, y=y)
 
     @property
     def n(self) -> int:

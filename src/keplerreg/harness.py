@@ -573,8 +573,8 @@ def _suite_mu_squared(n: int, samples: int, seed: int) -> _Defects:
 
 
 def _brackets(field, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Every bracket {field_a, field_b} of a stacked field, (N, k, k), by
-    Richardson-extrapolated central differences."""
+    """Every bracket {field_a, field_b} of a stacked field, (N, k, k), from
+    one Richardson-extrapolated central-difference gradient of it."""
     return _bracket_batch(field, field, qs, ps, FD_STEP, richardson=True)
 
 

@@ -22,7 +22,7 @@ def to_plane(sp: SphereCotangentPoint) -> PlaneCotangentPoint:
     The polar fiber is excluded: points with 1 - u_(n+1) < 1e-10 are
     rejected to avoid overflow in the 1/(1 - u_(n+1)) factor.
     """
-    return PlaneCotangentPoint(*_project(sp.u, sp.v))
+    return PlaneCotangentPoint._from_checked(*_project(sp.u, sp.v))
 
 
 def to_sphere(pl: PlaneCotangentPoint) -> SphereCotangentPoint:

@@ -188,7 +188,8 @@ def _bracket_batch(
     """Canonical brackets {f, g} at a batch of points, by central differences.
 
     Fields valued (..., k) and (..., l) give every bracket {f_a, g_b} as
-    (..., k, l) from one gradient of each field; scalar fields give (...).
+    (..., k, l) from one gradient of each field, and from one gradient in
+    all when g is f; scalar fields give (...).
     """
     n = qs.shape[-1]
 
@@ -197,7 +198,7 @@ def _bracket_batch(
 
     z = np.concatenate([qs, ps], axis=-1)
     df = _central_differences(flat(f), z, h, richardson=richardson)
-    dg = _central_differences(flat(g), z, h, richardson=richardson)
+    dg = df if g is f else _central_differences(flat(g), z, h, richardson=richardson)
     batch = qs.ndim - 1
     kf, kg = df[0].ndim - batch, dg[0].ndim - batch
     # component axes of f first, then those of g

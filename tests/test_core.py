@@ -17,7 +17,9 @@ from keplerreg import (
     ls_map,
     moser_fibration,
     moser_map,
+    moser_map_inverse,
     sample_bound_states,
+    to_plane,
     to_sphere,
 )
 
@@ -112,6 +114,14 @@ class TestSphereCotangentPoint:
             assert not (sp.u.flags.writeable or sp.v.flags.writeable)
             again = SphereCotangentPoint(sp.u, sp.v, sp.at_puncture)
             assert (again.u.tobytes(), again.v.tobytes()) == (sp.u.tobytes(), sp.v.tobytes())
+        pl = to_plane(moser_map(pt))
+        assert type(pl) is PlaneCotangentPoint
+        assert not (pl.x.flags.writeable or pl.y.flags.writeable)
+        again = PlaneCotangentPoint(pl.x, pl.y)
+        assert (again.x.tobytes(), again.y.tobytes()) == (pl.x.tobytes(), pl.y.tobytes())
+        back = moser_map_inverse(moser_map(pt))
+        assert not (back.q.flags.writeable or back.p.flags.writeable)
+        assert (back.q.tobytes(), back.p.tobytes()) == ((-pl.y).tobytes(), pl.x.tobytes())
 
 
 class TestPlaneCotangentPoint:

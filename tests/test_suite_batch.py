@@ -33,6 +33,7 @@ from keplerreg import (
     sample_bound_states,
     scale_phase,
     sphere_momentum,
+    symmetry,
     to_plane,
     to_sphere,
 )
@@ -223,11 +224,26 @@ def test_scalar_calls_do_not_grow_with_samples(suite, scalar_calls):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("suite, most", [("so(n+1)-brackets", 1), ("lenz-brackets", 2)])
-def test_bracket_suites_take_one_gradient_per_field(suite, most, n, scalar_calls):
-    # one bracket call on the stacked fields, where there was one per pair
+@pytest.mark.parametrize("suite", ["so(n+1)-brackets", "lenz-brackets"])
+def test_bracket_suites_take_one_gradient_per_field(suite, n, monkeypatch):
+    # One Richardson gradient of the stacked field, where there was one per
+    # pair and then one per side: two stencil points for each of the 2n
+    # coordinates at each of the two steps, each on the whole batch.
+    seen = []
+    original = symmetry._central_differences
+
+    def counted(fn, z, h, **kwargs):
+        def evaluate(z_s):
+            seen.append((fn, z_s.shape))
+            return fn(z_s)
+
+        return original(evaluate, z, h, **kwargs)
+
+    monkeypatch.setattr(symmetry, "_central_differences", counted)
     assert harness.run_suite(suite, n, 20, 3).passed
-    assert 1 <= scalar_calls["symmetry._bracket_batch"] <= most
+    assert len(seen) == 8 * n
+    assert {shape for _, shape in seen} == {(20, 2 * n)}
+    assert len({id(fn) for fn, _ in seen}) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from keplerreg import (
     sample_bound_states,
     sphere_momentum,
 )
+from keplerreg.kernels import _energy, _lenz
+from keplerreg.symmetry import _bracket_batch, _central_differences
 
 SQRT7 = math.sqrt(7.0)
 WORKED = PhasePoint([1.0, 0.0], [0.0, 0.5])  # H = -7/8, L12 = 1/2, K = (-3/4, 0)
@@ -198,6 +200,53 @@ class TestPoissonBracket:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             poisson_bracket(lenz_field(0), lenz_field(1), WORKED, 0.0)
+
+    @pytest.mark.parametrize("richardson", [False, True])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_distinct_fields_keep_two_gradients_bit_for_bit(self, n, richardson):
+        pairs = [
+            (lenz_field(0), lenz_field(1)),
+            (angular_momentum_field(0, 1), lenz_field(n - 1)),
+            (hamiltonian_field(), extended_momentum_field(0, n, n)),
+        ]
+        for pt in sample_bound_states(n, 5, 17):
+            for f, g in pairs:
+                want = _two_gradient_bracket(f, g, pt.q, pt.p, 1e-6, richardson)
+                got = poisson_bracket(f, g, pt, 1e-6, richardson=richardson)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_stacked_gradient_equals_two(self, n):
+        # the engine shares the gradient of a field bracketed with itself;
+        # the brackets are those of two separate gradients, bit for bit
+        pts = sample_bound_states(n, 30, 19)
+        qs, ps = np.stack([pt.q for pt in pts]), np.stack([pt.p for pt in pts])
+
+        def field(q, p):
+            return np.concatenate([_lenz(q, p), _energy(q, p)[..., None]], axis=-1)
+
+        shared = _bracket_batch(field, field, qs, ps, 1e-6, richardson=True)
+        want = _two_gradient_bracket(field, field, qs, ps, 1e-6, True)
+        assert shared.shape == (30, n + 1, n + 1)
+        assert shared.tobytes() == want.tobytes()
+
+
+def _two_gradient_bracket(f, g, qs, ps, h, richardson):
+    """The bracket engine with one central-difference gradient of f and
+    another of g, even when g is f: the reference that the engine's
+    results must equal bit for bit."""
+    n = qs.shape[-1]
+    z = np.concatenate([qs, ps], axis=-1)
+    df = _central_differences(lambda z: f(z[..., :n], z[..., n:]), z, h, richardson=richardson)
+    dg = _central_differences(lambda z: g(z[..., :n], z[..., n:]), z, h, richardson=richardson)
+    batch = qs.ndim - 1
+    kf, kg = df[0].ndim - batch, dg[0].ndim - batch
+    df = [d.reshape(d.shape + (1,) * kg) for d in df]
+    dg = [d.reshape(d.shape[:batch] + (1,) * kf + d.shape[batch:]) for d in dg]
+    total = 0.0
+    for k in range(n):
+        total = total + df[k] * dg[n + k] - df[n + k] * dg[k]
+    return total
 
 
 class TestExtendedMomentumField:

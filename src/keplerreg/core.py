@@ -22,6 +22,8 @@ from .kernels import (
     _lenz,
     _norm_squared,
     _on_pole,
+    _upper_pairs,
+    _wedge_entries,
 )
 
 __all__ = [
@@ -213,7 +215,12 @@ class MomentumMatrix:
         """The wedge a ^ b with entries a_i b_j - a_j b_i."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        return cls(np.outer(a, b) - np.outer(b, a))
+        if a.ndim != 1 or a.shape != b.shape:
+            raise DomainError("wedge factors must be vectors of one length")
+        upper = np.zeros((a.size, a.size))
+        pairs = _upper_pairs(a.size)
+        upper[pairs] = _wedge_entries(a, b, *pairs)
+        return cls(upper)
 
     @property
     def dim(self) -> int:

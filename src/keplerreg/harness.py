@@ -96,8 +96,6 @@ def jacobian(fn: Callable[[np.ndarray], np.ndarray], point, h: float) -> np.ndar
     roundoff error.  Domain errors raised by the map are re-raised with
     the offending stencil point identified.
     """
-    if not h > 0.0:
-        raise ValueError("h must be positive")
     return np.stack(_central_differences(fn, np.asarray(point, dtype=float), h), axis=-1)
 
 
@@ -572,12 +570,6 @@ def _suite_mu_squared(n: int, samples: int, seed: int) -> _Defects:
     return 1e-12, defects.tolist(), _points(PhasePoint, qs, ps)
 
 
-def _brackets(field, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Every bracket {field_a, field_b} of a stacked field, (N, k, k), from
-    one Richardson-extrapolated central-difference gradient of it."""
-    return _bracket_batch(field, field, qs, ps, FD_STEP, richardson=True)
-
-
 def _suite_so_brackets(n: int, samples: int, seed: int) -> _Defects:
     """All so(n+1) bracket relations on bound samples.
 
@@ -590,7 +582,9 @@ def _suite_so_brackets(n: int, samples: int, seed: int) -> _Defects:
     upper = _extended_rows(qs, ps)
     values = upper - np.swapaxes(upper, -1, -2)
     i, j = _upper_pairs(n + 1)
-    observed = _brackets(lambda q, p: _extended_rows(q, p)[..., i, j], qs, ps)
+    observed = _bracket_batch(
+        lambda q, p: _extended_rows(q, p)[..., i, j], qs, ps, FD_STEP, richardson=True
+    )
     # entry (x, y) pairs L_ab, x = (a, b), with L_cd, y = (c, d)
     a, b, c, d = i[:, None], j[:, None], i, j
     expected = (
@@ -621,9 +615,11 @@ def _suite_lenz_brackets(n: int, samples: int, seed: int) -> _Defects:
     qs, ps = _check_rows(rows[:samples, :n], rows[:samples, n:], "qp")
     i, j = _upper_pairs(n)
     m = len(i)
-    observed = _brackets(
-        lambda q, p: np.concatenate([_wedge_entries(q, p, i, j), _lenz(q, p)], axis=-1), qs, ps
-    )
+
+    def stacked(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return np.concatenate([_wedge_entries(q, p, i, j), _lenz(q, p)], axis=-1)
+
+    observed = _bracket_batch(stacked, qs, ps, FD_STEP, richardson=True)
     lenz, k = _lenz(qs, ps), np.arange(n)
     # {L_ij, K_k} at entry (ij, k), then {K_i, K_j} for i < j
     expected = (i[:, None] == k) * lenz[:, j, None] - (j[:, None] == k) * lenz[:, i, None]

@@ -140,6 +140,8 @@ def _central_differences(
     DomainError raised by fn is re-raised naming the stencil point (of a
     batch, the first row that raises) on one line, floats round-trip.
     """
+    if not h > 0.0:
+        raise ValueError("h must be positive")
 
     def evaluate(z_s: np.ndarray, k: int) -> np.ndarray:
         try:
@@ -177,36 +179,23 @@ def _central_differences(
 
 
 def _bracket_batch(
-    f: ScalarField,
-    g: ScalarField,
+    field: ScalarField,
     qs: np.ndarray,
     ps: np.ndarray,
     h: float,
     *,
     richardson: bool = False,
 ) -> np.ndarray:
-    """Canonical brackets {f, g} at a batch of points, by central differences.
-
-    Fields valued (..., k) and (..., l) give every bracket {f_a, g_b} as
-    (..., k, l) from one gradient of each field, and from one gradient in
-    all when g is f; scalar fields give (...).
-    """
+    """Every canonical bracket {field_a, field_b} of a field valued (..., k),
+    as (..., k, k), from one central-difference gradient of it."""
     n = qs.shape[-1]
-
-    def flat(field: ScalarField) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda z: field(z[..., :n], z[..., n:])
-
     z = np.concatenate([qs, ps], axis=-1)
-    df = _central_differences(flat(f), z, h, richardson=richardson)
-    dg = df if g is f else _central_differences(flat(g), z, h, richardson=richardson)
-    batch = qs.ndim - 1
-    kf, kg = df[0].ndim - batch, dg[0].ndim - batch
-    # component axes of f first, then those of g
-    df = [d.reshape(d.shape + (1,) * kg) for d in df]
-    dg = [d.reshape(d.shape[:batch] + (1,) * kf + d.shape[batch:]) for d in dg]
+    grad = _central_differences(
+        lambda z: field(z[..., :n], z[..., n:]), z, h, richardson=richardson
+    )
     total = 0.0
-    for k in range(n):
-        total = total + df[k] * dg[n + k] - df[n + k] * dg[k]
+    for dq, dp in zip(grad[:n], grad[n:]):
+        total = total + dq[..., :, None] * dp[..., None, :] - dp[..., :, None] * dq[..., None, :]
     return total
 
 
@@ -217,29 +206,16 @@ def poisson_bracket(
     h: float,
     *,
     richardson: bool = False,
-    domain: Callable[[np.ndarray, np.ndarray], bool] | None = None,
 ) -> float:
     """Central-difference estimate of the canonical bracket {f, g}.
 
     {f, g} = sum_k df/dq_k dg/dp_k - df/dp_k dg/dq_k, error O(h^2) for
     smooth fields, tightened to O(h^4) by two-step Richardson
-    extrapolation of each derivative when ``richardson`` is set.
-
-    When a ``domain`` predicate is supplied, every stencil point is checked
-    before a field is evaluated there, and a DomainError identifies the
-    offending one.
+    extrapolation of each derivative when ``richardson`` is set.  Both
+    derivatives come from one gradient of the pair (f, g); a DomainError
+    names the first stencil point where either field leaves its domain.
     """
-    if not h > 0.0:
-        raise ValueError("h must be positive")
-    if domain is not None:
-
-        def restricted(field: ScalarField) -> ScalarField:
-            def checked(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-                if not domain(q, p):
-                    raise DomainError("outside the field domain")
-                return field(q, p)
-
-            return checked
-
-        f, g = restricted(f), restricted(g)
-    return float(_bracket_batch(f, g, point.q, point.p, h, richardson=richardson))
+    pair = _bracket_batch(
+        lambda q, p: np.array([f(q, p), g(q, p)]), point.q, point.p, h, richardson=richardson
+    )
+    return float(pair[0, 1])

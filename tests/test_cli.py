@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from keplerreg.cli import main, parse_scenario
-from keplerreg import DomainError
+from keplerreg.cli import Scenario, main, parse_scenario
+from keplerreg import DomainError, PhasePoint, delaunay_energy, harness, kepler_energy, moser_map
 
 
 def run_cli(argv, capsys):
@@ -90,6 +90,26 @@ class TestMapCommand:
         assert code == 1
         assert "requires" in err
 
+    def test_moser(self, capsys):
+        q, p = "1.2,-0.3,0.4", "0.1,0.8,-0.2"
+        code, out, err = run_cli(["map", "--which", "moser", "--q", q, "--p", p], capsys)
+        assert (code, err) == (0, "")
+        record = dict(line.split(" = ") for line in out.strip().splitlines())
+        point = PhasePoint([float(c) for c in q.split(",")], [float(c) for c in p.split(",")])
+        sp = moser_map(point)
+        assert record["which"] == "moser"
+        assert [float(c) for c in record["u"].split(",")] == sp.u.tolist()
+        assert [float(c) for c in record["v"].split(",")] == sp.v.tolist()
+        assert float(record["H"]) == kepler_energy(point)
+        assert float(record["covector_norm"]) == sp.covector_norm
+        assert float(record["delaunay_energy"]) == delaunay_energy(sp)
+        assert record["at_puncture"] == ("true" if sp.at_puncture else "false")
+
+    def test_ls_inverse_missing_vectors(self, capsys):
+        code, out, err = run_cli(["map", "--which", "ls-inverse", "--u", "0,0,1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: --which ls-inverse requires --u and --v\n"
+
     def test_fibration(self, capsys):
         code, out, _ = run_cli(
             ["map", "--which", "fibration", "--q", "4,0", "--p", "0,0.5"], capsys
@@ -149,6 +169,49 @@ class TestPropagateCommand:
         code, _, err = run_cli(["propagate", str(scn), "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 1
         assert "missing required key" in err
+
+    def test_out_with_several_scenarios_exit_1(self, tmp_path, capsys):
+        a = write_scenario(tmp_path, "a.scn", CIRCULAR_REG)
+        b = write_scenario(tmp_path, "b.scn", RECT_REG)
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run_cli(["propagate", str(a), str(b), "--out", str(out_csv)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: use --out-dir with multiple scenarios\n"
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n = 2\nq 1,0\n", "scenario line 2 is not key = value: 'q 1,0'"),
+            (
+                "n = 2\nq = 1,x\np = 0,1\nt_end = 1\nmode = regularized\n",
+                "q must be comma-separated decimals, got '1,x'",
+            ),
+            (
+                "n = 3\nq = 1,0\np = 0,1\nt_end = 1\nmode = regularized\n",
+                "q and p must have length n",
+            ),
+            (
+                "n = 2\nq = 1,0\np = 0,1,0\nt_end = 1\nmode = regularized\n",
+                "q and p must have length n",
+            ),
+            (
+                "n = 2\nq = 1,0\np = 0,1\nt_end = 1\nmode = regularized\n"
+                "output_times = 0,0.5,0.5\n",
+                "output_times must be nonnegative and strictly increasing",
+            ),
+            (
+                "n = 2\nq = 1,0\np = 0,1\nt_end = 1\nmode = regularized\noutput_count = 1\n",
+                "output_count must be >= 2",
+            ),
+        ],
+        ids=["no-equals", "non-numeric-q", "q-length", "p-length", "times-repeat", "count-1"],
+    )
+    def test_invalid_scenario_message_exit_1(self, text, message, tmp_path, capsys):
+        scn = write_scenario(tmp_path, "bad.scn", text)
+        code, out, err = run_cli(["propagate", str(scn), "--out", str(tmp_path / "x.csv")], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid scenario {scn}: {message}\n"
 
     def test_direct_requires_dt(self, tmp_path, capsys):
         scn = write_scenario(
@@ -228,6 +291,40 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--suite", "metric", "--samples", "10"], capsys)
         assert code == 2
         assert out.strip().endswith("fail")
+
+    def test_raising_suite_reports_and_exits_2(self, capsys, monkeypatch):
+        # A suite whose own samples raise is a failed check: every suite
+        # still prints its line, the raising ones as inf and fail.
+        argv = ["verify", "--suite", "all", "--samples", "20", "--seed", "3"]
+        code, clean, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+
+        def leaves_domain(q, p):
+            raise DomainError("r.s = 0 broke")
+
+        monkeypatch.setattr(harness, "_ls_map_rows", leaves_domain)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        raised = []
+        for before, after in zip(clean.splitlines(), out.splitlines(), strict=True):
+            name = before.split(",")[0]
+            if after != before:
+                assert after == f"{name},20,inf,fail"
+                raised.append(name)
+        assert "ls-roundtrip" in raised
+        lines = err.splitlines()
+        assert [line.split(" raised: ")[0] for line in lines] == [
+            f"error: suite {name}" for name in raised
+        ]
+        assert all(line.endswith("r.s = 0 broke") for line in lines)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--n", "0"], "n must be >= 1"), (["--samples", "0"], "samples must be >= 1")],
+    )
+    def test_argument_errors_exit_1(self, flags, message, capsys):
+        code, out, err = run_cli(["verify", "--suite", "all", *flags], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("suite", ["all", "conservation"])
     def test_n1_reports_every_suite(self, suite, capsys):
@@ -378,6 +475,17 @@ class TestScenarioParsing:
     def test_duplicate_key(self):
         with pytest.raises(DomainError, match="repeats key 'p'"):
             parse_scenario(CIRCULAR_REG + "p = 0,0.5\n")
+
+    def test_empty_output_times_rejected(self):
+        with pytest.raises(DomainError, match="output_times must be nonempty when given"):
+            Scenario(
+                n=2,
+                q=np.array([1.0, 0.0]),
+                p=np.array([0.0, 1.0]),
+                t_end=1.0,
+                mode="regularized",
+                output_times=np.array([]),
+            )
 
     def test_output_times_beyond_t_end(self):
         with pytest.raises(DomainError, match="t_end"):

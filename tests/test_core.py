@@ -137,6 +137,28 @@ class TestMomentumMatrix:
             m = MomentumMatrix.wedge(rng.standard_normal(4), rng.standard_normal(4))
             assert np.array_equal(m.entries, -m.entries.T)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_wedge_equals_outer_form_bit_for_bit(self, k):
+        # _wedge_entries' a_i b_j - a_j b_i against np.outer's a_i b_j - b_i a_j:
+        # the products commute, so every upper entry and its sign of zero agree
+        rng = np.random.default_rng(k)
+        zeros = np.array([0.0, -0.0])
+        factors = [rng.standard_normal((2, k)) for _ in range(20)]
+        factors += [rng.choice(zeros, size=(2, k)) for _ in range(20)]
+        factors += [np.where(rng.random((2, k)) < 0.5, rng.choice(zeros, (2, k)), f)
+                    for f in factors[:20]]
+        negative_zeros = 0
+        for a, b in factors:
+            want = np.triu(np.outer(a, b) - np.outer(b, a), 1)
+            got = MomentumMatrix.wedge(a, b).upper
+            assert got.tobytes() == want.tobytes()
+            negative_zeros += np.count_nonzero(np.signbit(want) & (want == 0.0))
+        assert negative_zeros > 0
+
+    def test_wedge_factors_must_match(self):
+        with pytest.raises(DomainError, match="one length"):
+            MomentumMatrix.wedge([1.0, 0.0], [0.0, 1.0, 2.0])
+
     def test_entry_reflection(self):
         m = MomentumMatrix.wedge([1.0, 0.0], [0.0, 0.5])
         assert m.entry(0, 1) == 0.5

@@ -4,6 +4,7 @@ import pytest
 from keplerreg import (
     DomainError,
     PhasePoint,
+    SphereCotangentPoint,
     UnknownSuiteError,
     harness,
     jacobian,
@@ -15,6 +16,7 @@ from keplerreg import (
     suite_registry,
     symplectic_defect,
 )
+from keplerreg.core import _bound_rows
 from keplerreg.harness import (
     SUITE_NAMES,
     SuiteReport,
@@ -181,6 +183,36 @@ class TestReports:
                 (pt.q.tobytes(), pt.p.tobytes()) for pt in drawn
             )
             assert report.line().endswith(",fail")
+
+    def test_ls_roundtrip_names_puncture_and_q_side_failures(self, monkeypatch):
+        # The inverse marks one sphere sample as a puncture and misses one
+        # q-side sample: both are reported, each rebuildable bit for bit.
+        n, samples, seed, bad_q, bad_sphere = 3, 30, 4, 7, 12
+        inverse_rows = harness._ls_inverse_rows
+
+        def faulty(us, vs):
+            q, p, puncture = (a.copy() for a in inverse_rows(us, vs))
+            q[bad_q, 0] += 1e-6
+            puncture[samples + bad_sphere] = True
+            return q, p, puncture
+
+        monkeypatch.setattr(harness, "_ls_inverse_rows", faulty)
+        report = run_suite("ls-roundtrip", n, samples, seed)
+        assert len(report.failures) == 2
+        by_kind = {f.where.partition("(")[0]: f.where for f in report.failures}
+        assert set(by_kind) == {"PhasePoint", "unexpected puncture at SphereCotangentPoint"}
+        names = {"PhasePoint": PhasePoint, "SphereCotangentPoint": SphereCotangentPoint,
+                 "array": np.array}
+        point = eval(by_kind["PhasePoint"], names)
+        qs, ps = _bound_rows(n, samples, seed)
+        assert point.q.tobytes() == qs[bad_q].tobytes()
+        assert point.p.tobytes() == ps[bad_q].tobytes()
+        where = by_kind["unexpected puncture at SphereCotangentPoint"]
+        sphere = eval(where.removeprefix("unexpected puncture at "), names)
+        us, vs = harness._sample_sphere(np.random.default_rng(seed + 1), n, samples)
+        assert sphere.u.tobytes() == us[bad_sphere].tobytes()
+        assert sphere.v.tobytes() == vs[bad_sphere].tobytes()
+        assert not sphere.at_puncture
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError, match="failures"):

@@ -27,12 +27,13 @@ def _reference(q0, p0, t):
     return end.q, end.p
 
 
-@pytest.mark.parametrize("workload", ["propagate-regularized", "propagate-direct"])
-def test_tiny_workload_passes_benchmark_checks(workload, tmp_path, monkeypatch, capsys):
+def _failed_rows(workload: str, seed: int, tiny: bool, workdir: Path, monkeypatch) -> dict:
+    """Failed output rows of each propagate operation of one pass, by the
+    benchmark's own checks; every call must exit 0."""
     workloads = _load("workloads", monkeypatch)
     checks = _load("checks", monkeypatch)
     failed = {}
-    for op in workloads.build(workload, 0, tmp_path, tiny=True):
+    for op in workloads.build(workload, seed, workdir, tiny=tiny):
         for path, text in op.files.items():
             path.write_text(text)
         assert main(op.argv) == 0, op.ident
@@ -41,7 +42,23 @@ def test_tiny_workload_passes_benchmark_checks(workload, tmp_path, monkeypatch, 
             failed[op.ident] = checks.check_regularized(op, text)
         else:
             failed[op.ident] = checks.check_direct(op, text, _reference)
+    return failed
+
+
+@pytest.mark.parametrize("workload", ["propagate-regularized", "propagate-direct"])
+def test_tiny_workload_passes_benchmark_checks(workload, tmp_path, monkeypatch, capsys):
+    failed = _failed_rows(workload, 0, True, tmp_path, monkeypatch)
     assert len(failed) >= 6
+    assert not any(failed.values()), failed
+
+
+@pytest.mark.parametrize("seed", [23, 59])
+@pytest.mark.parametrize("workload", ["propagate-regularized", "propagate-direct"])
+def test_full_workload_passes_benchmark_checks(workload, seed, tmp_path, monkeypatch, capsys):
+    # The full inputs of a benchmark pass: a run exits 1 on any failed row,
+    # so an output the checks reject is caught here rather than in a timing run.
+    failed = _failed_rows(workload, seed, False, tmp_path, monkeypatch)
+    assert len(failed) >= 100
     assert not any(failed.values()), failed
 
 

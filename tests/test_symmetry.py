@@ -184,18 +184,14 @@ class TestPoissonBracket:
         assert fine == pytest.approx(exact, abs=1e-8)
 
     def test_domain_predicate(self):
-        def domain(q, p):
-            return bool(np.linalg.norm(q) > 0.5)
+        def field(q, p):
+            if not np.linalg.norm(q) > 0.5:
+                raise DomainError("outside the field domain")
+            return _energy(q, p)
 
         point = PhasePoint([0.5 + 1e-7, 0.0], [0.0, 1.0])
         with pytest.raises(DomainError, match="stencil"):
-            poisson_bracket(
-                hamiltonian_field(),
-                hamiltonian_field(),
-                point,
-                1e-6,
-                domain=domain,
-            )
+            poisson_bracket(field, hamiltonian_field(), point, 1e-6)
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
@@ -217,15 +213,15 @@ class TestPoissonBracket:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_stacked_gradient_equals_two(self, n):
-        # the engine shares the gradient of a field bracketed with itself;
-        # the brackets are those of two separate gradients, bit for bit
+        # the engine takes one gradient of the stacked field; its brackets
+        # are those of two separate gradients, bit for bit
         pts = sample_bound_states(n, 30, 19)
         qs, ps = np.stack([pt.q for pt in pts]), np.stack([pt.p for pt in pts])
 
         def field(q, p):
             return np.concatenate([_lenz(q, p), _energy(q, p)[..., None]], axis=-1)
 
-        shared = _bracket_batch(field, field, qs, ps, 1e-6, richardson=True)
+        shared = _bracket_batch(field, qs, ps, 1e-6, richardson=True)
         want = _two_gradient_bracket(field, field, qs, ps, 1e-6, True)
         assert shared.shape == (30, n + 1, n + 1)
         assert shared.tobytes() == want.tobytes()

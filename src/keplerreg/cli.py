@@ -24,9 +24,9 @@ import numpy as np
 
 from .core import DomainError, PhasePoint, SphereCotangentPoint, kepler_energy
 from .dynamics import CollisionApproachError, _leapfrog_span, _regularized_rows, delaunay_energy
-from .harness import SUITE_NAMES, UnknownSuiteError, run_suite
-from .kernels import _check_rows, _delaunay_energy, _integral_rows, _upper_pairs, _wedge_entries
-from .ligonschaaf import PunctureError, ls_inverse, ls_map
+from .harness import SUITE_NAMES, run_suite
+from .kernels import _check_rows, _integral_rows, _sphere_integral_rows
+from .ligonschaaf import ls_inverse, ls_map
 from .moser import moser_fibration, moser_map, moser_map_inverse
 
 __all__ = ["main", "build_parser", "Scenario", "parse_scenario"]
@@ -183,37 +183,33 @@ def _sphere_record(sp: SphereCotangentPoint) -> list[str]:
 
 def _cmd_map(args, out) -> int:
     lines: list[str] = []
-    try:
-        if args.which in ("moser", "fibration", "ls"):
-            if args.q is None or args.p is None:
-                raise DomainError(f"--which {args.which} requires --q and --p")
-            point = PhasePoint(_parse_vector(args.q, "q"), _parse_vector(args.p, "p"))
-            lines.append(f"which = {args.which}")
-            lines.append(f"q = {_fmt_vector(point.q)}")
-            lines.append(f"p = {_fmt_vector(point.p)}")
-            if args.which == "moser":
-                sp = moser_map(point)
-            elif args.which == "fibration":
-                sp = moser_fibration(point)
-            else:
-                sp = ls_map(point)
-            lines.append(f"H = {_fmt(kepler_energy(point))}")
-            lines.extend(_sphere_record(sp))
+    if args.which in ("moser", "fibration", "ls"):
+        if args.q is None or args.p is None:
+            raise DomainError(f"--which {args.which} requires --q and --p")
+        point = PhasePoint(_parse_vector(args.q, "q"), _parse_vector(args.p, "p"))
+        lines.append(f"which = {args.which}")
+        lines.append(f"q = {_fmt_vector(point.q)}")
+        lines.append(f"p = {_fmt_vector(point.p)}")
+        if args.which == "moser":
+            sp = moser_map(point)
+        elif args.which == "fibration":
+            sp = moser_fibration(point)
         else:
-            if args.u is None or args.v is None:
-                raise DomainError(f"--which {args.which} requires --u and --v")
-            sp = SphereCotangentPoint(_parse_vector(args.u, "u"), _parse_vector(args.v, "v"))
-            lines.append(f"which = {args.which}")
-            lines.append(f"u = {_fmt_vector(sp.u)}")
-            lines.append(f"v = {_fmt_vector(sp.v)}")
-            lines.append(f"delaunay_energy = {_fmt(delaunay_energy(sp))}")
-            point = moser_map_inverse(sp) if args.which == "moser-inverse" else ls_inverse(sp)
-            lines.append(f"q = {_fmt_vector(point.q)}")
-            lines.append(f"p = {_fmt_vector(point.p)}")
-            lines.append(f"H = {_fmt(kepler_energy(point))}")
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
+            sp = ls_map(point)
+        lines.append(f"H = {_fmt(kepler_energy(point))}")
+        lines.extend(_sphere_record(sp))
+    else:
+        if args.u is None or args.v is None:
+            raise DomainError(f"--which {args.which} requires --u and --v")
+        sp = SphereCotangentPoint(_parse_vector(args.u, "u"), _parse_vector(args.v, "v"))
+        lines.append(f"which = {args.which}")
+        lines.append(f"u = {_fmt_vector(sp.u)}")
+        lines.append(f"v = {_fmt_vector(sp.v)}")
+        lines.append(f"delaunay_energy = {_fmt(delaunay_energy(sp))}")
+        point = moser_map_inverse(sp) if args.which == "moser-inverse" else ls_inverse(sp)
+        lines.append(f"q = {_fmt_vector(point.q)}")
+        lines.append(f"p = {_fmt_vector(point.p)}")
+        lines.append(f"H = {_fmt(kepler_energy(point))}")
     out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -270,16 +266,6 @@ def _csv_rows(t, q, p, integrals, collision) -> list[str]:
     return [(hit if c else phase) % tuple(row) for row, c in rows]
 
 
-def _sphere_integrals(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The first-integral rows (H, L_ij, K) of sphere rows (m, n+1), where q
-    and p are undefined: the Delaunay energy and u ^ v, whose last column is
-    K / sqrt(-2H)."""
-    energy = _delaunay_energy(v)
-    n = u.shape[1] - 1
-    lenz = _wedge_entries(u, v, np.arange(n), np.full(n, n)) * np.sqrt(-2.0 * energy)[:, None]
-    return np.concatenate([energy[:, None], _wedge_entries(u, v, *_upper_pairs(n)), lenz], -1)
-
-
 def _propagate_regularized(scenario: Scenario) -> list[str]:
     """All rows of one scenario as one batch: one flow, one inverse, one row evaluation."""
     start = PhasePoint(scenario.q, scenario.p)
@@ -292,7 +278,7 @@ def _propagate_regularized(scenario: Scenario) -> list[str]:
     collision[moving] = hit
     integrals = _integral_rows(q, p)
     if hit.any():
-        integrals[collision] = _sphere_integrals(u[hit], v[hit])
+        integrals[collision] = _sphere_integral_rows(u[hit], v[hit])
     return _csv_rows(times, q, p, integrals, collision)
 
 
@@ -331,7 +317,7 @@ def _cmd_propagate(args, out) -> int:
     for path in paths:
         try:
             scenario = parse_scenario(path.read_text())
-        except (OSError, DomainError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             sys.stderr.write(f"error: invalid scenario {path}: {exc}\n")
             return EXIT_INVALID
         try:
@@ -339,7 +325,7 @@ def _cmd_propagate(args, out) -> int:
                 rows = _propagate_regularized(scenario)
             else:
                 rows = _propagate_direct(scenario)
-        except (CollisionApproachError, DomainError, PunctureError) as exc:
+        except (CollisionApproachError, DomainError) as exc:
             sys.stderr.write(f"error: propagation failed for {path}: {exc}\n")
             return EXIT_NUMERIC
         text = "\n".join([_csv_header(scenario.n)] + rows) + "\n"
@@ -366,9 +352,6 @@ def _cmd_verify(args, out) -> int:
     for name in names:
         try:
             report = run_suite(name, args.n, args.samples, args.seed)
-        except UnknownSuiteError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_INVALID
         except DomainError as exc:
             # the suite's own samples left a map's domain: a failed check, not bad input
             sys.stderr.write(f"error: suite {name} raised: {exc}\n")

@@ -10,7 +10,7 @@ check and ``DomainError`` live in ``keplerreg.kernels``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,18 +52,25 @@ def _freeze_pair(obj, names: str, *, sphere: bool = False) -> None:
     _check_rows(a, b, names, sphere=sphere)
 
 
-def _adopt(cls, **rows: np.ndarray):
-    """An instance of cls holding float rows a kernel has already checked,
-    made read-only without a second check: the value objects' ``_from_checked``."""
-    point = object.__new__(cls)
-    for name, arr in rows.items():
-        arr.setflags(write=False)
-        object.__setattr__(point, name, arr)
-    return point
+class _Point:
+    """Base of the point value objects.  Their constructor checks rows that
+    come from outside; ``_from_checked`` adopts rows a kernel has checked."""
+
+    @classmethod
+    def _from_checked(cls, a: np.ndarray, b: np.ndarray, *rest):
+        """The point of float rows a, b that a kernel has just put through this
+        class's check, frozen without a second check; each later field takes
+        its value from rest, or else its default.  Only the map wrappers and
+        the samplers call this; the public constructor keeps every check."""
+        a.setflags(write=False)
+        b.setflags(write=False)
+        point, values = object.__new__(cls), iter((a, b, *rest))
+        vars(point).update((f.name, next(values, f.default)) for f in fields(cls))
+        return point
 
 
 @dataclass(frozen=True, eq=False)
-class PhasePoint:
+class PhasePoint(_Point):
     """A point (q, p) of Kepler phase space T*R^n.
 
     q is the position and p the momentum, both length-n vectors in units
@@ -101,7 +108,7 @@ class PhasePoint:
 
 
 @dataclass(frozen=True, eq=False)
-class SphereCotangentPoint:
+class SphereCotangentPoint(_Point):
     """A covector (u, v) on the unit sphere S^n, embedded in R^(n+1) x R^(n+1).
 
     Construction enforces the constraints |u| = 1 and u.v = 0 to within
@@ -117,17 +124,6 @@ class SphereCotangentPoint:
 
     def __post_init__(self) -> None:
         _freeze_pair(self, "uv", sphere=True)
-
-    @classmethod
-    def _from_checked(
-        cls, u: np.ndarray, v: np.ndarray, at_puncture: bool = False
-    ) -> "SphereCotangentPoint":
-        """The point of float rows u, v (n+1,) that a kernel has just put
-        through the sphere check, frozen without a second check.  Only the
-        map wrappers call this; the public constructor keeps every check."""
-        point = _adopt(cls, u=u, v=v)
-        object.__setattr__(point, "at_puncture", at_puncture)
-        return point
 
     @property
     def n(self) -> int:
@@ -164,7 +160,7 @@ class SphereCotangentPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class PlaneCotangentPoint:
+class PlaneCotangentPoint(_Point):
     """A point (x, y) of T*R^n, the stereographic chart target."""
 
     x: np.ndarray
@@ -172,13 +168,6 @@ class PlaneCotangentPoint:
 
     def __post_init__(self) -> None:
         _freeze_pair(self, "xy")
-
-    @classmethod
-    def _from_checked(cls, x: np.ndarray, y: np.ndarray) -> "PlaneCotangentPoint":
-        """The point of float rows x, y (n,) that a kernel has just put
-        through the plane check, frozen without a second check.  Only the
-        map wrappers call this; the public constructor keeps every check."""
-        return _adopt(cls, x=x, y=y)
 
     @property
     def n(self) -> int:
@@ -290,7 +279,7 @@ def sample_bound_states(
         min_energy=min_energy,
         max_energy=max_energy,
     )
-    return [PhasePoint(q, p) for q, p in zip(qs, ps)]
+    return [PhasePoint._from_checked(q, p) for q, p in zip(qs, ps)]
 
 
 def _bound_rows(

@@ -335,7 +335,7 @@ def regularized_propagate(start: PhasePoint, t: float) -> PhasePoint:
     _, _, q, p, collision = _regularized_rows(ls_map(start), np.array([t], float))
     if collision[0]:
         raise PunctureError(f"landed on collision at t = {t:.12g}; perturb t")
-    return PhasePoint(q[0], p[0])
+    return PhasePoint._from_checked(q[0], p[0])
 
 
 def arc_time(traj: Trajectory) -> list[FlowTimes]:

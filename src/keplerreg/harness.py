@@ -315,8 +315,8 @@ def _sample_sphere(
 
 
 def _points(kind: type, a: np.ndarray, b: np.ndarray) -> Callable[[int], object]:
-    """sample(k) over rows a, b: the k-th value object kind(a[k], b[k])."""
-    return lambda k: kind(a[k], b[k])
+    """sample(k) over checked rows a, b: the k-th value object of kind."""
+    return lambda k: kind._from_checked(a[k], b[k])
 
 
 def _where(sample) -> str:
@@ -462,11 +462,12 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int) -> _Defects:
     d = np.maximum(d, np.abs(residual) * scale)
     defects[k] = np.where(slope >= 0.0, np.maximum(d, 2.0 * tolerance), d)
     defects[puncture] = 2.0 * tolerance
+    phase, sphere = _points(PhasePoint, qs, ps), _points(SphereCotangentPoint, us, vs)
 
     def sample(k: int):
         if not puncture[k]:
-            return PhasePoint(qs[k], ps[k]) if k < m else SphereCotangentPoint(us[k], vs[k])
-        sp = SphereCotangentPoint(us[k], vs[k], bool(k < m and at_puncture[k]))
+            return phase(k) if k < m else sphere(k)
+        sp = SphereCotangentPoint._from_checked(us[k], vs[k], bool(k < m and at_puncture[k]))
         return f"unexpected puncture at {_where(sp)}"
 
     return tolerance, defects.tolist(), sample

@@ -95,6 +95,15 @@ def _integral_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.concatenate([_energy(q, p)[:, None], _wedge_entries(q, p, i, j), _lenz(q, p)], -1)
 
 
+def _sphere_integral_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``_integral_rows`` of sphere rows (m, n+1), where q and p are undefined:
+    the Delaunay energy and u ^ v, whose last column is K / sqrt(-2H)."""
+    energy = _delaunay_energy(v)
+    n = u.shape[1] - 1
+    lenz = _wedge_entries(u, v, np.arange(n), np.full(n, n)) * np.sqrt(-2.0 * energy)[:, None]
+    return np.concatenate([energy[:, None], _wedge_entries(u, v, *_upper_pairs(n)), lenz], -1)
+
+
 def _extended_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """``extended_momentum`` of one point (n,) or rows (m, n), as strict upper
     triangles (..., n+1, n+1); DomainError unless every row is bound."""

@@ -189,4 +189,4 @@ def ls_inverse(sp: SphereCotangentPoint) -> PhasePoint:
     q, p, puncture = _ls_inverse_rows(sp.u[None], sp.v[None])
     if puncture[0]:
         raise PunctureError("collision point: the unrotated base point sits on the polar fiber")
-    return PhasePoint(q[0], p[0])
+    return PhasePoint._from_checked(q[0], p[0])

@@ -38,12 +38,12 @@ def fourier(point: PhasePoint) -> PlaneCotangentPoint:
     A linear canonical transformation; ``fourier_inverse`` undoes it
     exactly.
     """
-    return PlaneCotangentPoint(point.p, -point.q)
+    return PlaneCotangentPoint._from_checked(point.p, -point.q)
 
 
 def fourier_inverse(pl: PlaneCotangentPoint) -> PhasePoint:
     """Inverse of the geometric Fourier transform: q = -y, p = x."""
-    return PhasePoint(-pl.y, pl.x)
+    return PhasePoint._from_checked(-pl.y, pl.x)
 
 
 def moser_map(point: PhasePoint) -> SphereCotangentPoint:

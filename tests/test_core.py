@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,13 +13,18 @@ from keplerreg import (
     SphereCotangentPoint,
     core,
     delaunay_flow,
+    fourier,
+    fourier_inverse,
     harness,
     kepler_energy,
+    kernels,
     ligonschaaf,
+    ls_inverse,
     ls_map,
     moser_fibration,
     moser_map,
     moser_map_inverse,
+    regularized_propagate,
     sample_bound_states,
     to_plane,
     to_sphere,
@@ -52,6 +59,11 @@ class TestPhasePoint:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             PhasePoint([np.nan, 0], [0, 1])
+
+    @pytest.mark.parametrize("q", [[[1.0, 0.0]], 1.0, []])
+    def test_rows_must_be_nonempty_vectors(self, q):
+        with pytest.raises(DomainError, match="q must be a one-dimensional real vector"):
+            PhasePoint(q, [0.0, 1.0])
 
     def test_immutable(self):
         pt = PhasePoint([1, 0], [0, 1])
@@ -97,31 +109,86 @@ class TestSphereCotangentPoint:
         with pytest.raises(DomainError):
             SphereCotangentPoint(u, [1, 0, 0])
 
+    def test_sphere_needs_two_coordinates(self):
+        with pytest.raises(DomainError, match="at least two coordinates"):
+            SphereCotangentPoint([1.0], [0.0])
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_map_wrappers_freeze_the_rows_their_kernels_checked(self, n):
-        # The wrappers skip the constructor's second check; what they return
-        # must still pass it and be as read-only as a constructed point.
-        pt = sample_bound_states(n, 1, 5)[0]
+        # The wrappers and the sampler skip the constructor's second check;
+        # what they return must still pass it, and be as read-only and have
+        # the same fields as a constructed point.
+        pt, *more = sample_bound_states(n, 3, 5)
         made = [
+            *more,
             moser_map(pt),
             moser_fibration(pt),
             ls_map(pt),
             delaunay_flow(ls_map(pt), 0.7),
             to_sphere(PlaneCotangentPoint(pt.p, -pt.q)),
+            to_plane(moser_map(pt)),
+            moser_map_inverse(moser_map(pt)),
+            ls_inverse(ls_map(pt)),
+            regularized_propagate(pt, 0.7),
+            fourier(pt),
+            fourier_inverse(fourier(pt)),
         ]
-        for sp in made:
-            assert type(sp.at_puncture) is bool
-            assert not (sp.u.flags.writeable or sp.v.flags.writeable)
-            again = SphereCotangentPoint(sp.u, sp.v, sp.at_puncture)
-            assert (again.u.tobytes(), again.v.tobytes()) == (sp.u.tobytes(), sp.v.tobytes())
+        for point in made:
+            rows = {k: v for k, v in vars(point).items() if isinstance(v, np.ndarray)}
+            assert len(rows) == 2
+            assert not any(row.flags.writeable for row in rows.values())
+            again = type(point)(**vars(point))
+            assert vars(again).keys() == vars(point).keys()
+            assert {k: getattr(again, k).tobytes() for k in rows} == {
+                k: row.tobytes() for k, row in rows.items()
+            }
+            if isinstance(point, SphereCotangentPoint):
+                assert type(point.at_puncture) is bool
         pl = to_plane(moser_map(pt))
-        assert type(pl) is PlaneCotangentPoint
-        assert not (pl.x.flags.writeable or pl.y.flags.writeable)
-        again = PlaneCotangentPoint(pl.x, pl.y)
-        assert (again.x.tobytes(), again.y.tobytes()) == (pl.x.tobytes(), pl.y.tobytes())
         back = moser_map_inverse(moser_map(pt))
-        assert not (back.q.flags.writeable or back.p.flags.writeable)
         assert (back.q.tobytes(), back.p.tobytes()) == ((-pl.y).tobytes(), pl.x.tobytes())
+
+
+@pytest.fixture
+def row_checks(monkeypatch):
+    """Counts calls of kernels._check_rows, wherever a keplerreg module holds it."""
+    calls = []
+    original = kernels._check_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("keplerreg") and vars(module).get("_check_rows") is original:
+            monkeypatch.setattr(module, "_check_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_row_checks_per_call(n, row_checks):
+    # A point adopts the rows its kernel checked: no call checks them twice.
+    pt = sample_bound_states(n, 1, 5)[0]
+    sp, moser_sp, pl = ls_map(pt), moser_map(pt), fourier(pt)
+    calls = {
+        # input, projected and output rows
+        "ls_inverse": (lambda: ls_inverse(sp), 3),
+        # ls_map 3, the flow's input and output 2, the inverse 3
+        "regularized_propagate": (lambda: regularized_propagate(pt, 0.7), 8),
+        # to_plane's projection
+        "moser_map_inverse": (lambda: moser_map_inverse(moser_sp), 1),
+        "fourier": (lambda: fourier(pt), 0),
+        "fourier_inverse": (lambda: fourier_inverse(pl), 0),
+        # one check of the whole batch, at any count
+        "sample_bound_states(n, 1)": (lambda: sample_bound_states(n, 1, 3), 1),
+        "sample_bound_states(n, 500)": (lambda: sample_bound_states(n, 500, 3), 1),
+    }
+    seen = {}
+    for name, (call, _) in calls.items():
+        row_checks.clear()
+        call()
+        seen[name] = len(row_checks)
+    assert seen == {name: checks for name, (_, checks) in calls.items()}
 
 
 class TestPlaneCotangentPoint:
@@ -178,6 +245,11 @@ class TestMomentumMatrix:
         with pytest.raises(DomainError):
             MomentumMatrix(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_must_be_finite(self, bad):
+        with pytest.raises(DomainError, match="finite entries"):
+            MomentumMatrix([[0.0, bad], [0.0, 0.0]])
+
 
 class TestTolerances:
     def test_defaults(self):
@@ -218,6 +290,18 @@ class TestSampleBoundStates:
             assert np.linalg.norm(lenz_vector(pt)) <= 0.6
             gap = 2.0 - pt.radius * float(pt.p @ pt.p)
             assert 2.0 * gap >= 0.05**2
+
+    @pytest.mark.parametrize(
+        "n, count, kwargs, message",
+        [
+            (0, 1, {}, "n must be >= 1"),
+            (2, 0, {}, "count must be >= 1"),
+            (2, 1, {"max_energy": 0.0}, "max_energy must be <= -0.05"),
+        ],
+    )
+    def test_argument_errors(self, n, count, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            sample_bound_states(n, count, 0, **kwargs)
 
     def test_impossible_constraints_error(self):
         with pytest.raises(RuntimeError, match="rejection sampling"):

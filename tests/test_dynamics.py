@@ -9,6 +9,7 @@ from keplerreg import (
     PhasePoint,
     PunctureError,
     SphereCotangentPoint,
+    Trajectory,
     angular_momentum,
     arc_time,
     delaunay_energy,
@@ -102,11 +103,22 @@ class TestKeplerIntegrate:
             _leapfrog([2e-100, 0.0], [-1e100, 0.0], dt, [5])
         assert info.value.t == 2 * dt
 
+    def test_collision_in_the_closing_step_is_reported_at_t_end(self):
+        # A fall from rest at q = 1 takes its 1,109 whole steps of 1e-3; the
+        # guard fires in the closing step of 0.0007, which reports t_end.
+        fall = PhasePoint([1, 0], [0, 0])
+        assert kepler_integrate(fall, 1.109, 1e-3, record_every=10**9).times[-1] == 1.109
+        with pytest.raises(CollisionApproachError, match=r"at t = 1\.1097:") as info:
+            kepler_integrate(fall, 1.1097, 1e-3)
+        assert info.value.t == 1.1097
+
     def test_step_validation(self, circular):
         with pytest.raises(ValueError, match="dt"):
             kepler_integrate(circular, 1.0, 0.0)
         with pytest.raises(ValueError, match="t_end"):
             kepler_integrate(circular, -1.0, 1e-3)
+        with pytest.raises(ValueError, match="record_every must be >= 1"):
+            kepler_integrate(circular, 1.0, 1e-3, record_every=0)
 
     def test_partial_final_step_lands_exactly(self, circular):
         traj = kepler_integrate(circular, 0.05 + 0.4 * 1e-3, 1e-3)
@@ -247,11 +259,26 @@ class TestRegularizedPropagate:
         assert max_abs(reg.q - direct.q, reg.p - direct.p) <= 1e-6
 
 
+class TestTrajectory:
+    @pytest.mark.parametrize(
+        "times, qs, ps, message",
+        [
+            ([[0.0, 1.0]], np.ones((2, 2)), np.ones((2, 2)), r"\(m,\) times and \(m, n\) states"),
+            ([0.0, 1.0], np.ones(2), np.ones(2), r"\(m,\) times and \(m, n\) states"),
+            ([0.0, 1.0], np.ones((2, 2)), np.ones((2, 3)), r"\(m,\) times and \(m, n\) states"),
+            ([0.0, 1.0, 2.0], np.ones((2, 2)), np.ones((2, 2)), "matching lengths"),
+            ([0.0, 0.0], np.ones((2, 2)), np.ones((2, 2)), "strictly increasing"),
+            ([1.0, 0.5], np.ones((2, 2)), np.ones((2, 2)), "strictly increasing"),
+        ],
+    )
+    def test_shape_length_and_order_errors(self, times, qs, ps, message):
+        with pytest.raises(DomainError, match=message):
+            Trajectory(times, qs, ps, integrator="exact", dt=0.0, energy_drift=0.0)
+
+
 class TestArcTime:
     def test_exact_circular_trajectory(self):
         # on the exact circle |q| = 1 the integrand is identically one
-        from keplerreg import Trajectory
-
         times = np.linspace(0.0, 2 * math.pi, 2001)
         qs = np.stack([np.cos(times), np.sin(times)], axis=1)
         ps = np.stack([-np.sin(times), np.cos(times)], axis=1)
@@ -274,6 +301,13 @@ class TestArcTime:
         svals = [ft.s for ft in arc_time(traj)]
         assert all(b > a for a, b in zip(svals, svals[1:]))
 
+    def test_collision_sample_rejected(self):
+        # a user-built trajectory through q = 0, which 1/|q| cannot integrate
+        qs = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+        traj = Trajectory([0.0, 1.0, 2.0], qs, qs, integrator="exact", dt=0.0, energy_drift=0.0)
+        with pytest.raises(DomainError, match="touches the collision set"):
+            arc_time(traj)
+
 
 class TestArcTimeTrapezoid:
     """arc_time is numpy's composite trapezoid, bit for bit scipy's
@@ -295,8 +329,6 @@ class TestArcTimeTrapezoid:
         assert observed.tobytes() == self._scipy_reference(traj).tobytes()
 
     def test_uneven_time_grid(self):
-        from keplerreg import Trajectory
-
         rng = np.random.default_rng(5)
         times = np.cumsum(rng.uniform(1e-4, 0.3, size=400))
         qs = rng.uniform(0.2, 3.0, size=(400, 2)) * rng.choice([-1.0, 1.0], size=(400, 2))
@@ -307,8 +339,6 @@ class TestArcTimeTrapezoid:
         assert observed.tobytes() == self._scipy_reference(traj).tobytes()
 
     def test_empty_trajectory_rejected(self):
-        from keplerreg import Trajectory
-
         empty = np.empty((0, 2))
         traj = Trajectory(np.empty(0), empty, empty, integrator="exact", dt=0.0, energy_drift=0.0)
         with pytest.raises(DomainError, match="no samples"):

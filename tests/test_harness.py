@@ -101,6 +101,12 @@ class TestSymplecticDefect:
         defect = symplectic_defect(flat_moser_map(2), np.array([1.0, 0.0, 0.0, 1.0]), 1e-6)
         assert defect <= 1e-9
 
+    def test_odd_dimensional_map_rejected(self):
+        with pytest.raises(ValueError, match="even dimensions"):
+            symplectic_defect(lambda z: z[..., :3], np.zeros(4), 1e-6)
+        with pytest.raises(ValueError, match="even dimensions"):
+            symplectic_defect(lambda z: np.concatenate([z, z[..., :1]], -1), np.zeros(4), 1e-6)
+
     def test_standard_form_shape(self):
         omega = standard_form(3)
         assert omega.shape == (6, 6)

@@ -43,6 +43,7 @@ _KERNELS = (
     "_wedge_entries",
     "_upper_pairs",
     "_integral_rows",
+    "_sphere_integral_rows",
     "_extended_rows",
 )
 

@@ -49,6 +49,11 @@ class TestLSAngle:
         with pytest.raises(DomainError):
             LSAngle(1.5)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_finite_required(self, theta):
+        with pytest.raises(DomainError, match="theta must be finite"):
+            LSAngle(theta)
+
     def test_angle_is_covector_component(self):
         for pt in sample_bound_states(2, 200, 31):
             fib = moser_fibration(pt)

@@ -36,7 +36,8 @@ _CASES = {
     "times-off-zero": ("t_end = 2\ndt = 0.003\noutput_times = 0.25,0.7,1.3,2", _ORBITS),
     # the guard fires inside a full step of dt ...
     "collision-full-step": ("t_end = 1.5\ndt = 0.0001\noutput_count = 4", _FALLS),
-    # ... and inside the closing step 0.04 of the interval (0.75, 1]
+    # ... and at the opening check of (1, 1.25]: the closing step 0.04 of
+    # (0.75, 1] passes under the smaller guard radius of its own step
     "collision-closing-step": ("t_end = 1.5\ndt = 0.07\noutput_count = 7", _FALLS),
 }
 
@@ -95,6 +96,19 @@ def test_start_at_the_collision_set_exits_3(q, tmp_path, capsys):
     _, err = capsys.readouterr()
     assert code == 3
     assert "collision approach at t = 0:" in err
+
+
+def test_collision_in_a_closing_step_exits_3_at_the_output_time(tmp_path, capsys):
+    # 1,109 whole steps of 1e-3 pass; the guard fires in the closing step
+    path = tmp_path / "fall.scn"
+    path.write_text(
+        "n = 2\nq = 1,0\np = 0,0\nt_end = 1.1097\ndt = 1e-3\n"
+        "output_times = 0,1.1097\nmode = direct\n"
+    )
+    code = main(["propagate", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: propagation failed for {path}: collision approach at t = 1.1097:")
 
 
 def test_state_overflowing_mid_run_exits_3_without_warnings(tmp_path, capsys):

@@ -148,6 +148,13 @@ class TestMomentumNormSquared:
         with pytest.raises(TypeError):
             momentum_norm_squared(42)
 
+    def test_sphere_zero_section_rejected(self):
+        # the constructor accepts v = 0; the momentum map's norm needs |v| > 0
+        from keplerreg import SphereCotangentPoint
+
+        with pytest.raises(DomainError, match=r"\|v\| must be nonzero"):
+            momentum_norm_squared(SphereCotangentPoint([0, 0, -1], [0, 0, 0]))
+
 
 class TestPoissonBracket:
     def test_canonical_pair(self):
@@ -257,6 +264,14 @@ class TestExtendedMomentumField:
                     assert float(field(pt.q, pt.p)) == pytest.approx(
                         mat.entry(i, j), rel=1e-12, abs=1e-15
                     )
+
+    @pytest.mark.parametrize("i", [0, 2, 3])
+    def test_diagonal_is_zero_of_the_batch_shape(self, i):
+        field = extended_momentum_field(i, i, 3)
+        q, p = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.5, 0.0])  # H > 0 too
+        assert np.shape(field(q, p)) == () and field(q, p) == 0.0
+        qs, ps = np.ones((5, 3)), np.ones((5, 3))
+        assert np.array_equal(field(qs, ps), np.zeros(5))
 
     def test_scaled_lenz_entries_raise_off_the_bound_region(self):
         # H = 1.125 - 1 > 0: no sqrt(-2H), so no scaled Lenz component

@@ -140,31 +140,34 @@ def symplectic_defect(fn: Callable[[np.ndarray], np.ndarray], point, h: float):
 # Flat-vector adapters (positions..., momenta...) for the FD machinery
 
 
-def _flat_map(n: int, names: str, kernel) -> Callable[[np.ndarray], np.ndarray]:
-    """kernel(z[..., :n], z[..., n:]) -> (u, v, ...) on flat vectors (..., 2n); every
-    row gets the input point's checks here and the output point's in the kernel."""
+def _flat_map(n: int, kernel) -> Callable[[np.ndarray], np.ndarray]:
+    """kernel(z[..., :n], z[..., n:]) -> (u, v, ...) on flat vectors (..., 2n); the
+    kernel checks every row as the input point and as the output point."""
 
     def fn(z: np.ndarray) -> np.ndarray:
-        a, b = z[..., :n], z[..., n:]
-        _check_rows(a, b, names)
-        return np.concatenate(kernel(a, b)[:2], axis=-1)
+        return np.concatenate(kernel(z[..., :n], z[..., n:])[:2], axis=-1)
 
     return fn
 
 
 def flat_to_sphere(n: int) -> Callable[[np.ndarray], np.ndarray]:
     """(x, y) -> (u, v) on flat vectors."""
-    return _flat_map(n, "xy", _lift)
+    return _flat_map(n, lambda x, y: _lift(*_check_rows(x, y, "xy")))
 
 
 def flat_moser_map(n: int) -> Callable[[np.ndarray], np.ndarray]:
     """(q, p) -> (u, v) on flat vectors."""
-    return _flat_map(n, "qp", lambda q, p: _lift(p, -q))
+
+    def kernel(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        _check_rows(q, p, "qp")
+        return _lift(p, -q)
+
+    return _flat_map(n, kernel)
 
 
 def flat_ls_map(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """(q, p) -> (r, s) on flat vectors."""
-    return _flat_map(n, "qp", _ls_map_rows)
+    """(q, p) -> (r, s) on flat vectors; ``_ls_map_rows`` checks (q, p) itself."""
+    return _flat_map(n, _ls_map_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -227,29 +230,35 @@ def _sample_phase_compact(
     Used by the finite-difference canonicity suites, whose roundoff floor
     scales with the magnitude of the map outputs.
 
-    A candidate draws a direction, a radius and a momentum, in that order
-    (a zero direction draws no more), so the generator calls stay one
-    candidate at a time; only the scaling and the energy window run over a
-    round at once.  A round runs as many candidates as samples are still
-    missing, and each gives at most one sample, so no round draws past the
-    point where a one-candidate-at-a-time loop would stop: the rows, and the
-    generator's state after the call, are the same as such a loop's.
+    A candidate makes two generator calls, straight into rows set aside for
+    its round: n standard normals for the direction, then, unless the
+    direction is zero (norm below 1e-8), n + 1 uniforms on [0, 1) for the
+    radius and the momentum.  ``low + (high - low) * u`` maps them to
+    [0.5, 1.1) and [-0.6, 0.6)^n; it is ``rng.uniform(low, high)``'s own
+    expression over the same doubles, so the values, and the generator's
+    state, are those of one ``uniform`` call for the radius and one for the
+    momentum.  Only the scaling and the energy window run over a round at
+    once.  A round runs as many candidates as samples are still missing, and
+    each gives at most one sample, so no round draws past the point where a
+    one-candidate-at-a-time loop would stop: the rows, and the generator's
+    state after the call, are the same as such a loop's.
     """
     qs, ps, found = [], [], 0
     while found < count:
-        dirs, norms, radii, moms = [], [], [], []
-        for _ in range(count - found):
-            direction = rng.standard_normal(n)
+        missing = count - found
+        dirs, tails, norms, k = np.empty((missing, n)), np.empty((missing, n + 1)), [], 0
+        for _ in range(missing):
+            direction = rng.standard_normal(out=dirs[k])
             # np.linalg.norm's own expression for a vector
             norm = math.sqrt(direction.dot(direction))
             if norm < 1e-8:
                 continue
-            dirs.append(direction)
             norms.append(norm)
-            radii.append(rng.uniform(0.5, 1.1))
-            moms.append(rng.uniform(-0.6, 0.6, size=n))
-        q = np.reshape(dirs, (-1, n)) / np.array(norms)[:, None] * np.array(radii)[:, None]
-        p = np.reshape(moms, (-1, n))
+            rng.random(out=tails[k])
+            k += 1
+        radii = 0.5 + (1.1 - 0.5) * tails[:k, :1]
+        q = dirs[:k] / np.array(norms)[:, None] * radii
+        p = -0.6 + (0.6 - -0.6) * tails[:k, 1:]
         energy = _energy(q, p)
         keep = (-1.8 <= energy) & (energy <= -0.5)
         qs.append(q[keep])

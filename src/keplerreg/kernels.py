@@ -52,20 +52,32 @@ def _norm_squared(upper: np.ndarray) -> np.ndarray:
 def _inverse_radius(q: np.ndarray, what: str) -> np.ndarray:
     """1/|q| over (..., n) arrays; DomainError at q = 0, where ``what`` is undefined."""
     q2 = np.vecdot(q, q)
-    if (q2 == 0.0).any():
+    # count_nonzero is the cheapest exact zero test for a numpy scalar and for rows
+    if np.count_nonzero(q2) != q2.size:
         raise DomainError(f"q must be nonzero ({what} undefined at collision)")
     return 1.0 / np.sqrt(q2)
 
 
 def _energy(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """H = p.p/2 - 1/|q| over (..., n) arrays; DomainError at q = 0."""
-    return 0.5 * np.vecdot(p, p) - _inverse_radius(q, "energy")
+    return _energy_of(np.vecdot(p, p), _inverse_radius(q, "energy"))
+
+
+def _energy_of(p2: np.ndarray, inverse_radius: np.ndarray) -> np.ndarray:
+    """H = p.p/2 - 1/|q| from p.p and 1/|q|."""
+    return 0.5 * p2 - inverse_radius
 
 
 def _lenz(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """K = (p.p - 1/|q|) q - (q.p) p over (..., n) arrays; DomainError at q = 0."""
-    coeff = np.vecdot(p, p) - _inverse_radius(q, "Lenz vector")
-    return coeff[..., None] * q - np.vecdot(q, p)[..., None] * p
+    return _lenz_of(q, p, np.vecdot(p, p), _inverse_radius(q, "Lenz vector"))
+
+
+def _lenz_of(
+    q: np.ndarray, p: np.ndarray, p2: np.ndarray, inverse_radius: np.ndarray
+) -> np.ndarray:
+    """K = (p.p - 1/|q|) q - (q.p) p from q, p, p.p and 1/|q|."""
+    return (p2 - inverse_radius)[..., None] * q - np.vecdot(q, p)[..., None] * p
 
 
 def _wedge_entries(a: np.ndarray, b: np.ndarray, i, j) -> np.ndarray:
@@ -106,8 +118,10 @@ def _sphere_integral_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _extended_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """``extended_momentum`` of one point (n,) or rows (m, n), as strict upper
-    triangles (..., n+1, n+1); DomainError unless every row is bound."""
-    energy = _energy(q, p)
+    triangles (..., n+1, n+1); DomainError unless every row is bound.  p.p and
+    1/|q| are taken once, for H and K both."""
+    p2, inverse_radius = np.vecdot(p, p), _inverse_radius(q, "energy")
+    energy = _energy_of(p2, inverse_radius)
     bad = energy >= 0.0
     if bad.any():
         raise DomainError(f"H must be negative, got H = {energy[bad][0]:.6g}")
@@ -115,7 +129,7 @@ def _extended_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     upper = np.zeros(q.shape[:-1] + (n + 1, n + 1))
     i, j = _upper_pairs(n)
     upper[..., i, j] = _wedge_entries(q, p, i, j)
-    upper[..., :n, n] = _lenz(q, p) / np.sqrt(-2.0 * energy)[..., None]
+    upper[..., :n, n] = _lenz_of(q, p, p2, inverse_radius) / np.sqrt(-2.0 * energy)[..., None]
     return upper
 
 

@@ -18,7 +18,8 @@ from keplerreg import (
     to_plane,
 )
 from keplerreg.dynamics import _kepler_force
-from keplerreg.kernels import _integral_rows, _on_pole
+from keplerreg.core import _bound_rows
+from keplerreg.kernels import _energy, _extended_rows, _integral_rows, _lenz, _on_pole
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -49,6 +50,59 @@ def test_integral_rows_are_the_first_integrals(n):
         assert row[0] == kepler_energy(pt)
         assert np.array_equal(row[1 : 1 + len(i)], angular_momentum(pt).upper[i, j])
         assert np.array_equal(row[1 + len(i) :], lenz_vector(pt))
+
+
+def _composed_extended_rows(q, p):
+    """_extended_rows as _energy and _lenz compose it, each taking p.p and 1/|q|."""
+    energy = _energy(q, p)
+    bad = energy >= 0.0
+    if bad.any():
+        raise DomainError(f"H must be negative, got H = {energy[bad][0]:.6g}")
+    n = q.shape[-1]
+    upper = np.zeros(q.shape[:-1] + (n + 1, n + 1))
+    i, j = np.triu_indices(n, 1)
+    upper[..., i, j] = q[..., i] * p[..., j] - q[..., j] * p[..., i]
+    upper[..., :n, n] = _lenz(q, p) / np.sqrt(-2.0 * energy)[..., None]
+    return upper
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_extended_rows_equal_the_energy_and_lenz_composition(n):
+    qs, ps = _bound_rows(n, 300, 5 + n, min_energy=-2.0, max_energy=-0.2)
+    assert _same_bits(_extended_rows(qs, ps), _composed_extended_rows(qs, ps))
+    for q, p in zip(qs[:25], ps[:25]):
+        assert _same_bits(_extended_rows(q, p), _composed_extended_rows(q, p))
+
+
+def _error(fn, q, p) -> str:
+    with pytest.raises(DomainError) as info:
+        fn(q, p)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "q, p, message",
+    [
+        # a collision row names the energy, also where p makes H >= 0
+        ([[0.0, 0.0]], [[0.1, 0.0]], "q must be nonzero (energy undefined at collision)"),
+        ([[0.0, 0.0]], [[3.0, 0.0]], "q must be nonzero (energy undefined at collision)"),
+        (
+            [[1.0, 0.0], [0.5, 0.0], [0.0, 0.0]],
+            [[2.0, 0.0], [0.1, 0.2], [0.1, 0.2]],
+            "q must be nonzero (energy undefined at collision)",
+        ),
+        ([[4.0, 0.0]], [[0.5, 0.5]], "H must be negative, got H = 0"),
+        ([[1.0, 0.0], [1.0, 0.5]], [[0.1, 0.0], [2.0, 0.0]], "H must be negative, got H = 1.10557"),
+    ],
+)
+def test_extended_rows_errors_match_the_composition(q, p, message):
+    q, p = np.array(q), np.array(p)
+    for args in ((q, p), (q[-1], p[-1])) if len(q) == 1 else ((q, p),):
+        assert _error(_extended_rows, *args) == _error(_composed_extended_rows, *args) == message
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,9 @@ _KERNELS = (
     "_norm_squared",
     "_inverse_radius",
     "_energy",
+    "_energy_of",
     "_lenz",
+    "_lenz_of",
     "_lift",
     "_project",
     "_fibration_rows",

@@ -158,6 +158,23 @@ def _stencil_error(z: np.ndarray) -> tuple[np.ndarray, str]:
     return eval(where, {"array": np.array}), message
 
 
+@pytest.mark.parametrize("column, name", [(1, "q"), (2, "p")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_stencil_point_raises_the_input_check(column, name, bad):
+    # flat_ls_map checks each stencil row's (q, p) once, in _ls_map_rows
+    z = np.concatenate(_rows(2, 50), axis=1)
+    z[17, column] = bad
+    with pytest.raises(DomainError) as info:
+        flat_ls_map(2)(z)
+    assert str(info.value) == f"{name} must have finite entries"
+    assert str(info.value) == _scalar_error(z[17, :2], z[17, 2:], ls_map)
+    with pytest.raises(DomainError) as info:
+        _central_differences(flat_ls_map(2), z, harness.FD_STEP)
+    message = str(info.value)
+    assert message.startswith("stencil point array([") and " for coordinate 0 " in message
+    assert message.endswith(f"leaves the domain: {name} must have finite entries")
+
+
 def test_batched_stencil_error_names_one_row():
     qs, ps = _rows(2, 500)
     ps[321] = ps[321] + 3.0  # unbound: the Ligon-Schaaf map is undefined there
@@ -568,6 +585,76 @@ def test_sphere_sampler_rare_branches_on_a_scripted_stream():
     assert stream.used == oracle_stream.used == len(values)
     assert stream.requests == [(6, 2), (4, 2), (1, 2)]
     assert _same(u[0], np.array([0.0, -1.0])) and _same(v[0], np.array([3.0, 0.0]))
+
+
+class _ScriptedCandidates:
+    """Serves fixed lists of standard normals and of uniforms on [0, 1), into
+    ``out`` or as new arrays, with ``uniform`` as low + (high - low) u, and
+    records each request as (kind, count); running out is an error."""
+
+    def __init__(self, normals, uniforms):
+        self.left = {"normal": list(normals), "random": list(uniforms)}
+        self.requests = []
+
+    def _take(self, kind, size, out):
+        count = out.size if out is not None else 1 if size is None else size
+        assert count <= len(self.left[kind]), "the scripted stream ran out"
+        self.requests.append((kind, count))
+        taken = np.array(self.left[kind][:count], dtype=float)
+        del self.left[kind][:count]
+        if out is not None:
+            out[...] = taken
+            return out
+        return taken[0] if size is None else taken
+
+    def standard_normal(self, size=None, out=None):
+        return self._take("normal", size, out)
+
+    def random(self, size=None, out=None):
+        return self._take("random", size, out)
+
+    def uniform(self, low, high, size=None):
+        return low + (high - low) * self.random(size)
+
+
+# Candidates of the compact sampler at n = 2, count = 2: a direction, and
+# unless it is zero (norm below 1e-8) the uniforms of its radius and momentum.
+# Three rounds of 2, 2 and 1 candidates.
+_COMPACT_SCRIPT = [
+    ((0.0, 0.0), ()),  # zero direction
+    ((3e-9, 4e-9), ()),  # norm 5e-9: zero too, so the first round gives no row
+    ((0.6, 0.8), (0.5, 0.5, 0.5)),  # radius 0.8, p = 0: H = -1.25, sample 0
+    ((1.0, 0.0), (0.0, 0.5, 0.5)),  # radius 0.5, p = 0: H = -2, out of the window
+    ((0.0, -3.0), (0.25, 0.75, 0.25)),  # radius 0.65, p = (0.3, -0.3): sample 1
+]
+
+
+def test_compact_sampler_zero_direction_draws_nothing_more():
+    normals = [x for direction, _ in _COMPACT_SCRIPT for x in direction]
+    uniforms = [x for _, tail in _COMPACT_SCRIPT for x in tail]
+    stream = _ScriptedCandidates(normals, uniforms)
+    oracle_stream = _ScriptedCandidates(normals, uniforms)
+    q, p = harness._sample_phase_compact(stream, 2, 2)
+    expected = _oracle_sample_phase_compact(oracle_stream, 2, 2)
+    assert _same(q, expected[0]) and _same(p, expected[1])
+    assert stream.left == oracle_stream.left == {"normal": [], "random": []}
+    # two calls per candidate, one for a zero direction
+    calls = [[("normal", 2)] + ([("random", 3)] if tail else []) for _, tail in _COMPACT_SCRIPT]
+    assert stream.requests == sum(calls, [])
+    assert np.allclose(q, [[0.48, 0.64], [0.0, -0.65]], rtol=0, atol=1e-15)
+    assert np.allclose(p, [[0.0, 0.0], [0.3, -0.3]], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("low, high", [(0.5, 1.1), (-0.6, 0.6)])
+def test_scaled_random_is_uniform_bit_for_bit(low, high):
+    # the compact sampler maps random() to uniform(low, high) this way
+    for seed in range(30):
+        for size in (1, 4, 1000):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            scaled = low + (high - low) * rng.random(size)
+            assert _same(scaled, oracle_rng.uniform(low, high, size))
+            assert low + (high - low) * rng.random() == oracle_rng.uniform(low, high)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class _CountingNormals:

@@ -221,6 +221,8 @@ class MomentumMatrix:
         return self.upper - self.upper.T
 
     def entry(self, i: int, j: int) -> float:
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError(f"entry ({i}, {j}) is outside a {self.dim} x {self.dim} matrix")
         if i == j:
             return 0.0
         if i < j:
@@ -323,8 +325,7 @@ def _bound_rows(
             gap = 2.0 - r * np.sum(ps**2, axis=1)
             ok &= 2.0 * gap >= pole_gap**2
         if max_eccentricity is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ecc = np.linalg.norm(_lenz(qs, ps), axis=1)
+            ecc = np.linalg.norm(_lenz(qs, ps), axis=1)
             ok &= ecc <= max_eccentricity
         keep = np.flatnonzero(ok)[: count - found]
         chunks.append((qs[keep], ps[keep]))

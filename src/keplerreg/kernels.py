@@ -49,13 +49,26 @@ def _norm_squared(upper: np.ndarray) -> np.ndarray:
     return np.sum((upper * upper).reshape(upper.shape[:-2] + (-1,)), axis=-1)
 
 
+def _nonzero_squares(x: np.ndarray, message: str) -> np.ndarray:
+    """x.x over (..., k) arrays; DomainError(message) at x = 0: q = 0 or v = 0."""
+    x2 = np.vecdot(x, x)
+    # count_nonzero is the cheapest exact zero test for a numpy scalar and for rows
+    if np.count_nonzero(x2) != x2.size:
+        raise DomainError(message)
+    return x2
+
+
+def _bound_root(energy: np.ndarray, suffix: str = "") -> np.ndarray:
+    """sqrt(-2H) over (...) arrays; DomainError naming the first H >= 0."""
+    bad = energy >= 0.0
+    if bad.any():
+        raise DomainError(f"H must be negative{suffix}, got H = {energy[bad][0]:.6g}")
+    return np.sqrt(-2.0 * energy)
+
+
 def _inverse_radius(q: np.ndarray, what: str) -> np.ndarray:
     """1/|q| over (..., n) arrays; DomainError at q = 0, where ``what`` is undefined."""
-    q2 = np.vecdot(q, q)
-    # count_nonzero is the cheapest exact zero test for a numpy scalar and for rows
-    if np.count_nonzero(q2) != q2.size:
-        raise DomainError(f"q must be nonzero ({what} undefined at collision)")
-    return 1.0 / np.sqrt(q2)
+    return 1.0 / np.sqrt(_nonzero_squares(q, f"q must be nonzero ({what} undefined at collision)"))
 
 
 def _energy(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -101,10 +114,12 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _integral_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The first integrals (H, every L_ij with i < j, K) of rows (m, n), as
-    rows (m, 1 + n(n-1)/2 + n); DomainError at q = 0."""
-    i, j = _upper_pairs(q.shape[-1])
-    return np.concatenate([_energy(q, p)[:, None], _wedge_entries(q, p, i, j), _lenz(q, p)], -1)
+    """The first integrals (H, every L_ij with i < j, K) of one point (n,) or rows
+    (m, n), as (..., 1 + n(n-1)/2 + n); DomainError at q = 0.  One p.p and 1/|q|."""
+    p2, inverse_radius = np.vecdot(p, p), _inverse_radius(q, "energy")
+    energy = _energy_of(p2, inverse_radius)[..., None]
+    upper = _wedge_entries(q, p, *_upper_pairs(q.shape[-1]))
+    return np.concatenate([energy, upper, _lenz_of(q, p, p2, inverse_radius)], -1)
 
 
 def _sphere_integral_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -121,15 +136,12 @@ def _extended_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     triangles (..., n+1, n+1); DomainError unless every row is bound.  p.p and
     1/|q| are taken once, for H and K both."""
     p2, inverse_radius = np.vecdot(p, p), _inverse_radius(q, "energy")
-    energy = _energy_of(p2, inverse_radius)
-    bad = energy >= 0.0
-    if bad.any():
-        raise DomainError(f"H must be negative, got H = {energy[bad][0]:.6g}")
+    w = _bound_root(_energy_of(p2, inverse_radius))
     n = q.shape[-1]
     upper = np.zeros(q.shape[:-1] + (n + 1, n + 1))
     i, j = _upper_pairs(n)
     upper[..., i, j] = _wedge_entries(q, p, i, j)
-    upper[..., :n, n] = _lenz_of(q, p, p2, inverse_radius) / np.sqrt(-2.0 * energy)[..., None]
+    upper[..., :n, n] = _lenz_of(q, p, p2, inverse_radius) / w[..., None]
     return upper
 
 
@@ -174,27 +186,22 @@ def _lift(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _fibration_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
     """``moser_fibration`` of one point (n,) or rows (m, n), with its checks on
-    every row: (u, v, w) with w = sqrt(-2H)."""
+    every row: (u, v, w) with w = sqrt(-2H).  p.p and 1/|q| are taken once."""
     _check_rows(q, p, "qp")
-    r = np.sqrt(np.vecdot(q, q))
-    if (r == 0.0).any():
-        raise DomainError("q must be nonzero (collision point)")
-    energy = _energy(q, p)
-    bad = energy >= 0.0
-    if bad.any():
-        raise DomainError(f"H must be negative for the fibration, got H = {energy[bad][0]:.6g}")
-    w = np.sqrt(-2.0 * energy)
+    r = np.sqrt(_nonzero_squares(q, "q must be nonzero (collision point)"))
+    p2 = np.vecdot(p, p)
+    w = _bound_root(_energy_of(p2, 1.0 / r), " for the fibration")
     qp = np.vecdot(q, p)
-    u = np.concatenate([(w * r)[..., None] * p, (r * np.vecdot(p, p) - 1.0)[..., None]], axis=-1)
+    u = np.concatenate([(w * r)[..., None] * p, (r * p2 - 1.0)[..., None]], axis=-1)
     v = np.concatenate([-q / r[..., None] + qp[..., None] * p, (-w * qp)[..., None]], axis=-1)
     _check_rows(u, v, "uv", sphere=True)
     return u, v, w
 
 
 def _chart_hamiltonians(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(geodesic, speed_defect, kepler_form) over (..., n) arrays."""
+    """(geodesic, speed_defect, kepler_form) over (..., n) arrays; DomainError at y = 0."""
+    y2 = _nonzero_squares(y, "|y| must be nonzero for the chart Kepler Hamiltonian")
     x2 = np.vecdot(x, x)
-    y2 = np.vecdot(y, y)
     ynorm = np.sqrt(y2)
     # float_power is the C library's pow, as a numpy scalar's ** is; an array's ** 2 is not
     geodesic = np.float_power(x2 + 1.0, 2) * y2 / 8.0
@@ -227,19 +234,14 @@ def _ls_map_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _delaunay_energy(v: np.ndarray) -> np.ndarray:
     """-1/(2 v.v) of one covector (n+1,) or of rows (m, n+1)."""
-    v2 = np.vecdot(v, v)
-    if (v2 == 0.0).any():
-        raise DomainError("|v| must be nonzero (zero section)")
-    return -0.5 / v2
+    return -0.5 / _nonzero_squares(v, "|v| must be nonzero (zero section)")
 
 
 def _delaunay_flow_rows(u: np.ndarray, v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """``delaunay_flow`` of rows (m, n+1), or of one point (n+1,) for every
     row, to times t (m,), with its checks on every row: (u, v, at_puncture)."""
     _check_rows(u, v, "uv", sphere=True)
-    rho = np.sqrt(np.vecdot(v, v))
-    if (rho == 0.0).any():
-        raise DomainError("|v| must be nonzero (zero section has no flow)")
+    rho = np.sqrt(_nonzero_squares(v, "|v| must be nonzero (zero section has no flow)"))
     # float_power evaluates rho^3 as the C library's pow does; numpy's
     # vectorized power differs from it in the last bit for some rho.
     angle = t / np.float_power(rho, 3)

@@ -25,6 +25,7 @@ from .kernels import (
     _check_rows,
     _fibration_rows,
     _ls_map_rows,
+    _nonzero_squares,
     _on_pole,
     _project,
     _reproject,
@@ -148,9 +149,7 @@ def _ls_inverse_rows(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """``ls_inverse`` of rows (m, n+1), with its checks on every row:
     (q, p, puncture).  A row the mask ``puncture`` marks has NaN q and p."""
     _check_rows(r, s, "uv", sphere=True)
-    sigma = np.sqrt(np.vecdot(s, s))
-    if (sigma == 0.0).any():
-        raise DomainError("|s| must be nonzero (zero section has no preimage)")
+    sigma = np.sqrt(_nonzero_squares(s, "|s| must be nonzero (zero section has no preimage)"))
     s_hat = s / sigma[:, None]
     theta = _solve_rotation_angle(r[:, -1], s_hat[:, -1])
     u, v = _rotate(r, s_hat, -theta)

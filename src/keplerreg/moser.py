@@ -127,6 +127,4 @@ def chart_hamiltonians(pl: PlaneCotangentPoint) -> ChartHamiltonians:
     the kepler_form pulls back to the Kepler Hamiltonian under the
     geometric Fourier transform.  Requires |y| > 0 for the kepler_form.
     """
-    if not pl.y_nonzero():
-        raise DomainError("|y| must be nonzero for the chart Kepler Hamiltonian")
     return ChartHamiltonians(*map(float, _chart_hamiltonians(pl.x, pl.y)))

@@ -85,6 +85,16 @@ class TestMapCommand:
         assert "q must be nonzero" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["fibration", "--q", "0,0", "--p", "1,0"], "q must be nonzero (collision point)"),
+            (["ls", "--q", "1,0", "--p", "2,0"], "H must be negative for the fibration, got H = 1"),
+        ],
+    )
+    def test_singular_set_errors_keep_their_text(self, capsys, argv, err):
+        assert run_cli(["map", "--which", *argv], capsys) == (1, "", f"error: {err}\n")
+
     def test_missing_vectors(self, capsys):
         code, _, err = run_cli(["map", "--which", "moser"], capsys)
         assert code == 1

@@ -231,6 +231,12 @@ class TestMomentumMatrix:
         assert m.entry(0, 1) == 0.5
         assert m.entry(1, 0) == -0.5
         assert m.entry(0, 0) == 0.0
+        # a negative index must not read the zeroed lower triangle: entries[-1, 0] is -0.5
+        m = MomentumMatrix.wedge([1, 2, 3], [0.5, -1, 2])
+        for i, j in [(-1, 0), (0, -1), (-1, -1), (3, 0), (0, 3), (3, 3)]:
+            with pytest.raises(IndexError, match=rf"^entry \({i}, {j}\) is outside a 3 x 3 "):
+                m.entry(i, j)
+        assert [m.entry(i, j) for i in range(3) for j in range(3)] == m.entries.ravel().tolist()
 
     def test_lower_triangle_ignored(self):
         full = np.array([[0.0, 2.0], [99.0, 0.0]])

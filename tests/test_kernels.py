@@ -7,19 +7,35 @@ import pytest
 
 from keplerreg import (
     DomainError,
+    PhasePoint,
+    PlaneCotangentPoint,
     SphereCotangentPoint,
     angular_momentum,
     angular_momentum_field,
+    chart_hamiltonians,
+    delaunay_energy,
+    delaunay_flow,
+    extended_momentum,
     kepler_energy,
     kepler_vector_field,
     lenz_field,
     lenz_vector,
+    ls_inverse,
+    ls_map,
+    moser_fibration,
     sample_bound_states,
     to_plane,
 )
 from keplerreg.dynamics import _kepler_force
 from keplerreg.core import _bound_rows
-from keplerreg.kernels import _energy, _extended_rows, _integral_rows, _lenz, _on_pole
+from keplerreg.kernels import (
+    _energy,
+    _extended_rows,
+    _fibration_rows,
+    _integral_rows,
+    _lenz,
+    _on_pole,
+)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -76,6 +92,32 @@ def test_extended_rows_equal_the_energy_and_lenz_composition(n):
     assert _same_bits(_extended_rows(qs, ps), _composed_extended_rows(qs, ps))
     for q, p in zip(qs[:25], ps[:25]):
         assert _same_bits(_extended_rows(q, p), _composed_extended_rows(q, p))
+
+
+def _composed_fibration_rows(q, p):
+    """_fibration_rows as _energy composes it, taking q.q and p.p twice."""
+    r = np.sqrt(np.vecdot(q, q))
+    w = np.sqrt(-2.0 * _energy(q, p))
+    qp = np.vecdot(q, p)
+    u = np.concatenate([(w * r)[..., None] * p, (r * np.vecdot(p, p) - 1.0)[..., None]], axis=-1)
+    v = np.concatenate([-q / r[..., None] + qp[..., None] * p, (-w * qp)[..., None]], axis=-1)
+    return u, v, w
+
+
+def _composed_integral_rows(q, p):
+    """_integral_rows as _energy and _lenz compose it, each taking p.p and 1/|q|."""
+    i, j = np.triu_indices(q.shape[-1], 1)
+    wedge = q[..., i] * p[..., j] - q[..., j] * p[..., i]
+    return np.concatenate([_energy(q, p)[..., None], wedge, _lenz(q, p)], -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fibration_and_integral_rows_equal_the_energy_and_lenz_composition(n):
+    qs, ps = _bound_rows(n, 300, 9 + n, min_energy=-2.0, max_energy=-0.2)
+    for args in [(qs, ps)] + list(zip(qs[:25], ps[:25])):
+        for got, want in zip(_fibration_rows(*args), _composed_fibration_rows(*args)):
+            assert _same_bits(got, np.asarray(want))
+        assert _same_bits(_integral_rows(*args), _composed_integral_rows(*args))
 
 
 def _error(fn, q, p) -> str:
@@ -138,3 +180,42 @@ def test_one_puncture_predicate(gap, on_pole):
             to_plane(sp)
     else:
         assert np.isfinite(to_plane(sp).x).all()
+
+
+_NORTH = [0.0, 0.0, 1.0]
+_SOUTH = [0.0, 0.0, -1.0]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: kepler_energy(PhasePoint([0, 0], [1, 0])),
+         "q must be nonzero (energy undefined at collision)"),
+        (lambda: lenz_vector(PhasePoint([0, 0], [1, 0])),
+         "q must be nonzero (Lenz vector undefined at collision)"),
+        (lambda: moser_fibration(PhasePoint([0, 0], [1, 0])),
+         "q must be nonzero (collision point)"),
+        (lambda: moser_fibration(PhasePoint([1, 0], [2, 0])),
+         "H must be negative for the fibration, got H = 1"),
+        (lambda: ls_map(PhasePoint([4, 0], [0.5, 0.5])),
+         "H must be negative for the fibration, got H = 0"),
+        (lambda: delaunay_energy(SphereCotangentPoint(_SOUTH, [0, 0, 0])),
+         "|v| must be nonzero (zero section)"),
+        (lambda: delaunay_flow(SphereCotangentPoint(_SOUTH, [0, 0, 0]), 1.0),
+         "|v| must be nonzero (zero section has no flow)"),
+        (lambda: ls_inverse(SphereCotangentPoint(_SOUTH, [0, 0, 0])),
+         "|s| must be nonzero (zero section has no preimage)"),
+        (lambda: ls_inverse(SphereCotangentPoint(_NORTH, [0, 1e-200, 0])),
+         "|s| must be nonzero (zero section has no preimage)"),
+        (lambda: chart_hamiltonians(PlaneCotangentPoint([1, 2], [0, 0])),
+         "|y| must be nonzero for the chart Kepler Hamiltonian"),
+        (lambda: chart_hamiltonians(PlaneCotangentPoint([1e200, 0], [0, 0])),
+         "|y| must be nonzero for the chart Kepler Hamiltonian"),
+        (lambda: extended_momentum(PhasePoint([1, 0], [0, 1.5])),
+         "H must be negative, got H = 0.125"),
+    ],
+)
+def test_each_singular_set_guard_keeps_its_text(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message

@@ -6,6 +6,7 @@ sees every layer it times."""
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,8 @@ _KERNELS = (
     "_check_rows",
     "_on_pole",
     "_norm_squared",
+    "_nonzero_squares",
+    "_bound_root",
     "_inverse_radius",
     "_energy",
     "_energy_of",
@@ -48,6 +51,14 @@ _KERNELS = (
     "_sphere_integral_rows",
     "_extended_rows",
 )
+
+# The one test of each singular set, and the kernel that owns it: x.x = 0
+# (the collision q = 0 and the zero section v = 0), and H >= 0.
+_GUARDS = {
+    r"count_nonzero\((\w+)\) != \1\.size": "_nonzero_squares",
+    r"\benergy\w*\s*>=\s*0": "_bound_root",
+    r"==\s*0(\.0)?\)\.any\(\)": None,  # the retired zero test
+}
 
 # (importer, origin, name) of every private name one non-kernel module
 # imports from another.
@@ -120,6 +131,20 @@ def test_kernels_import_only_numpy_and_own_every_formula():
     for name, other in modules.items():
         assert not set(_KERNELS) & _top_level_names(other), name
     assert keplerreg.DomainError is core.DomainError is kernels.DomainError
+
+
+def test_each_singular_set_is_tested_in_one_guard():
+    for pattern, guard in _GUARDS.items():
+        owners = []
+        for path in sorted(_PACKAGE.glob("*.py")):
+            source = path.read_text()
+            spans = [(node.lineno, node.end_lineno, getattr(node, "name", None))
+                     for node in ast.parse(source).body]
+            for match in re.finditer(pattern, source):
+                line = source.count("\n", 0, match.start()) + 1
+                owner = next((name for start, end, name in spans if start <= line <= end), None)
+                owners.append((path.stem, owner))
+        assert owners == ([("kernels", guard)] if guard else []), pattern
 
 
 def test_private_imports_between_wrapper_modules():

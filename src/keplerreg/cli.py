@@ -5,7 +5,8 @@ points, ``propagate`` runs scenarios to CSV trajectory files (direct
 leapfrog or regularized Delaunay propagation), and ``verify`` runs the
 named property suites.  All numbers serialize with 17 significant digits
 so files round-trip doubles exactly, and identical invocations produce
-byte-identical output.
+byte-identical output.  ``map`` and ``verify`` import the Moser maps and
+the harness when they run, so a ``propagate`` process never loads them.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure, 3 numeric
 or domain failure during propagation.
@@ -24,10 +25,8 @@ import numpy as np
 
 from .core import DomainError, PhasePoint, SphereCotangentPoint, kepler_energy
 from .dynamics import CollisionApproachError, _leapfrog_span, _regularized_rows, delaunay_energy
-from .harness import SUITE_NAMES, run_suite
 from .kernels import _check_rows, _integral_rows, _sphere_integral_rows
 from .ligonschaaf import ls_inverse, ls_map
-from .moser import moser_fibration, moser_map, moser_map_inverse
 
 __all__ = ["main", "build_parser", "Scenario", "parse_scenario"]
 
@@ -182,6 +181,8 @@ def _sphere_record(sp: SphereCotangentPoint) -> list[str]:
 
 
 def _cmd_map(args, out) -> int:
+    from .moser import moser_fibration, moser_map, moser_map_inverse
+
     lines: list[str] = []
     if args.which in ("moser", "fibration", "ls"):
         if args.q is None or args.p is None:
@@ -346,6 +347,8 @@ def _cmd_propagate(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from .harness import SUITE_NAMES, run_suite
+
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     lines = []
     all_passed = True

@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import DomainError, PhasePoint, SphereCotangentPoint
-from .kernels import _delaunay_energy, _delaunay_flow_rows, _energy
+from .kernels import _delaunay_energy, _delaunay_flow_rows, _energy, _nonzero_squares
 from .ligonschaaf import PunctureError, _ls_inverse_rows, ls_map
 
 __all__ = [
@@ -347,8 +347,7 @@ def arc_time(traj: Trajectory) -> list[FlowTimes]:
     radii = np.linalg.norm(traj.qs, axis=1)
     if radii.size == 0:
         raise DomainError("trajectory has no samples; arc time undefined")
-    if np.any(radii == 0.0):
-        raise DomainError("trajectory touches the collision set; arc time undefined")
+    _nonzero_squares(traj.qs, "trajectory touches the collision set; arc time undefined")
     y = 1.0 / radii
     s_vals = np.concatenate(([0.0], np.cumsum(np.diff(traj.times) * (y[1:] + y[:-1]) / 2.0)))
     return [FlowTimes(float(t), float(s)) for t, s in zip(traj.times, s_vals)]

@@ -49,3 +49,13 @@ def test_a_failed_or_missing_run_makes_the_summary_incorrect():
     wrong = runs[:-1] + [_run(2, "change", 5.0, failed=3)]
     summary = tool.summarize(wrong, 2)
     assert not summary["correct"] and summary["failed"] == {"parent": 0, "change": 3}
+
+
+def test_machine_says_whether_runs_cache_bytecode(monkeypatch):
+    tool = _load()
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert tool._machine().endswith(", bytecode caching off (PYTHONDONTWRITEBYTECODE=1)")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert tool._machine().endswith(", bytecode caching on")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")  # empty counts as unset
+    assert tool._machine().endswith(", bytecode caching on")

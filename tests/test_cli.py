@@ -284,7 +284,6 @@ class TestVerifyCommand:
 
     def test_failing_suite_exit_2(self, capsys, monkeypatch):
         from keplerreg import Failure, SuiteReport
-        from keplerreg import cli as cli_mod
 
         def fake_run_suite(name, n, samples, seed):
             return SuiteReport(
@@ -297,7 +296,8 @@ class TestVerifyCommand:
                 failures=(Failure("pt", 1.0, 0.0, 1e-12),),
             )
 
-        monkeypatch.setattr(cli_mod, "run_suite", fake_run_suite)
+        # verify imports run_suite from the harness when it runs
+        monkeypatch.setattr(harness, "run_suite", fake_run_suite)
         code, out, _ = run_cli(["verify", "--suite", "metric", "--samples", "10"], capsys)
         assert code == 2
         assert out.strip().endswith("fail")

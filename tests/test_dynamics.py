@@ -308,6 +308,18 @@ class TestArcTime:
         with pytest.raises(DomainError, match="touches the collision set"):
             arc_time(traj)
 
+    def test_collision_is_where_every_square_underflows(self):
+        # (1e-170)^2 underflows to 0, so |q| = 0; (1e-160)^2 = 1e-320 is subnormal, not 0
+        def trajectory(middle):
+            qs = np.array([[1.0, 0.0], middle, [-1.0, 0.0]])
+            return Trajectory([0.0, 1.0, 2.0], qs, qs, integrator="exact", dt=0.0,
+                              energy_drift=0.0)
+
+        with pytest.raises(DomainError, match="touches the collision set"):
+            arc_time(trajectory([1e-170, -1e-170]))
+        tiny = np.linalg.norm([1e-160, 0.0])
+        assert arc_time(trajectory([1e-160, 0.0]))[-1].s == pytest.approx(1.0 + 1.0 / tiny)
+
 
 class TestArcTimeTrapezoid:
     """arc_time is numpy's composite trapezoid, bit for bit scipy's

@@ -1,7 +1,8 @@
 """Module layout: the closed-form formulas live in keplerreg.kernels, the
 other modules depend on each other through few private names, the
-package needs numpy alone at run time, and the benchmark's tracer still
-sees every layer it times."""
+package needs numpy alone at run time, each CLI command loads only the
+modules it uses, and the benchmark's tracer still sees every layer it
+times."""
 
 import ast
 import importlib.util
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import keplerreg
 from keplerreg import core, kernels
@@ -58,6 +60,7 @@ _GUARDS = {
     r"count_nonzero\((\w+)\) != \1\.size": "_nonzero_squares",
     r"\benergy\w*\s*>=\s*0": "_bound_root",
     r"==\s*0(\.0)?\)\.any\(\)": None,  # the retired zero test
+    r"np\.any\(\w+ == 0(\.0)?\)": None,  # arc_time's retired zero test
 }
 
 # (importer, origin, name) of every private name one non-kernel module
@@ -200,6 +203,51 @@ def test_runtime_imports_numpy_alone():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_each_command_loads_only_the_modules_it_uses(tmp_path):
+    # a fresh interpreter: the test session has imported every module
+    scenario = tmp_path / "circular.txt"
+    scenario.write_text("n = 2\nq = 1,0\np = 0,1\nt_end = 1\nmode = regularized\n")
+    code = (
+        "import io, sys, contextlib, keplerreg\n"
+        "def loaded():\n"
+        "    return sorted(m.partition('.')[2] for m in sys.modules if m.startswith('keplerreg.'))\n"
+        "print(loaded())\n"
+        "import keplerreg.cli\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert keplerreg.cli.main(list(argv)) == 0, argv\n"
+        "    print(loaded())\n"
+        f"run('propagate', {str(scenario)!r})\n"
+        "run('verify', '--suite', 'metric', '--samples', '10')\n"
+        "run('map', '--which', 'moser', '--q', '1,0', '--p', '0,1')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    bare, propagate, verify, mapped = map(ast.literal_eval, done.stdout.splitlines())
+    assert bare == []
+    assert propagate == ["cli", "core", "dynamics", "kernels", "ligonschaaf"]
+    assert set(verify) - set(propagate) == {"harness", "symmetry"}
+    assert set(mapped) - set(verify) == {"moser", "stereo"}
+
+
+def test_package_namespace_resolves_every_public_name():
+    for name in keplerreg.__all__:
+        origin = importlib.import_module(f"keplerreg.{keplerreg._ORIGIN[name]}")
+        assert getattr(keplerreg, name) is getattr(origin, name), name
+    assert len(set(keplerreg.__all__)) == len(keplerreg.__all__)
+    assert set(keplerreg.__all__) <= set(dir(keplerreg))
+    star: dict = {}
+    exec("from keplerreg import *", star)
+    assert {name: star[name] for name in keplerreg.__all__} == {
+        name: getattr(keplerreg, name) for name in keplerreg.__all__
+    }
+    assert keplerreg.core is core and "core" in dir(keplerreg)
+    with pytest.raises(AttributeError, match="module 'keplerreg' has no attribute 'nope'"):
+        keplerreg.nope
 
 
 def test_package_imports_name_stdlib_numpy_or_itself():

@@ -21,6 +21,8 @@ each end-to-end metric: the medians and quartiles of both sides
 (``statistics.quantiles(n=4)``, the median in the middle), the change's
 median against the parent's in percent, and in how many pairs the change
 was lower.  A summary's ``correct`` is false if any run of it was not.
+The report's ``machine`` says whether the runs could cache bytecode, since
+without a cache each run's set-up compiles every module it imports.
 """
 
 from __future__ import annotations
@@ -132,7 +134,10 @@ def _machine() -> str:
             model = next(names).strip()
     except (OSError, StopIteration):
         pass
-    return f"{model}, {os.cpu_count()} CPUs"
+    # Runs inherit this variable; when set, each run compiles every module it imports.
+    flag = os.environ.get("PYTHONDONTWRITEBYTECODE", "")
+    caching = f"off (PYTHONDONTWRITEBYTECODE={flag})" if flag else "on"
+    return f"{model}, {os.cpu_count()} CPUs, bytecode caching {caching}"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,8 +5,9 @@ points, ``propagate`` runs scenarios to CSV trajectory files (direct
 leapfrog or regularized Delaunay propagation), and ``verify`` runs the
 named property suites.  All numbers serialize with 17 significant digits
 so files round-trip doubles exactly, and identical invocations produce
-byte-identical output.  ``map`` and ``verify`` import the Moser maps and
-the harness when they run, so a ``propagate`` process never loads them.
+byte-identical output.  ``verify`` imports the harness when it runs, and
+``map`` a Moser map only in the branch that calls it, so a ``propagate``
+or ``map --which ls`` process never loads them.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure, 3 numeric
 or domain failure during propagation.
@@ -181,8 +182,6 @@ def _sphere_record(sp: SphereCotangentPoint) -> list[str]:
 
 
 def _cmd_map(args, out) -> int:
-    from .moser import moser_fibration, moser_map, moser_map_inverse
-
     lines: list[str] = []
     if args.which in ("moser", "fibration", "ls"):
         if args.q is None or args.p is None:
@@ -192,8 +191,10 @@ def _cmd_map(args, out) -> int:
         lines.append(f"q = {_fmt_vector(point.q)}")
         lines.append(f"p = {_fmt_vector(point.p)}")
         if args.which == "moser":
+            from .moser import moser_map
             sp = moser_map(point)
         elif args.which == "fibration":
+            from .moser import moser_fibration
             sp = moser_fibration(point)
         else:
             sp = ls_map(point)
@@ -207,7 +208,11 @@ def _cmd_map(args, out) -> int:
         lines.append(f"u = {_fmt_vector(sp.u)}")
         lines.append(f"v = {_fmt_vector(sp.v)}")
         lines.append(f"delaunay_energy = {_fmt(delaunay_energy(sp))}")
-        point = moser_map_inverse(sp) if args.which == "moser-inverse" else ls_inverse(sp)
+        if args.which == "moser-inverse":
+            from .moser import moser_map_inverse
+            point = moser_map_inverse(sp)
+        else:
+            point = ls_inverse(sp)
         lines.append(f"q = {_fmt_vector(point.q)}")
         lines.append(f"p = {_fmt_vector(point.p)}")
         lines.append(f"H = {_fmt(kepler_energy(point))}")

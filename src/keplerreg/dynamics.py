@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import DomainError, PhasePoint, SphereCotangentPoint
-from .kernels import _delaunay_energy, _delaunay_flow_rows, _energy, _nonzero_squares
+from .kernels import _bound_root, _delaunay_energy, _delaunay_flow_rows, _energy, _nonzero_squares
 from .ligonschaaf import PunctureError, _ls_inverse_rows, ls_map
 
 __all__ = [
@@ -355,6 +355,5 @@ def arc_time(traj: Trajectory) -> list[FlowTimes]:
 
 def kepler_period(energy: float) -> float:
     """Orbital period 2 pi (-2H)^(-3/2) of a bound Kepler orbit."""
-    if not energy < 0.0:
-        raise DomainError(f"H must be negative, got H = {energy:.6g}")
+    _bound_root(np.float64(energy))
     return 2.0 * math.pi * (-2.0 * energy) ** -1.5

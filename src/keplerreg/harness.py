@@ -45,7 +45,6 @@ from .kernels import (
     _extended_rows,
     _fibration_rows,
     _integral_rows,
-    _lenz,
     _lift,
     _ls_map_rows,
     _norm_squared,
@@ -580,41 +579,44 @@ def _suite_mu_squared(n: int, samples: int, seed: int) -> _Defects:
     return 1e-12, defects.tolist(), _points(PhasePoint, qs, ps)
 
 
-def _suite_so_brackets(n: int, samples: int, seed: int) -> _Defects:
-    """All so(n+1) bracket relations on bound samples.
-
-    {L_ab, L_cd} = d_bc L_da + d_ad L_cb - d_ac L_db - d_bd L_ca with the
-    index n standing for the scaled Lenz direction; brackets with fewer or
-    more than three distinct indices vanish.  Each unordered pair of
-    entries is compared once.
-    """
-    qs, ps = _bound_rows(n, samples, seed, min_energy=-2.0, max_energy=-0.2)
-    upper = _extended_rows(qs, ps)
-    values = upper - np.swapaxes(upper, -1, -2)
-    i, j = _upper_pairs(n + 1)
-    observed = _bracket_batch(
-        lambda q, p: _extended_rows(q, p)[..., i, j], qs, ps, FD_STEP, richardson=True
-    )
-    # entry (x, y) pairs L_ab, x = (a, b), with L_cd, y = (c, d)
-    a, b, c, d = i[:, None], j[:, None], i, j
+def _algebra_defects(field, a, b, kappa, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Each sample's worst |observed - expected| over the pairs x <= y of a
+    field whose entry x is M_(a[x], b[x]), a < b <= n, of an antisymmetric M
+    with {M_ab, M_cd} = g_bc M_da + g_ad M_cb - g_ac M_db - g_bd M_ca and
+    g = diag(1, ..., 1, kappa), kappa a scalar or one per sample: so(n+1) at
+    kappa = 1.  One gradient of the field gives every observed bracket."""
+    n = qs.shape[-1]
+    values = field(qs, ps)
+    matrix = np.zeros(values.shape[:-1] + (n + 1, n + 1))
+    matrix[..., a, b], matrix[..., b, a] = values, -values
+    x, y = np.triu_indices(len(a))
+    observed = _bracket_batch(field, qs, ps, FD_STEP, richardson=True)[..., x, y]
+    a, b, c, d = a[x], b[x], a[y], b[y]
+    # a and c lie below n, so g_bd alone can be kappa
+    g_bd = (b == d) * np.where(b == n, np.asarray(kappa)[..., None], 1.0)
     expected = (
-        (b == c) * values[:, d, a]
-        + (a == d) * values[:, c, b]
-        - (a == c) * values[:, d, b]
-        - (b == d) * values[:, c, a]
+        (b == c) * matrix[..., d, a]
+        + (a == d) * matrix[..., c, b]
+        - (a == c) * matrix[..., d, b]
+        - g_bd * matrix[..., c, a]
     )
-    x, y = np.triu_indices(len(i))
-    worst = np.max(np.abs(observed - expected)[:, x, y], axis=-1, initial=0.0)
+    return np.max(np.abs(observed - expected), axis=-1, initial=0.0)
+
+
+def _suite_so_brackets(n: int, samples: int, seed: int) -> _Defects:
+    """All so(n+1) bracket relations of the extended momenta on bound
+    samples, the index n standing for the scaled Lenz direction."""
+    qs, ps = _bound_rows(n, samples, seed, min_energy=-2.0, max_energy=-0.2)
+    i, j = _upper_pairs(n + 1)
+    worst = _algebra_defects(lambda q, p: _extended_rows(q, p)[..., i, j], i, j, 1.0, qs, ps)
     return 1e-5, worst.tolist(), _points(PhasePoint, qs, ps)
 
 
 def _suite_lenz_brackets(n: int, samples: int, seed: int) -> _Defects:
-    """Lenz bracket relations sampled on |q| > 0 regardless of energy sign.
-
-    {L_ij, K_k} = d_ik K_j - d_jk K_i and {K_i, K_j} = -2H L_ij extend off
-    the bound region as analytic identities, so positive energies are
-    sampled too.
-    """
+    """All so(n+1) relations of the L_ij and K_i columns of ``_integral_rows``,
+    K_i as M_in, with metric -2H: so {K_i, K_j} = -2H L_ij.  They extend off
+    the bound region as analytic identities, so the samples take |q| >= 0.1
+    and either sign of energy."""
     # A candidate takes its n + n uniforms whether it is kept or not, so
     # drawing blocks of candidates gives the same samples as one at a time.
     rng, half = np.random.default_rng(seed), np.array((2.0,) * n + (1.5,) * n)
@@ -624,21 +626,9 @@ def _suite_lenz_brackets(n: int, samples: int, seed: int) -> _Defects:
         rows = np.concatenate([rows, block[np.linalg.norm(block[:, :n], axis=1) >= 0.1]])
     qs, ps = _check_rows(rows[:samples, :n], rows[:samples, n:], "qp")
     i, j = _upper_pairs(n)
-    m = len(i)
-
-    def stacked(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.concatenate([_wedge_entries(q, p, i, j), _lenz(q, p)], axis=-1)
-
-    observed = _bracket_batch(stacked, qs, ps, FD_STEP, richardson=True)
-    lenz, k = _lenz(qs, ps), np.arange(n)
-    # {L_ij, K_k} at entry (ij, k), then {K_i, K_j} for i < j
-    expected = (i[:, None] == k) * lenz[:, j, None] - (j[:, None] == k) * lenz[:, i, None]
-    lenz_lenz = (-2.0 * _energy(qs, ps))[:, None] * _wedge_entries(qs, ps, i, j)
-    diffs = [
-        np.abs(observed[:, :m, m:] - expected).reshape(samples, -1),
-        np.abs(observed[:, m + i, m + j] - lenz_lenz),
-    ]
-    worst = np.max(np.concatenate(diffs, axis=-1), axis=-1, initial=0.0)
+    a, b = np.concatenate([i, np.arange(n)]), np.concatenate([j, np.full(n, n)])
+    kappa = -2.0 * _energy(qs, ps)
+    worst = _algebra_defects(lambda q, p: _integral_rows(q, p)[..., 1:], a, b, kappa, qs, ps)
     return 1e-5, worst.tolist(), _points(PhasePoint, qs, ps)
 
 

@@ -59,8 +59,8 @@ def _nonzero_squares(x: np.ndarray, message: str) -> np.ndarray:
 
 
 def _bound_root(energy: np.ndarray, suffix: str = "") -> np.ndarray:
-    """sqrt(-2H) over (...) arrays; DomainError naming the first H >= 0."""
-    bad = energy >= 0.0
+    """sqrt(-2H) over (...) arrays; DomainError naming the first H >= 0 or NaN."""
+    bad = ~(energy < 0.0)
     if bad.any():
         raise DomainError(f"H must be negative{suffix}, got H = {energy[bad][0]:.6g}")
     return np.sqrt(-2.0 * energy)

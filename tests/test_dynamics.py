@@ -374,6 +374,19 @@ class TestKeplerPeriod:
         with pytest.raises(DomainError):
             kepler_period(0.0)
 
+    @pytest.mark.parametrize(
+        "energy, shown", [(math.nan, "nan"), (0.0, "0"), (-0.0, "-0"), (1.0, "1")]
+    )
+    def test_non_negative_energy_message(self, energy, shown):
+        # NaN fails the H < 0 test too
+        with pytest.raises(DomainError) as info:
+            kepler_period(energy)
+        assert str(info.value) == f"H must be negative, got H = {shown}"
+
+    def test_period_is_the_closed_form_bit_for_bit(self):
+        for energy in (-0.5, -1.0, -0.123, -1e-6, -37.5):
+            assert kepler_period(energy) == 2.0 * math.pi * (-2.0 * energy) ** -1.5
+
 
 class TestMoserTimeIntertwining:
     """On the reference shell the Moser image of the Kepler trajectory is

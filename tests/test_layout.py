@@ -55,10 +55,11 @@ _KERNELS = (
 )
 
 # The one test of each singular set, and the kernel that owns it: x.x = 0
-# (the collision q = 0 and the zero section v = 0), and H >= 0.
+# (the collision q = 0 and the zero section v = 0), and H >= 0, spelled
+# ``energy >= 0``, ``not energy < 0`` or, letting no NaN through, ``~(energy < 0)``.
 _GUARDS = {
     r"count_nonzero\((\w+)\) != \1\.size": "_nonzero_squares",
-    r"\benergy\w*\s*>=\s*0": "_bound_root",
+    r"\benergy\w*\s*>=\s*0|(~\(|\bnot\s+)energy\w*\s*<\s*0": "_bound_root",
     r"==\s*0(\.0)?\)\.any\(\)": None,  # the retired zero test
     r"np\.any\(\w+ == 0(\.0)?\)": None,  # arc_time's retired zero test
 }
@@ -205,33 +206,47 @@ def test_runtime_imports_numpy_alone():
     assert done.stdout.strip() == "[]"
 
 
-def test_each_command_loads_only_the_modules_it_uses(tmp_path):
-    # a fresh interpreter: the test session has imported every module
-    scenario = tmp_path / "circular.txt"
-    scenario.write_text("n = 2\nq = 1,0\np = 0,1\nt_end = 1\nmode = regularized\n")
+def _loaded_after(*commands: list[str]) -> list[list[str]]:
+    """The keplerreg modules a fresh interpreter (the test session has imported
+    every module) holds after ``import keplerreg``, after ``import
+    keplerreg.cli`` and after each CLI command in turn."""
     code = (
         "import io, sys, contextlib, keplerreg\n"
         "def loaded():\n"
         "    return sorted(m.partition('.')[2] for m in sys.modules if m.startswith('keplerreg.'))\n"
         "print(loaded())\n"
         "import keplerreg.cli\n"
-        "def run(*argv):\n"
+        "print(loaded())\n"
+        f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert keplerreg.cli.main(list(argv)) == 0, argv\n"
+        "        assert keplerreg.cli.main(argv) == 0, argv\n"
         "    print(loaded())\n"
-        f"run('propagate', {str(scenario)!r})\n"
-        "run('verify', '--suite', 'metric', '--samples', '10')\n"
-        "run('map', '--which', 'moser', '--q', '1,0', '--p', '0,1')\n"
     )
     env = {**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    bare, propagate, verify, mapped = map(ast.literal_eval, done.stdout.splitlines())
+    return [ast.literal_eval(line) for line in done.stdout.splitlines()]
+
+
+def test_each_command_loads_only_the_modules_it_uses(tmp_path):
+    scenario = tmp_path / "circular.txt"
+    scenario.write_text("n = 2\nq = 1,0\np = 0,1\nt_end = 1\nmode = regularized\n")
+    bare, cli, propagate, verify, mapped = _loaded_after(
+        ["propagate", str(scenario)],
+        ["verify", "--suite", "metric", "--samples", "10"],
+        ["map", "--which", "moser", "--q", "1,0", "--p", "0,1"],
+    )
     assert bare == []
-    assert propagate == ["cli", "core", "dynamics", "kernels", "ligonschaaf"]
+    assert cli == propagate == ["cli", "core", "dynamics", "kernels", "ligonschaaf"]
     assert set(verify) - set(propagate) == {"harness", "symmetry"}
     assert set(mapped) - set(verify) == {"moser", "stereo"}
+    # the Ligon-Schaaf maps, each in a fresh interpreter, load no Moser map
+    for argv in (
+        ["map", "--which", "ls", "--q", "1,0", "--p", "0,1"],
+        ["map", "--which", "ls-inverse", "--u", "1,0,0", "--v", "0,1,0"],
+    ):
+        assert _loaded_after(argv)[-1] == propagate, argv
 
 
 def test_package_namespace_resolves_every_public_name():

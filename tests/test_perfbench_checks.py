@@ -62,12 +62,26 @@ def test_full_workload_passes_benchmark_checks(workload, seed, tmp_path, monkeyp
     assert not any(failed.values()), failed
 
 
-def test_tiny_verify_maps_passes_benchmark_checks(tmp_path, monkeypatch, capsys):
+def _failed_suites(seed: int, tiny: bool, workdir: Path, monkeypatch, capsys) -> dict:
+    """Whether each verify-maps suite call of one pass failed, by the
+    benchmark's own check of its exit code and report line."""
     workloads = _load("workloads", monkeypatch)
     checks = _load("checks", monkeypatch)
     failed = {}
-    for op in workloads.build("verify-maps", 0, tmp_path, tiny=True):
+    for op in workloads.build("verify-maps", seed, workdir, tiny=tiny):
         code = main(op.argv)
         failed[op.ident] = checks.check_verify(op, code, capsys.readouterr().out)
     assert len(failed) == 2 * len(workloads.MAP_SUITES) == 26
+    return failed
+
+
+def test_tiny_verify_maps_passes_benchmark_checks(tmp_path, monkeypatch, capsys):
+    failed = _failed_suites(0, True, tmp_path, monkeypatch, capsys)
+    assert not any(failed.values()), failed
+
+
+@pytest.mark.parametrize("seed", [23, 59])
+def test_full_verify_maps_passes_benchmark_checks(seed, tmp_path, monkeypatch, capsys):
+    # the 26 suite calls of a benchmark pass at 500 samples each
+    failed = _failed_suites(seed, False, tmp_path, monkeypatch, capsys)
     assert not any(failed.values()), failed

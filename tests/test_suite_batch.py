@@ -404,6 +404,22 @@ def _two_gradient_bracket(f, g, qs, ps):
     return total
 
 
+def _so_relation(values, a, b, c, d):
+    """{L_ab, L_cd} = d_bc L_da + d_ad L_cb - d_ac L_db - d_bd L_ca from the
+    entries values[(i, j)], i < j, of an antisymmetric L."""
+    expected = 0.0
+    for delta, (i, j), sign in (
+        (b == c, (d, a), 1.0),
+        (a == d, (c, b), 1.0),
+        (a == c, (d, b), -1.0),
+        (b == d, (c, a), -1.0),
+    ):
+        if delta:
+            term = values[(i, j)] if i < j else -values[(j, i)] if i > j else 0.0
+            expected = expected + sign * term
+    return expected
+
+
 def _oracle_so_brackets(n, samples, seed):
     points = sample_bound_states(n, samples, seed, min_energy=-2.0, max_energy=-0.2)
     qs, ps = _bracket_rows(points)
@@ -413,22 +429,12 @@ def _oracle_so_brackets(n, samples, seed):
     worst = np.zeros(len(points))
     for (a, b), (c, d) in combinations_with_replacement(pairs, 2):
         observed = _two_gradient_bracket(fields[(a, b)], fields[(c, d)], qs, ps)
-        expected = np.zeros(len(points))
-        for delta, pair, sign in (
-            (b == c, (d, a), 1.0),
-            (a == d, (c, b), 1.0),
-            (a == c, (d, b), -1.0),
-            (b == d, (c, a), -1.0),
-        ):
-            if delta:
-                i, j = pair
-                term = values[(i, j)] if i < j else -values[(j, i)] if i > j else 0.0
-                expected = expected + sign * term
-        worst = np.maximum(worst, np.abs(observed - expected))
+        worst = np.maximum(worst, np.abs(observed - _so_relation(values, a, b, c, d)))
     return worst.tolist()
 
 
-def _oracle_lenz_brackets(n, samples, seed):
+def _oracle_lenz_brackets(n, samples, seed, *, angular=True):
+    """The {L, K} and {K, K} relations, and with ``angular`` the {L, L} ones."""
     rng = np.random.default_rng(seed)
     points = []
     while len(points) < samples:
@@ -440,7 +446,16 @@ def _oracle_lenz_brackets(n, samples, seed):
     worst = np.zeros(samples)
     lenz_values = {k: lenz_field(k)(qs, ps) for k in range(n)}
     energy = hamiltonian_field()(qs, ps)
-    for i, j in combinations(range(n), 2):
+    pairs = list(combinations(range(n), 2))
+    angular_values = {pair: angular_momentum_field(*pair)(qs, ps) for pair in pairs}
+    if angular:
+        for (a, b), (c, d) in combinations_with_replacement(pairs, 2):
+            observed = _two_gradient_bracket(
+                angular_momentum_field(a, b), angular_momentum_field(c, d), qs, ps
+            )
+            expected = _so_relation(angular_values, a, b, c, d)
+            worst = np.maximum(worst, np.abs(observed - expected))
+    for i, j in pairs:
         for k in range(n):
             observed = _two_gradient_bracket(
                 angular_momentum_field(i, j), lenz_field(k), qs, ps
@@ -451,9 +466,9 @@ def _oracle_lenz_brackets(n, samples, seed):
             if j == k:
                 expected = expected - lenz_values[i]
             worst = np.maximum(worst, np.abs(observed - expected))
-    for i, j in combinations(range(n), 2):
+    for i, j in pairs:
         observed = _two_gradient_bracket(lenz_field(i), lenz_field(j), qs, ps)
-        expected = -2.0 * energy * angular_momentum_field(i, j)(qs, ps)
+        expected = -2.0 * energy * angular_values[(i, j)]
         worst = np.maximum(worst, np.abs(observed - expected))
     return worst.tolist()
 
@@ -477,6 +492,13 @@ ORACLES = {
 def test_suite_defects_equal_per_sample_oracle(suite, n):
     _, defects, _ = harness.suite_registry()[suite].runner(n, 60, 7)
     assert defects == ORACLES[suite](n, 60, 7)
+
+
+def test_lenz_defects_equal_the_oracle_where_an_angular_pair_sets_one():
+    _, defects, _ = harness.suite_registry()["lenz-brackets"].runner(3, 500, 42)
+    assert defects == _oracle_lenz_brackets(3, 500, 42)
+    # without the {L_ij, L_kl} relations some sample's defect is lower
+    assert _oracle_lenz_brackets(3, 500, 42, angular=False) != defects
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ leapfrog or regularized Delaunay propagation), and ``verify`` runs the
 named property suites.  All numbers serialize with 17 significant digits
 so files round-trip doubles exactly, and identical invocations produce
 byte-identical output.  ``verify`` imports the harness when it runs, and
-``map`` a Moser map only in the branch that calls it, so a ``propagate``
-or ``map --which ls`` process never loads them.
+``map`` loads the module of the map it applies, so a ``propagate`` or
+``map --which ls`` process never loads the harness or the Moser maps.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure, 3 numeric
 or domain failure during propagation.
@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .core import DomainError, PhasePoint, SphereCotangentPoint, kepler_energy
 from .dynamics import CollisionApproachError, _leapfrog_span, _regularized_rows, delaunay_energy
 from .kernels import _check_rows, _integral_rows, _sphere_integral_rows
-from .ligonschaaf import ls_inverse, ls_map
+from .ligonschaaf import ls_map
 
 __all__ = ["main", "build_parser", "Scenario", "parse_scenario"]
 
@@ -93,6 +94,8 @@ class Scenario:
         if times is not None:
             if times.size == 0:
                 raise DomainError("output_times must be nonempty when given")
+            if not np.isfinite(times).all():
+                raise DomainError("output_times must have finite entries")
             if np.any(times < 0.0) or np.any(np.diff(times) <= 0.0):
                 raise DomainError("output_times must be nonnegative and strictly increasing")
             if not np.all(times <= self.t_end):
@@ -114,7 +117,18 @@ class Scenario:
         return self._times
 
 
-_SCENARIO_KEYS = ("n", "q", "p", "t_end", "mode", "dt", "output_times", "output_count")
+# Each scenario key and its reader, in the order the keys are read: the first
+# bad value or missing required key (a field of Scenario with no default) wins.
+_SCENARIO_KEYS = {
+    "n": int,
+    "q": functools.partial(_parse_vector, name="q"),
+    "p": functools.partial(_parse_vector, name="p"),
+    "t_end": float,
+    "mode": str,
+    "dt": float,
+    "output_times": functools.partial(_parse_vector, name="output_times"),
+    "output_count": int,
+}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -125,7 +139,7 @@ def parse_scenario(text: str) -> Scenario:
     output_times is absent, default 100).  Blank lines and ``#`` comments
     are ignored; an unknown or repeated key is an error.
     """
-    fields: dict[str, str] = {}
+    given: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -135,34 +149,17 @@ def parse_scenario(text: str) -> Scenario:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SCENARIO_KEYS:
             raise DomainError(f"scenario line {lineno} has unknown key {key!r}")
-        if key in fields:
+        if key in given:
             raise DomainError(f"scenario line {lineno} repeats key {key!r}")
-        fields[key] = value
-    try:
-        n = int(fields["n"])
-        q = _parse_vector(fields["q"], "q")
-        p = _parse_vector(fields["p"], "p")
-        t_end = float(fields["t_end"])
-        mode = fields["mode"]
-    except KeyError as exc:
-        raise DomainError(f"scenario is missing required key {exc.args[0]!r}") from exc
-    dt = float(fields["dt"]) if "dt" in fields else None
-    output_times = (
-        _parse_vector(fields["output_times"], "output_times")
-        if "output_times" in fields
-        else None
-    )
-    output_count = int(fields.get("output_count", "100"))
-    return Scenario(
-        n=n,
-        q=q,
-        p=p,
-        t_end=t_end,
-        mode=mode,
-        dt=dt,
-        output_times=output_times,
-        output_count=output_count,
-    )
+        given[key] = value
+    required = {f.name for f in fields(Scenario) if f.init and f.default is MISSING}
+    values = {}
+    for key, read in _SCENARIO_KEYS.items():
+        if key in given:
+            values[key] = read(given[key])
+        elif key in required:
+            raise DomainError(f"scenario is missing required key {key!r}")
+    return Scenario(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -181,41 +178,36 @@ def _sphere_record(sp: SphereCotangentPoint) -> list[str]:
     ]
 
 
+# Each --which choice: the input pair it reads, and the module and name of its map.
+_MAPS = {
+    "moser": ("qp", "moser", "moser_map"),
+    "moser-inverse": ("uv", "moser", "moser_map_inverse"),
+    "fibration": ("qp", "moser", "moser_fibration"),
+    "ls": ("qp", "ligonschaaf", "ls_map"),
+    "ls-inverse": ("uv", "ligonschaaf", "ls_inverse"),
+}
+
+
 def _cmd_map(args, out) -> int:
-    lines: list[str] = []
-    if args.which in ("moser", "fibration", "ls"):
-        if args.q is None or args.p is None:
-            raise DomainError(f"--which {args.which} requires --q and --p")
-        point = PhasePoint(_parse_vector(args.q, "q"), _parse_vector(args.p, "p"))
-        lines.append(f"which = {args.which}")
-        lines.append(f"q = {_fmt_vector(point.q)}")
-        lines.append(f"p = {_fmt_vector(point.p)}")
-        if args.which == "moser":
-            from .moser import moser_map
-            sp = moser_map(point)
-        elif args.which == "fibration":
-            from .moser import moser_fibration
-            sp = moser_fibration(point)
-        else:
-            sp = ls_map(point)
+    pair, module, name = _MAPS[args.which]
+    texts = [getattr(args, key) for key in pair]
+    if None in texts:
+        raise DomainError(f"--which {args.which} requires --{pair[0]} and --{pair[1]}")
+    kind = PhasePoint if pair == "qp" else SphereCotangentPoint
+    point = kind(*(_parse_vector(text, key) for text, key in zip(texts, pair)))
+    lines = [f"which = {args.which}"]
+    lines += [f"{key} = {_fmt_vector(getattr(point, key))}" for key in pair]
+    if pair == "uv":
+        lines.append(f"delaunay_energy = {_fmt(delaunay_energy(point))}")
+    # Looked up when called, so a process loads only the module of its map.
+    image = getattr(importlib.import_module(f".{module}", __package__), name)(point)
+    if pair == "qp":
         lines.append(f"H = {_fmt(kepler_energy(point))}")
-        lines.extend(_sphere_record(sp))
+        lines.extend(_sphere_record(image))
     else:
-        if args.u is None or args.v is None:
-            raise DomainError(f"--which {args.which} requires --u and --v")
-        sp = SphereCotangentPoint(_parse_vector(args.u, "u"), _parse_vector(args.v, "v"))
-        lines.append(f"which = {args.which}")
-        lines.append(f"u = {_fmt_vector(sp.u)}")
-        lines.append(f"v = {_fmt_vector(sp.v)}")
-        lines.append(f"delaunay_energy = {_fmt(delaunay_energy(sp))}")
-        if args.which == "moser-inverse":
-            from .moser import moser_map_inverse
-            point = moser_map_inverse(sp)
-        else:
-            point = ls_inverse(sp)
-        lines.append(f"q = {_fmt_vector(point.q)}")
-        lines.append(f"p = {_fmt_vector(point.p)}")
-        lines.append(f"H = {_fmt(kepler_energy(point))}")
+        lines.append(f"q = {_fmt_vector(image.q)}")
+        lines.append(f"p = {_fmt_vector(image.p)}")
+        lines.append(f"H = {_fmt(kepler_energy(image))}")
     out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -387,22 +379,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_map = sub.add_parser("map", help="apply a regularization map to one point")
-    p_map.add_argument(
-        "--which",
-        required=True,
-        choices=["moser", "moser-inverse", "fibration", "ls", "ls-inverse"],
-    )
+    p_map.set_defaults(run=_cmd_map)
+    p_map.add_argument("--which", required=True, choices=list(_MAPS))
     p_map.add_argument("--q", help="position, comma-separated")
     p_map.add_argument("--p", help="momentum, comma-separated")
     p_map.add_argument("--u", help="sphere base point, comma-separated")
     p_map.add_argument("--v", help="sphere covector, comma-separated")
 
     p_prop = sub.add_parser("propagate", help="propagate scenario files to CSV")
+    p_prop.set_defaults(run=_cmd_propagate)
     p_prop.add_argument("scenario", nargs="+", help="scenario file(s)")
     p_prop.add_argument("--out", help="output CSV path (single scenario)")
     p_prop.add_argument("--out-dir", help="output directory (batch mode)")
 
     p_ver = sub.add_parser("verify", help="run verification suites")
+    p_ver.set_defaults(run=_cmd_verify)
     p_ver.add_argument("--suite", required=True, help="suite name or 'all'")
     p_ver.add_argument("--n", type=int, default=2)
     p_ver.add_argument("--samples", type=int, default=500)
@@ -442,16 +433,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(argv if argv is not None else sys.argv[1:])
     args = _parser().parse_args(_merge_vector_flags(argv))
     try:
-        if args.command == "map":
-            return _cmd_map(args, sys.stdout)
-        if args.command == "propagate":
-            return _cmd_propagate(args, sys.stdout)
-        if args.command == "verify":
-            return _cmd_verify(args, sys.stdout)
+        return args.run(args, sys.stdout)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
-    return EXIT_INVALID  # pragma: no cover
 
 
 if __name__ == "__main__":

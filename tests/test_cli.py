@@ -120,6 +120,35 @@ class TestMapCommand:
         assert (code, out) == (1, "")
         assert err == "error: --which ls-inverse requires --u and --v\n"
 
+    @pytest.mark.parametrize(
+        "which, flags",
+        [
+            ("moser", "--q and --p"),
+            ("moser-inverse", "--u and --v"),
+            ("fibration", "--q and --p"),
+            ("ls", "--q and --p"),
+            ("ls-inverse", "--u and --v"),
+        ],
+    )
+    @pytest.mark.parametrize("given", [[], ["--q", "1,0"], ["--v", "0,1,0"]])
+    def test_missing_input_message(self, which, flags, given, capsys):
+        assert run_cli(["map", "--which", which, *given], capsys) == (
+            1,
+            "",
+            f"error: --which {which} requires {flags}\n",
+        )
+
+    def test_invalid_choice_lists_every_map(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["map", "--which", "nope", "--q", "1,0", "--p", "0,1"])
+        assert caught.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "keplerreg map: error: argument --which: invalid choice: 'nope' (choose from "
+            "'moser', 'moser-inverse', 'fibration', 'ls', 'ls-inverse')\n"
+        )
+
     def test_fibration(self, capsys):
         code, out, _ = run_cli(
             ["map", "--which", "fibration", "--q", "4,0", "--p", "0,0.5"], capsys
@@ -496,6 +525,34 @@ class TestScenarioParsing:
                 mode="regularized",
                 output_times=np.array([]),
             )
+
+    @pytest.mark.parametrize("times", ["0,nan,0.5", "nan", "0,inf", "-inf,0.5"])
+    def test_non_finite_output_times_rejected_as_such(self, times, tmp_path, capsys):
+        text = f"n = 2\nq = 1,0\np = 0,1\nt_end = 1\nmode = regularized\noutput_times = {times}\n"
+        scn = write_scenario(tmp_path, "times.scn", text)
+        code, out, err = run_cli(["propagate", str(scn)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid scenario {scn}: output_times must have finite entries\n"
+
+    _REQUIRED = {
+        "n": "n = 2",
+        "q": "q = 1,0",
+        "p": "p = 0,1",
+        "t_end": "t_end = 1",
+        "mode": "mode = regularized",
+    }
+
+    @pytest.mark.parametrize("key", list(_REQUIRED))
+    def test_missing_required_key(self, key):
+        lines = [line for name, line in self._REQUIRED.items() if name != key]
+        with pytest.raises(DomainError) as caught:
+            parse_scenario("\n".join(lines) + "\noutput_count = 3\n")
+        assert str(caught.value) == f"scenario is missing required key {key!r}"
+
+    def test_bad_value_wins_over_a_later_missing_key(self):
+        with pytest.raises(ValueError) as caught:
+            parse_scenario("n = x\np = 0,1\n")
+        assert str(caught.value) == "invalid literal for int() with base 10: 'x'"
 
     def test_output_times_beyond_t_end(self):
         with pytest.raises(DomainError, match="t_end"):

@@ -247,6 +247,12 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path):
         ["map", "--which", "ls-inverse", "--u", "1,0,0", "--v", "0,1,0"],
     ):
         assert _loaded_after(argv)[-1] == propagate, argv
+    # the Moser maps, each in a fresh interpreter, load their module when called
+    for argv in (
+        ["map", "--which", "fibration", "--q", "1,0", "--p", "0,1"],
+        ["map", "--which", "moser-inverse", "--u", "1,0,0", "--v", "0,1,0"],
+    ):
+        assert set(_loaded_after(argv)[-1]) - set(propagate) == {"moser", "stereo"}, argv
 
 
 def test_package_namespace_resolves_every_public_name():
@@ -263,6 +269,11 @@ def test_package_namespace_resolves_every_public_name():
     assert keplerreg.core is core and "core" in dir(keplerreg)
     with pytest.raises(AttributeError, match="module 'keplerreg' has no attribute 'nope'"):
         keplerreg.nope
+
+
+def test_each_public_name_is_in_its_module_all():
+    for name, module in keplerreg._ORIGIN.items():
+        assert name in importlib.import_module(f"keplerreg.{module}").__all__, name
 
 
 def test_package_imports_name_stdlib_numpy_or_itself():

@@ -46,11 +46,12 @@ def _fmt_vector(vec: np.ndarray) -> str:
     return ",".join(_fmt(float(c)) for c in vec)
 
 
-def _parse_vector(text: str, name: str) -> np.ndarray:
+def _parse_value(text: str, name: str, read, what: str):
+    """read(text); a bad value raises DomainError naming its key and quoting it."""
     try:
-        return np.array([float(part) for part in text.split(",")], dtype=float)
+        return read(text)
     except ValueError as exc:
-        raise DomainError(f"{name} must be comma-separated decimals, got {text!r}") from exc
+        raise DomainError(f"{name} must be {what}, got {text!r}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,8 +80,8 @@ class Scenario:
     _times: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("direct", "regularized"):
-            raise DomainError(f"mode must be direct or regularized, got {self.mode!r}")
+        if self.mode not in _MODES:
+            raise DomainError(f"mode must be {' or '.join(_MODES)}, got {self.mode!r}")
         if self.q.size != self.n or self.p.size != self.n:
             raise DomainError("q and p must have length n")
         _check_rows(self.q, self.p, "qp")
@@ -117,17 +118,18 @@ class Scenario:
         return self._times
 
 
-# Each scenario key and its reader, in the order the keys are read: the first
-# bad value or missing required key (a field of Scenario with no default) wins.
+# Each scenario key, its reader and what it reads, in the order the keys are read:
+# the first bad value or missing required key (a field of Scenario with no default) wins.
+_VECTOR = (lambda text: np.array([float(x) for x in text.split(",")]), "comma-separated decimals")
 _SCENARIO_KEYS = {
-    "n": int,
-    "q": functools.partial(_parse_vector, name="q"),
-    "p": functools.partial(_parse_vector, name="p"),
-    "t_end": float,
-    "mode": str,
-    "dt": float,
-    "output_times": functools.partial(_parse_vector, name="output_times"),
-    "output_count": int,
+    "n": (int, "an integer"),
+    "q": _VECTOR,
+    "p": _VECTOR,
+    "t_end": (float, "a decimal"),
+    "mode": (str, "text"),
+    "dt": (float, "a decimal"),
+    "output_times": _VECTOR,
+    "output_count": (int, "an integer"),
 }
 
 
@@ -154,9 +156,9 @@ def parse_scenario(text: str) -> Scenario:
         given[key] = value
     required = {f.name for f in fields(Scenario) if f.init and f.default is MISSING}
     values = {}
-    for key, read in _SCENARIO_KEYS.items():
+    for key, reader in _SCENARIO_KEYS.items():
         if key in given:
-            values[key] = read(given[key])
+            values[key] = _parse_value(given[key], key, *reader)
         elif key in required:
             raise DomainError(f"scenario is missing required key {key!r}")
     return Scenario(**values)
@@ -194,7 +196,7 @@ def _cmd_map(args, out) -> int:
     if None in texts:
         raise DomainError(f"--which {args.which} requires --{pair[0]} and --{pair[1]}")
     kind = PhasePoint if pair == "qp" else SphereCotangentPoint
-    point = kind(*(_parse_vector(text, key) for text, key in zip(texts, pair)))
+    point = kind(*(_parse_value(text, key, *_VECTOR) for text, key in zip(texts, pair)))
     lines = [f"which = {args.which}"]
     lines += [f"{key} = {_fmt_vector(getattr(point, key))}" for key in pair]
     if pair == "uv":
@@ -307,6 +309,10 @@ def _propagate_direct(scenario: Scenario) -> list[str]:
     return _csv_rows(times, q, p, integrals, np.zeros(times.size, dtype=bool))
 
 
+# Each scenario mode and the function that propagates it.
+_MODES = {"direct": _propagate_direct, "regularized": _propagate_regularized}
+
+
 def _cmd_propagate(args, out) -> int:
     paths = [Path(p) for p in args.scenario]
     if len(paths) > 1 and args.out is not None:
@@ -319,10 +325,7 @@ def _cmd_propagate(args, out) -> int:
             sys.stderr.write(f"error: invalid scenario {path}: {exc}\n")
             return EXIT_INVALID
         try:
-            if scenario.mode == "regularized":
-                rows = _propagate_regularized(scenario)
-            else:
-                rows = _propagate_direct(scenario)
+            rows = _MODES[scenario.mode](scenario)
         except (CollisionApproachError, DomainError) as exc:
             sys.stderr.write(f"error: propagation failed for {path}: {exc}\n")
             return EXIT_NUMERIC

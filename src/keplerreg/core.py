@@ -37,8 +37,10 @@ __all__ = [
 ]
 
 
-def _freeze_pair(obj, names: str, *, sphere: bool = False) -> None:
-    """Store a value object's two vector fields read-only, after every check."""
+def _freeze_pair(obj) -> None:
+    """Store a value object's first two fields, its vector pair, read-only,
+    after every check; the pair's names pick the checks (``_check_rows``)."""
+    names = "".join([f.name for f in fields(obj)[:2]])
     a, b = (np.array(getattr(obj, name), dtype=float) for name in names)
     for name, arr in zip(names, (a, b)):
         if arr.ndim != 1 or arr.size < 1:
@@ -47,14 +49,15 @@ def _freeze_pair(obj, names: str, *, sphere: bool = False) -> None:
         object.__setattr__(obj, name, arr)
     if a.shape != b.shape:
         raise DomainError(f"{names[0]} and {names[1]} must have the same length")
-    if sphere and a.size < 2:
-        raise DomainError("sphere points need at least two coordinates")
-    _check_rows(a, b, names, sphere=sphere)
+    _check_rows(a, b, names)
 
 
 class _Point:
-    """Base of the point value objects.  Their constructor checks rows that
-    come from outside; ``_from_checked`` adopts rows a kernel has checked."""
+    """Base of the point value objects: the constructor checks their pair, the first
+    two fields (``_freeze_pair``); ``_from_checked`` adopts rows a kernel checked."""
+
+    def __post_init__(self) -> None:
+        _freeze_pair(self)
 
     @classmethod
     def _from_checked(cls, a: np.ndarray, b: np.ndarray, *rest):
@@ -79,9 +82,6 @@ class PhasePoint(_Point):
 
     q: np.ndarray
     p: np.ndarray
-
-    def __post_init__(self) -> None:
-        _freeze_pair(self, "qp")
 
     @property
     def n(self) -> int:
@@ -121,9 +121,6 @@ class SphereCotangentPoint(_Point):
     u: np.ndarray
     v: np.ndarray
     at_puncture: bool = False
-
-    def __post_init__(self) -> None:
-        _freeze_pair(self, "uv", sphere=True)
 
     @property
     def n(self) -> int:
@@ -165,9 +162,6 @@ class PlaneCotangentPoint(_Point):
 
     x: np.ndarray
     y: np.ndarray
-
-    def __post_init__(self) -> None:
-        _freeze_pair(self, "xy")
 
     @property
     def n(self) -> int:

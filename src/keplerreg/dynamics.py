@@ -192,10 +192,11 @@ def _kepler_force(q: list[float], scale: float = 1.0) -> tuple[list[float], floa
 
 def kepler_vector_field(point: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of the Kepler equations: (p, -q (q.q)^-1.5), the leapfrog's force."""
+    _nonzero_squares(point.q, "q must be nonzero (vector field singular at collision)")
     try:
         return point.p.copy(), np.array(_kepler_force(point.q.tolist())[0])
-    except (ZeroDivisionError, OverflowError):  # q.q is 0, or (q.q)^-1.5 overflows
-        raise DomainError("q must be nonzero (vector field singular at collision)") from None
+    except OverflowError:  # (q.q)^-1.5 is out of float range
+        raise DomainError(f"|q| = {point.radius:.3e} is too small: (q.q)^-1.5 overflows") from None
 
 
 def _collision_floor_r2(dt: float) -> float:

@@ -319,7 +319,7 @@ def _sample_sphere(
         us.append(u)
         vs.append(v)
         found += len(u)
-    return _check_rows(np.concatenate(us), np.concatenate(vs), "uv", sphere=True)
+    return _check_rows(np.concatenate(us), np.concatenate(vs), "uv")
 
 
 def _points(kind: type, a: np.ndarray, b: np.ndarray) -> Callable[[int], object]:

@@ -1,5 +1,5 @@
-"""Array kernels: each closed-form formula over one point (n,) or rows (m, n),
-checking every row as the value objects do (``_check_rows``); numpy only."""
+"""Array kernels: each closed-form formula over one point (n,) or rows (m, n), checking
+every row as the value objects do (``_check_rows``, by the pair's names); numpy only."""
 
 from __future__ import annotations
 
@@ -16,15 +16,17 @@ class DomainError(ValueError):
 _CONSTRAINT_TOL = 1e-10
 
 
-def _check_rows(a: np.ndarray, b: np.ndarray, names: str, *, sphere: bool = False):
-    """The value objects' checks of one point (k,) or rows (m, k): finite
-    entries and, for a sphere pair (u, v), |u.u - 1| <= 1e-10 and
-    |u.v| <= 1e-10 min(1, |v|), so that a short v must be tangent too.
-    Returns (a, b)."""
+def _check_rows(a: np.ndarray, b: np.ndarray, names: str):
+    """The value objects' checks of one point (k,) or rows (m, k), picked by the
+    pair's names.  Every pair needs finite entries; the sphere pair "uv" also
+    needs k >= 2, |u.u - 1| <= 1e-10 and |u.v| <= 1e-10 min(1, |v|), so that a
+    short v must be tangent too.  Returns (a, b)."""
+    if names == "uv" and a.shape[-1] < 2:
+        raise DomainError("sphere points need at least two coordinates")
     for name, arr in zip(names, (a, b)):
         if not np.isfinite(arr).all():
             raise DomainError(f"{name} must have finite entries")
-    if sphere:
+    if names == "uv":
         unit = np.abs(np.vecdot(a, a) - 1.0), _CONSTRAINT_TOL
         short = np.minimum(1.0, np.sqrt(np.vecdot(b, b)))
         tangent = np.abs(np.vecdot(a, b)), _CONSTRAINT_TOL * short
@@ -180,7 +182,7 @@ def _lift(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u.T[-1] = (x2 - 1.0) / denom
     v.T[:-1] = 0.5 * denom * y.T - xy * x.T
     v.T[-1] = xy
-    _check_rows(u, v, "uv", sphere=True)
+    _check_rows(u, v, "uv")
     return u, v
 
 
@@ -194,7 +196,7 @@ def _fibration_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
     qp = np.vecdot(q, p)
     u = np.concatenate([(w * r)[..., None] * p, (r * p2 - 1.0)[..., None]], axis=-1)
     v = np.concatenate([-q / r[..., None] + qp[..., None] * p, (-w * qp)[..., None]], axis=-1)
-    _check_rows(u, v, "uv", sphere=True)
+    _check_rows(u, v, "uv")
     return u, v, w
 
 
@@ -228,7 +230,7 @@ def _ls_map_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
     u, v, w = _fibration_rows(q, p)
     r, s = _rotate(u, v, v[..., -1])
     s = s / w[..., None]
-    _check_rows(r, s, "uv", sphere=True)
+    _check_rows(r, s, "uv")
     return r, s, _on_pole(r)
 
 
@@ -240,7 +242,7 @@ def _delaunay_energy(v: np.ndarray) -> np.ndarray:
 def _delaunay_flow_rows(u: np.ndarray, v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """``delaunay_flow`` of rows (m, n+1), or of one point (n+1,) for every
     row, to times t (m,), with its checks on every row: (u, v, at_puncture)."""
-    _check_rows(u, v, "uv", sphere=True)
+    _check_rows(u, v, "uv")
     rho = np.sqrt(_nonzero_squares(v, "|v| must be nonzero (zero section has no flow)"))
     # float_power evaluates rho^3 as the C library's pow does; numpy's
     # vectorized power differs from it in the last bit for some rho.
@@ -248,5 +250,5 @@ def _delaunay_flow_rows(u: np.ndarray, v: np.ndarray, t: np.ndarray) -> tuple[np
     rho = rho[..., None]
     u_new, w = _reproject(*_rotate(u, v / rho, angle))
     v_new = rho * (w / np.sqrt(np.vecdot(w, w))[..., None])
-    _check_rows(u_new, v_new, "uv", sphere=True)
+    _check_rows(u_new, v_new, "uv")
     return u_new, v_new, _on_pole(u_new)

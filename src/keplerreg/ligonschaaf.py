@@ -148,7 +148,7 @@ def _solve_rotation_angle(r_last: np.ndarray, s_last: np.ndarray) -> np.ndarray:
 def _ls_inverse_rows(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``ls_inverse`` of rows (m, n+1), with its checks on every row:
     (q, p, puncture).  A row the mask ``puncture`` marks has NaN q and p."""
-    _check_rows(r, s, "uv", sphere=True)
+    _check_rows(r, s, "uv")
     sigma = np.sqrt(_nonzero_squares(s, "|s| must be nonzero (zero section has no preimage)"))
     s_hat = s / sigma[:, None]
     theta = _solve_rotation_angle(r[:, -1], s_hat[:, -1])

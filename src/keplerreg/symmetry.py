@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .core import DomainError, MomentumMatrix, PhasePoint, SphereCotangentPoint
-from .kernels import _energy, _extended_rows, _lenz, _wedge_entries
+from .kernels import _energy, _extended_rows, _lenz, _nonzero_squares, _wedge_entries
 
 __all__ = [
     "angular_momentum",
@@ -75,8 +75,7 @@ def momentum_norm_squared(obj: PhasePoint | SphereCotangentPoint) -> float:
     if isinstance(obj, PhasePoint):
         return extended_momentum(obj).norm_squared()
     if isinstance(obj, SphereCotangentPoint):
-        if not obj.off_zero_section():
-            raise DomainError("|v| must be nonzero")
+        _nonzero_squares(obj.v, "|v| must be nonzero")
         return sphere_momentum(obj).norm_squared()
     raise TypeError(f"expected PhasePoint or SphereCotangentPoint, got {type(obj)!r}")
 

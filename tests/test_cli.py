@@ -500,8 +500,9 @@ class TestScenarioParsing:
         assert scenario.n == 2
 
     def test_bad_mode(self):
-        with pytest.raises(DomainError, match="mode"):
+        with pytest.raises(DomainError) as caught:
             parse_scenario("n = 2\nq = 1,0\np = 0,1\nt_end = 1\nmode = warp\n")
+        assert str(caught.value) == "mode must be direct or regularized, got 'warp'"
 
     def test_explicit_output_times(self):
         scenario = parse_scenario(RECT_REG)
@@ -552,7 +553,25 @@ class TestScenarioParsing:
     def test_bad_value_wins_over_a_later_missing_key(self):
         with pytest.raises(ValueError) as caught:
             parse_scenario("n = x\np = 0,1\n")
-        assert str(caught.value) == "invalid literal for int() with base 10: 'x'"
+        assert str(caught.value) == "n must be an integer, got 'x'"
+
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("n", "x", "n must be an integer, got 'x'"),
+            ("t_end", "x", "t_end must be a decimal, got 'x'"),
+            ("dt", "x", "dt must be a decimal, got 'x'"),
+            ("output_count", "2.5", "output_count must be an integer, got '2.5'"),
+        ],
+    )
+    def test_bad_value_names_its_key(self, key, value, message, tmp_path, capsys):
+        given = {"n": "2", "q": "1,0", "p": "0,1", "t_end": "1", "mode": "direct",
+                 "dt": "1e-3", "output_count": "3", key: value}
+        text = "".join(f"{name} = {raw}\n" for name, raw in given.items())
+        scn = write_scenario(tmp_path, "bad.scn", text)
+        code, out, err = run_cli(["propagate", str(scn)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid scenario {scn}: {message}\n"
 
     def test_output_times_beyond_t_end(self):
         with pytest.raises(DomainError, match="t_end"):

@@ -75,6 +75,7 @@ class TestPhasePoint:
         assert PhasePoint([1, 0], [0, 1]).on_reference_shell()
         assert not PhasePoint([1, 0], [0, 2]).is_bound()  # H = +1
         assert not PhasePoint([1, 0], [0, 0]).on_reference_shell()  # H = -1
+        assert not PhasePoint([0, 0], [0, 1]).on_reference_shell()  # collision: no H
 
     def test_n_from_vectors(self):
         assert PhasePoint([1, 0, 0, 0], [0, 0, 0, 1]).n == 4
@@ -91,6 +92,7 @@ class TestSphereCotangentPoint:
         sp = SphereCotangentPoint([0, 1, 0], [-1, 0, 0])
         assert sp.n == 2
         assert sp.covector_norm == 1.0
+        assert sp.pole_gap == 1.0
         assert sp.off_zero_section()
         assert sp.off_pole()
         assert sp.is_regular()
@@ -195,6 +197,9 @@ class TestPlaneCotangentPoint:
     def test_y_nonzero(self):
         assert PlaneCotangentPoint([1], [2]).y_nonzero()
         assert not PlaneCotangentPoint([1], [0]).y_nonzero()
+
+    def test_n_from_vectors(self):
+        assert PlaneCotangentPoint([1, 2, 3], [0, 0, 1]).n == 3
 
 
 class TestMomentumMatrix:

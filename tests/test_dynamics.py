@@ -55,11 +55,21 @@ class TestVectorField:
         with pytest.raises(DomainError):
             kepler_vector_field(PhasePoint([0, 0], [0, 1]))
 
-    @pytest.mark.parametrize("q", [[1e-200, 0], [1e-120, 0]])
-    def test_force_out_of_float_range_rejected(self, q):
-        # q.q underflows to 0, or (q.q)^-1.5 overflows
-        with pytest.raises(DomainError, match="q must be nonzero"):
+    @pytest.mark.parametrize(
+        ("q", "message"),
+        [
+            # q.q underflows to 0: the collision test of every kernel
+            pytest.param([1e-200, 0], "q must be nonzero (vector field singular at collision)",
+                         id="q0"),
+            # q.q > 0 and H = -1e120 is finite, but (q.q)^-1.5 overflows
+            pytest.param([1e-120, 0], "|q| = 1.000e-120 is too small: (q.q)^-1.5 overflows",
+                         id="q1"),
+        ],
+    )
+    def test_force_out_of_float_range_rejected(self, q, message):
+        with pytest.raises(DomainError) as info:
             kepler_vector_field(PhasePoint(q, [0, 1]))
+        assert str(info.value) == message
 
 
 class TestKeplerIntegrate:

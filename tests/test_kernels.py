@@ -22,13 +22,17 @@ from keplerreg import (
     lenz_vector,
     ls_inverse,
     ls_map,
+    momentum_norm_squared,
     moser_fibration,
     sample_bound_states,
     to_plane,
 )
 from keplerreg.dynamics import _kepler_force
 from keplerreg.core import _bound_rows
+from keplerreg.ligonschaaf import _ls_inverse_rows
 from keplerreg.kernels import (
+    _check_rows,
+    _delaunay_flow_rows,
     _energy,
     _extended_rows,
     _fibration_rows,
@@ -213,9 +217,32 @@ _SOUTH = [0.0, 0.0, -1.0]
          "|y| must be nonzero for the chart Kepler Hamiltonian"),
         (lambda: extended_momentum(PhasePoint([1, 0], [0, 1.5])),
          "H must be negative, got H = 0.125"),
+        (lambda: kepler_vector_field(PhasePoint([0, 0], [0, 1])),
+         "q must be nonzero (vector field singular at collision)"),
+        (lambda: kepler_vector_field(PhasePoint([1e-110, 0], [0, 1])),
+         "|q| = 1.000e-110 is too small: (q.q)^-1.5 overflows"),
+        (lambda: momentum_norm_squared(SphereCotangentPoint(_SOUTH, [0, 0, 0])),
+         "|v| must be nonzero"),
     ],
 )
 def test_each_singular_set_guard_keeps_its_text(call, message):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda u, v: _check_rows(u, v, "uv"),
+        lambda u, v: _delaunay_flow_rows(u, v, np.ones(len(u))),
+        lambda u, v: _ls_inverse_rows(u, v),
+    ],
+    ids=["_check_rows", "_delaunay_flow_rows", "_ls_inverse_rows"],
+)
+@pytest.mark.parametrize("u", [[[1.0]], [[np.nan]]], ids=["unit", "nan"])
+def test_one_coordinate_sphere_rows_are_rejected_by_name(check, u):
+    # The pair "uv" alone picks the sphere rules, ahead of the finite check.
+    with pytest.raises(DomainError) as info:
+        check(np.array(u), np.array([[0.0]]))
+    assert str(info.value) == "sphere points need at least two coordinates"

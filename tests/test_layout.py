@@ -6,6 +6,7 @@ times."""
 
 import ast
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -149,6 +150,22 @@ def test_each_singular_set_is_tested_in_one_guard():
                 owner = next((name for start, end, name in spans if start <= line <= end), None)
                 owners.append((path.stem, owner))
         assert owners == ([("kernels", guard)] if guard else []), pattern
+
+
+def test_one_row_contract_per_pair():
+    # The pair's names pick its rules: no caller passes a sphere flag, and
+    # the point classes share the base class's one constructor check.
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                assert "sphere" not in {k.arg for k in node.keywords}, (name, node.lineno)
+    plain = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+    params = inspect.signature(kernels._check_rows).parameters.values()
+    assert [(p.kind, p.default) for p in params] == [plain] * 3
+    assert list(inspect.signature(core._freeze_pair).parameters) == ["obj"]
+    for kind in (core.PhasePoint, core.SphereCotangentPoint, core.PlaneCotangentPoint):
+        assert "__post_init__" not in vars(kind), kind.__name__
+        assert kind.__post_init__ is core._Point.__post_init__
 
 
 def test_private_imports_between_wrapper_modules():

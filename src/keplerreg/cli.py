@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import DomainError, PhasePoint, SphereCotangentPoint, kepler_energy
 from .dynamics import CollisionApproachError, _leapfrog_span, _regularized_rows, delaunay_energy
-from .kernels import _check_rows, _integral_rows, _sphere_integral_rows
+from .kernels import _check_rows, _integral_pairs, _integral_rows, _sphere_integral_rows
 from .ligonschaaf import ls_map
 
 __all__ = ["main", "build_parser", "Scenario", "parse_scenario"]
@@ -218,19 +218,11 @@ def _cmd_map(args, out) -> int:
 # propagate subcommand
 
 
-def _momentum_columns(n: int) -> list[str]:
-    return [f"L{i + 1}{j + 1}" for i in range(n) for j in range(i + 1, n)]
-
-
 def _csv_header(n: int) -> str:
-    cols = ["t"]
-    cols += [f"q{i + 1}" for i in range(n)]
-    cols += [f"p{i + 1}" for i in range(n)]
-    cols += ["H"]
-    cols += _momentum_columns(n)
-    cols += [f"K{i + 1}" for i in range(n)]
-    cols += ["Knorm", "flag"]
-    return ",".join(cols)
+    pairs = zip(*(index.tolist() for index in _integral_pairs(n)))
+    momenta = [f"K{i + 1}" if j == n else f"L{i + 1}{j + 1}" for i, j in pairs]
+    phase = [f"{x}{i + 1}" for x in "qp" for i in range(n)]
+    return ",".join(["t", *phase, "H", *momenta, "Knorm", "flag"])
 
 
 def _csv_rows(t, q, p, integrals, collision) -> list[str]:
@@ -249,21 +241,17 @@ def _csv_rows(t, q, p, integrals, collision) -> list[str]:
     bits = tail.view(np.int64)
     ordered = np.sort(bits, axis=None)
     distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
+    # join(cells) is the text of one row's integral cells.
     if 2 * distinct <= bits.size:
         patterns, inverse = np.unique(bits, return_inverse=True)
         text = np.array(["%.17g" % x for x in patterns.view(float).tolist()], dtype=object)
-        cells = text[inverse.reshape(bits.shape)]
-        table = np.concatenate([np.column_stack([t, q, p]).astype(object), cells], 1)
-        cell = "%s"
+        tails, join = text[inverse.reshape(bits.shape)].tolist(), ",".join
     else:
-        table = np.column_stack([t, q, p, tail])
-        cell = "%.17g"
-    tail_cells = [cell] * tail.shape[1]
-    phase = ",".join(["%.17g"] * (1 + 2 * n) + tail_cells + [""])
-    # "%.0s" prints nothing, which keeps a collision row's q and p cells empty.
-    hit = ",".join(["%.17g"] + ["%.0s"] * (2 * n) + tail_cells + ["collision"])
-    rows = zip(table.tolist(), collision.tolist())
-    return [(hit if c else phase) % tuple(row) for row, c in rows]
+        tails, join = map(tuple, tail.tolist()), ",".join(["%.17g"] * tail.shape[1]).__mod__
+    phase = ",".join(["%.17g"] * (1 + 2 * n) + ["%s", ""])
+    hit = ",".join(["%.17g"] + [""] * (2 * n) + ["%s", "collision"])
+    rows = zip(np.column_stack([t, q, p]).tolist(), tails, collision.tolist())
+    return [hit % (r[0], join(cells)) if c else phase % (*r, join(cells)) for r, cells, c in rows]
 
 
 def _propagate_regularized(scenario: Scenario) -> list[str]:
@@ -313,12 +301,35 @@ def _propagate_direct(scenario: Scenario) -> list[str]:
 _MODES = {"direct": _propagate_direct, "regularized": _propagate_regularized}
 
 
+def _write_output(target: Path, text: str, make_dir: bool = False) -> None:
+    """Write text to target, making its directory first if make_dir; a target
+    that cannot be written is invalid input (exit 1), not a traceback."""
+    try:
+        if make_dir:
+            target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {exc.filename or target}: {exc.strerror}") from None
+
+
 def _cmd_propagate(args, out) -> int:
     paths = [Path(p) for p in args.scenario]
+    if args.out is not None and args.out_dir is not None:
+        sys.stderr.write("error: use --out or --out-dir, not both\n")
+        return EXIT_INVALID
     if len(paths) > 1 and args.out is not None:
         sys.stderr.write("error: use --out-dir with multiple scenarios\n")
         return EXIT_INVALID
-    for path in paths:
+    targets = [None if args.out is None else Path(args.out)] * len(paths)
+    if args.out_dir is not None:
+        targets = [Path(args.out_dir) / (path.stem + ".csv") for path in paths]
+        writers: dict[Path, Path] = {}
+        for path, target in zip(paths, targets):
+            if target in writers:
+                sys.stderr.write(f"error: {writers[target]} and {path} would both write {target}\n")
+                return EXIT_INVALID
+            writers[target] = path
+    for path, target in zip(paths, targets):
         try:
             scenario = parse_scenario(path.read_text())
         except (OSError, ValueError) as exc:
@@ -330,15 +341,10 @@ def _cmd_propagate(args, out) -> int:
             sys.stderr.write(f"error: propagation failed for {path}: {exc}\n")
             return EXIT_NUMERIC
         text = "\n".join([_csv_header(scenario.n)] + rows) + "\n"
-        if args.out_dir is not None:
-            target = Path(args.out_dir) / (path.stem + ".csv")
-            target.parent.mkdir(parents=True, exist_ok=True)
-        elif args.out is not None:
-            target = Path(args.out)
-        else:
+        if target is None:
             out.write(text)
-            continue
-        target.write_text(text)
+        else:
+            _write_output(target, text, make_dir=args.out_dir is not None)
     return EXIT_OK
 
 
@@ -366,7 +372,7 @@ def _cmd_verify(args, out) -> int:
     text = "\n".join(lines) + "\n"
     out.write(text)
     if args.out is not None:
-        Path(args.out).write_text(text)
+        _write_output(Path(args.out), text)
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 

@@ -44,6 +44,7 @@ from .kernels import (
     _energy,
     _extended_rows,
     _fibration_rows,
+    _integral_pairs,
     _integral_rows,
     _lift,
     _ls_map_rows,
@@ -625,8 +626,7 @@ def _suite_lenz_brackets(n: int, samples: int, seed: int) -> _Defects:
         block = rng.uniform(-half, half, size=(samples, 2 * n))
         rows = np.concatenate([rows, block[np.linalg.norm(block[:, :n], axis=1) >= 0.1]])
     qs, ps = _check_rows(rows[:samples, :n], rows[:samples, n:], "qp")
-    i, j = _upper_pairs(n)
-    a, b = np.concatenate([i, np.arange(n)]), np.concatenate([j, np.full(n, n)])
+    a, b = _integral_pairs(n)
     kappa = -2.0 * _energy(qs, ps)
     worst = _algebra_defects(lambda q, p: _integral_rows(q, p)[..., 1:], a, b, kappa, qs, ps)
     return 1e-5, worst.tolist(), _points(PhasePoint, qs, ps)

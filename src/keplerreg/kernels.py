@@ -115,9 +115,16 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+def _integral_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The so(n+1) index pair (a, b) of each L_ij and K_i column of ``_integral_rows``,
+    in column order: every (i, j) with i < j < n, then (i, n) for each K_i = M_in."""
+    i, j = _upper_pairs(n)
+    return np.concatenate([i, np.arange(n)]), np.concatenate([j, np.full(n, n)])
+
+
 def _integral_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The first integrals (H, every L_ij with i < j, K) of one point (n,) or rows
-    (m, n), as (..., 1 + n(n-1)/2 + n); DomainError at q = 0.  One p.p and 1/|q|."""
+    """H, then each L_ij and K_i in ``_integral_pairs`` order, of one point (n,) or
+    rows (m, n), as (..., 1 + n(n-1)/2 + n); DomainError at q = 0.  One p.p and 1/|q|."""
     p2, inverse_radius = np.vecdot(p, p), _inverse_radius(q, "energy")
     energy = _energy_of(p2, inverse_radius)[..., None]
     upper = _wedge_entries(q, p, *_upper_pairs(q.shape[-1]))
@@ -125,12 +132,13 @@ def _integral_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _sphere_integral_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``_integral_rows`` of sphere rows (m, n+1), where q and p are undefined:
-    the Delaunay energy and u ^ v, whose last column is K / sqrt(-2H)."""
+    """``_integral_rows`` of sphere rows (m, n+1), where q and p are undefined: the
+    Delaunay energy and u ^ v at ``_integral_pairs``, whose (i, n) entries are K_i / sqrt(-2H)."""
     energy = _delaunay_energy(v)
     n = u.shape[1] - 1
-    lenz = _wedge_entries(u, v, np.arange(n), np.full(n, n)) * np.sqrt(-2.0 * energy)[:, None]
-    return np.concatenate([energy[:, None], _wedge_entries(u, v, *_upper_pairs(n)), lenz], -1)
+    momenta = _wedge_entries(u, v, *_integral_pairs(n))
+    momenta[:, -n:] *= np.sqrt(-2.0 * energy)[:, None]
+    return np.concatenate([energy[:, None], momenta], -1)
 
 
 def _extended_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 
 import numpy as np
 import pytest
@@ -217,6 +219,44 @@ class TestPropagateCommand:
         assert (code, out) == (1, "")
         assert err == "error: use --out-dir with multiple scenarios\n"
         assert not out_csv.exists()
+
+    def test_out_with_out_dir_exit_1(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, "a.scn", CIRCULAR_REG)
+        out_csv, out_dir = tmp_path / "x.csv", tmp_path / "runs"
+        argv = ["propagate", str(scn), "--out", str(out_csv), "--out-dir", str(out_dir)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: use --out or --out-dir, not both\n"
+        assert not out_csv.exists() and not out_dir.exists()
+
+    def test_out_dir_clash_exit_1_before_any_scenario_runs(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        a = write_scenario(tmp_path, "a/x.scn", CIRCULAR_REG)
+        b = write_scenario(tmp_path, "b/x.scn", RECT_REG)
+        out_dir = tmp_path / "runs"
+        code, out, err = run_cli(["propagate", str(a), str(b), "--out-dir", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {a} and {b} would both write {out_dir / 'x.csv'}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command, written",
+        [
+            (["propagate", "{scn}", "--out", "{blocked}/x.csv"], "{blocked}/x.csv"),
+            (["propagate", "{scn}", "--out-dir", "{blocked}/runs"], "{blocked}/runs"),
+            (["verify", "--suite", "metric", "--samples", "5", "--out", "{blocked}/r.txt"],
+             "{blocked}/r.txt"),
+        ],
+        ids=["propagate-out", "propagate-out-dir", "verify-out"],
+    )
+    def test_unwritable_output_exit_1(self, command, written, tmp_path, capsys):
+        # a path whose parent is a regular file cannot be written or made
+        names = {"scn": write_scenario(tmp_path, "a.scn", CIRCULAR_REG), "blocked": tmp_path / "f"}
+        names["blocked"].write_text("")
+        code, _, err = run_cli([arg.format(**names) for arg in command], capsys)
+        assert code == 1
+        assert err == f"error: cannot write {written.format(**names)}: {os.strerror(errno.ENOTDIR)}\n"
 
     @pytest.mark.parametrize(
         "text, message",

@@ -50,6 +50,7 @@ _KERNELS = (
     "_delaunay_flow_rows",
     "_wedge_entries",
     "_upper_pairs",
+    "_integral_pairs",
     "_integral_rows",
     "_sphere_integral_rows",
     "_extended_rows",

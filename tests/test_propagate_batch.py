@@ -133,6 +133,51 @@ def test_cli_matches_per_row_oracle(kind, n, tmp_path, capsys):
         assert {"0", "-0"} <= integral_cells
 
 
+def _skew(n: int) -> str:
+    # A bound orbit whose L_ij and K_i are nonzero and distinct for n >= 2.
+    q, p = np.array([1.0, 0.2, -0.3, 0.1])[:n], np.array([0.1, 0.8, 0.25, -0.4])[:n]
+    return (
+        f"n = {n}\nq = {_vec(q)}\np = {_vec(p)}\nt_end = 20\n"
+        f"mode = regularized\noutput_count = 40\n"
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", [_radial, _skew])
+def test_header_names_each_column(kind, n, tmp_path, capsys):
+    """Each cell under H, L{i}{j}, K{i} and Knorm is that quantity of the row's
+    printed q and p, by plain numpy formulas; a collision row prints 2n empty cells."""
+    scn = tmp_path / "s.scn"
+    scn.write_text(kind(n))
+    assert main(["propagate", str(scn)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    names = header.split(",")
+    phase_names = [f"{x}{i + 1}" for x in "qp" for i in range(n)]
+    assert len(set(names)) == len(names)
+    collisions = 0
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(names)
+        cells = dict(zip(names, cells))
+        if cells["flag"] == "collision":
+            assert [cells[name] for name in phase_names] == [""] * (2 * n)
+            collisions += 1
+            continue
+        assert cells["flag"] == ""
+        q, p = np.split(np.array([float(cells[name]) for name in phase_names]), 2)
+        inverse_radius = 1.0 / np.sqrt(q @ q)
+        lenz = (p @ p - inverse_radius) * q - (q @ p) * p
+        expected = {"H": 0.5 * (p @ p) - inverse_radius, "Knorm": np.sqrt(lenz @ lenz)}
+        for i in range(n):
+            expected[f"K{i + 1}"] = lenz[i]
+            for j in range(i + 1, n):
+                expected[f"L{i + 1}{j + 1}"] = q[i] * p[j] - q[j] * p[i]
+        assert set(names) == {"t", *phase_names, *expected, "flag"}
+        for name, value in expected.items():
+            assert abs(float(cells[name]) - value) <= 1e-12, (name, row)
+    assert collisions == (2 if kind is _radial else 0)
+
+
 def _sphere_rows(n: int, seed: int):
     sps = [ls_map(pt) for pt in sample_bound_states(n, 150, seed)]
     return sps, np.stack([sp.u for sp in sps]), np.stack([sp.v for sp in sps])

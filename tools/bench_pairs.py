@@ -20,7 +20,12 @@ stderr when it did not exit 0) and, per workload and seed, a summary of
 each end-to-end metric: the medians and quartiles of both sides
 (``statistics.quantiles(n=4)``, the median in the middle), the change's
 median against the parent's in percent, and in how many pairs the change
-was lower.  A summary's ``correct`` is false if any run of it was not.
+was lower.  Each end-to-end metric also gets ``parent_iqr``, the parent's
+upper quartile less its lower one, and ``meets_claim_rule``: the change is
+better (by the metric's ``better`` in BENCHMARK.json) in at least nine
+tenths of the pairs, ties counting for neither side, and its median is
+better than the parent's by more than ``parent_iqr``.  A summary's
+``correct`` is false if any run of it was not.
 The report's ``machine`` says whether the runs could cache bytecode, since
 without a cache each run's set-up compiles every module it imports.
 """
@@ -87,8 +92,10 @@ def run_once(checkout: Path, argv: list[str]) -> dict:
     return entry
 
 
-def summarize(runs: list[dict], pairs: int) -> dict:
-    """Medians, quartiles and pairs lower of every metric, for one workload and seed."""
+def summarize(runs: list[dict], pairs: int, better: dict[str, str]) -> dict:
+    """Medians, quartiles and pairs lower of every metric, for one workload and
+    seed, and the claim rule of each end-to-end metric, which ``better`` maps
+    to "lower" or "higher"."""
     by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
     good = [r for r in runs if r["result"] is not None]
     names = list(dict.fromkeys(m for r in good for m in r["result"]["metrics"]))
@@ -105,16 +112,28 @@ def summarize(runs: list[dict], pairs: int) -> dict:
         if min(len(v) for v in values.values()) < 2:
             continue  # too few runs of a side to summarize; correct is false below
         entry: dict = {}
+        medians, quartiles = {}, {}
         for side in SIDES:
             series = list(values[side].values())
-            entry[f"{side}_median"] = round(statistics.median(series), 6)
-            entry[f"{side}_quartiles"] = [round(x, 6) for x in statistics.quantiles(series, n=4)]
+            medians[side] = statistics.median(series)
+            quartiles[side] = statistics.quantiles(series, n=4)
+            entry[f"{side}_median"] = round(medians[side], 6)
+            entry[f"{side}_quartiles"] = [round(x, 6) for x in quartiles[side]]
         entry["change_vs_parent_median_pct"] = round(
             100.0 * (entry["change_median"] / entry["parent_median"] - 1.0), 2
         )
         both = values["parent"].keys() & values["change"].keys()
         entry["pairs_change_lower"] = sum(values["change"][k] < values["parent"][k] for k in both)
         entry["pairs"] = len(both)
+        if name in better:
+            # sign * (parent - change) is positive where the change is better
+            sign = 1.0 if better[name] == "lower" else -1.0
+            wins = sum(sign * (values["parent"][k] - values["change"][k]) > 0 for k in both)
+            iqr = quartiles["parent"][2] - quartiles["parent"][0]
+            entry["parent_iqr"] = round(iqr, 6)
+            entry["meets_claim_rule"] = (
+                10 * wins >= 9 * len(both) and sign * (medians["parent"] - medians["change"]) > iqr
+            )
         summary[name] = entry
     summary["failed"] = {
         side: sum(r["result"]["failed"] for r in by_side[side] if r["result"] is not None)
@@ -162,6 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         build_change(checkouts["change"])
         benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
         workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+        better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
         runs, summary = [], {}
         for workload in workloads:
             for seed in args.seed:
@@ -181,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
                         p90 = result.get("metrics", {}).get("call_norm_ms_p90", {}).get("value")
                         print(f"{workload} seed {seed} pair {pair} {side}: exit {entry['exit']}, "
                               f"correct {result.get('correct')}, p90 {p90}", file=sys.stderr)
-                summary[f"{workload} seed {seed}"] = summarize(group, args.pairs)
+                summary[f"{workload} seed {seed}"] = summarize(group, args.pairs, better)
                 runs.extend(group)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -19,6 +19,8 @@ import argparse
 import functools
 import importlib
 import math
+import os
+import stat
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -303,11 +305,19 @@ _MODES = {"direct": _propagate_direct, "regularized": _propagate_regularized}
 
 def _write_output(target: Path, text: str, make_dir: bool = False) -> None:
     """Write text to target, making its directory first if make_dir; a target
-    that cannot be written is invalid input (exit 1), not a traceback."""
+    that cannot be written is invalid input (exit 1), not a traceback.
+
+    An existing file is written in place and then cut to length: truncating
+    it on open makes ext4 (auto_da_alloc) start its writeback, several times
+    the cost of the write.  A target that is not a regular file (/dev/null)
+    is not cut."""
     try:
         if make_dir:
             target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text)
+        with open(os.open(target, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            f.write(text.encode())
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
     except OSError as exc:
         raise ValueError(f"cannot write {exc.filename or target}: {exc.strerror}") from None
 

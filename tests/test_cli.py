@@ -434,6 +434,93 @@ class TestVerifyCommand:
         assert out_path.read_text() == out
 
 
+class TestOutputWriter:
+    """propagate --out, --out-dir and verify --out share one writer: it writes
+    an existing file in place and cuts it to length, with open()'s mode and
+    symlink rules."""
+
+    COMMANDS = {
+        "propagate": lambda tmp_path, out: [
+            "propagate", str(write_scenario(tmp_path, "c.scn", CIRCULAR_REG)), "--out", str(out)
+        ],
+        "verify": lambda tmp_path, out: [
+            "verify", "--suite", "metric", "--samples", "5", "--out", str(out)
+        ],
+    }
+
+    def _scenario(self, tmp_path, rows):
+        text = CIRCULAR_REG.replace("output_count = 100", f"output_count = {rows}")
+        return write_scenario(tmp_path, f"c{rows}.scn", text)
+
+    def test_propagate_over_a_longer_file_leaves_the_fresh_bytes(self, tmp_path, capsys):
+        long, short = self._scenario(tmp_path, 400), self._scenario(tmp_path, 4)
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        assert run_cli(["propagate", str(short), "--out", str(fresh)], capsys)[0] == 0
+        assert run_cli(["propagate", str(long), "--out", str(reused)], capsys)[0] == 0
+        assert reused.stat().st_size > 50 * fresh.stat().st_size
+        assert run_cli(["propagate", str(short), "--out", str(reused)], capsys)[0] == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+        assert len(fresh.read_text().splitlines()) == 5
+
+    def test_verify_over_a_longer_file_leaves_the_fresh_bytes(self, tmp_path, capsys):
+        args = ["verify", "--samples", "5", "--n", "2"]
+        fresh, reused = tmp_path / "fresh.txt", tmp_path / "reused.txt"
+        code, out, _ = run_cli(args + ["--suite", "metric", "--out", str(fresh)], capsys)
+        assert code == 0 and fresh.read_text() == out
+        assert run_cli(args + ["--suite", "all", "--out", str(reused)], capsys)[0] == 0
+        assert len(reused.read_text().splitlines()) == len(harness.SUITE_NAMES)
+        assert run_cli(args + ["--suite", "metric", "--out", str(reused)], capsys)[0] == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason=f"no {os.devnull}")
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_dev_null_is_written_but_not_cut(self, command, tmp_path, capsys):
+        code, _, err = run_cli(self.COMMANDS[command](tmp_path, os.devnull), capsys)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_symlink_writes_its_target(self, command, tmp_path, capsys):
+        target, link = tmp_path / "target.out", tmp_path / "link.out"
+        target.write_text("old text that is longer than nothing\n" * 500)
+        link.symlink_to(target)
+        code, _, _ = run_cli(self.COMMANDS[command](tmp_path, link), capsys)
+        assert code == 0 and link.is_symlink()
+        fresh = tmp_path / "fresh.out"
+        assert run_cli(self.COMMANDS[command](tmp_path, fresh), capsys)[0] == 0
+        assert target.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_a_new_file_gets_open_mode_less_umask(self, umask, tmp_path, capsys):
+        out = tmp_path / "new.csv"
+        old = os.umask(umask)
+        try:
+            code, _, _ = run_cli(self.COMMANDS["propagate"](tmp_path, out), capsys)
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_the_target_is_opened_without_truncation(self, command, tmp_path, capsys, monkeypatch):
+        # Truncating on open makes ext4 start writeback of the file, several
+        # times the cost of the write; the writer cuts the file after writing.
+        out, opened, real_open = tmp_path / "out.txt", [], os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        out.write_text("x" * 100_000)
+        monkeypatch.setattr(os, "open", spy)
+        code, _, _ = run_cli(self.COMMANDS[command](tmp_path, out), capsys)
+        assert code == 0
+        flags = [flags for path, flags in opened if path == str(out)]
+        assert len(flags) == 1
+        assert flags[0] & os.O_TRUNC == 0
+        assert flags[0] & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+        assert b"x" not in out.read_bytes()
+
+
 class TestRemovedToleranceFlags:
     """The tolerances are fixed constants, so no subcommand takes a flag for them."""
 

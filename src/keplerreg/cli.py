@@ -310,7 +310,8 @@ def _write_output(target: Path, text: str, make_dir: bool = False) -> None:
     An existing file is written in place and then cut to length: truncating
     it on open makes ext4 (auto_da_alloc) start its writeback, several times
     the cost of the write.  A target that is not a regular file (/dev/null)
-    is not cut."""
+    is not cut.  A write that stops partway can leave the old file's tail
+    after the new text."""
     try:
         if make_dir:
             target.parent.mkdir(parents=True, exist_ok=True)

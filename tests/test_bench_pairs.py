@@ -87,46 +87,11 @@ def test_claim_rule_is_given_for_end_to_end_metrics_alone():
     assert "parent_iqr" not in entry and "meets_claim_rule" not in entry
 
 
-def test_machine_says_whether_runs_cache_bytecode(monkeypatch, tmp_path):
+def test_machine_says_whether_runs_cache_bytecode(monkeypatch):
     tool = _load()
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    assert tool._machine(tmp_path).endswith(", bytecode caching off (PYTHONDONTWRITEBYTECODE=1)")
+    assert tool._machine().endswith(", bytecode caching off (PYTHONDONTWRITEBYTECODE=1)")
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
-    assert tool._machine(tmp_path).endswith(", bytecode caching on")
+    assert tool._machine().endswith(", bytecode caching on")
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")  # empty counts as unset
-    assert tool._machine(tmp_path).endswith(", bytecode caching on")
-
-
-_MOUNTS = """\
-/dev/vda / ext4 rw,relatime,discard 0 0
-proc /proc proc rw,nosuid,nodev,noexec,relatime 0 0
-tmpfs /tmp tmpfs rw,nosuid,nodev 0 0
-/dev/vdb /data xfs rw,noatime 0 0
-/dev/vdc /data ext4 rw,noatime,noauto_da_alloc 0 0
-/dev/vdd /dat ext4 ro 0 0
-/dev/vde /my\\040runs btrfs rw,ssd 0 0
-"""
-
-
-@pytest.mark.parametrize(
-    "path, filesystem",
-    [
-        ("/home/user/bench-pairs-1", "ext4 (rw,relatime,discard)"),
-        ("/", "ext4 (rw,relatime,discard)"),
-        ("/tmp/bench-pairs-1", "tmpfs (rw,nosuid,nodev)"),
-        ("/tmpfiles/x", "ext4 (rw,relatime,discard)"),  # a prefix of the name is not a mount
-        ("/data", "ext4 (rw,noatime,noauto_da_alloc)"),  # the last mount on a point wins
-        ("/data/runs/x", "ext4 (rw,noatime,noauto_da_alloc)"),
-        ("/my runs/x", "btrfs (rw,ssd)"),  # /proc/mounts escapes the space as \040
-    ],
-)
-def test_filesystem_of_the_runs_directory(path, filesystem):
-    assert _load()._filesystem(path, _MOUNTS) == filesystem
-
-
-def test_filesystem_without_a_mount_is_unknown():
-    assert _load()._filesystem("/x", "") == "unknown filesystem"
-
-
-def test_machine_names_the_filesystem_of_the_runs_directory(tmp_path):
-    assert ", workdir on " in _load()._machine(tmp_path)
+    assert tool._machine().endswith(", bytecode caching on")

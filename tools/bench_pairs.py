@@ -27,10 +27,7 @@ tenths of the pairs, ties counting for neither side, and its median is
 better than the parent's by more than ``parent_iqr``.  A summary's
 ``correct`` is false if any run of it was not.
 The report's ``machine`` says whether the runs could cache bytecode, since
-without a cache each run's set-up compiles every module it imports, and the
-type and mount options of the filesystem that holds the runs' directory
-(from /proc/mounts), since the cost of rewriting an output file depends on
-it.
+without a cache each run's set-up compiles every module it imports.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ import argparse
 import json
 import os
 import platform
-import re
 import shlex
 import shutil
 import statistics
@@ -149,23 +145,7 @@ def summarize(runs: list[dict], pairs: int, better: dict[str, str]) -> dict:
     return summary
 
 
-def _filesystem(path: str, mounts: str) -> str:
-    """The type and options of the mount that holds the absolute path, from
-    text in the format of /proc/mounts (the last mount wins on one point)."""
-    found, depth = "unknown filesystem", -1
-    for line in mounts.splitlines():
-        fields = line.split()
-        if len(fields) < 4:
-            continue
-        # /proc/mounts writes a space, tab, newline or backslash as \ooo
-        point = re.sub(r"\\([0-7]{3})", lambda m: chr(int(m[1], 8)), fields[1])
-        inside = path == point or path.startswith(point.rstrip("/") + "/")
-        if inside and len(point) >= depth:
-            found, depth = f"{fields[2]} ({fields[3]})", len(point)
-    return found
-
-
-def _machine(workdir: Path) -> str:
+def _machine() -> str:
     model = platform.processor() or platform.machine()
     try:
         with open("/proc/cpuinfo") as info:
@@ -176,14 +156,7 @@ def _machine(workdir: Path) -> str:
     # Runs inherit this variable; when set, each run compiles every module it imports.
     flag = os.environ.get("PYTHONDONTWRITEBYTECODE", "")
     caching = f"off (PYTHONDONTWRITEBYTECODE={flag})" if flag else "on"
-    try:
-        with open("/proc/mounts") as file:
-            mounts = file.read()
-    except OSError:
-        mounts = ""
-    filesystem = _filesystem(str(workdir.resolve()), mounts)
-    return (f"{model}, {os.cpu_count()} CPUs, workdir on {filesystem}, "
-            f"bytecode caching {caching}")
+    return f"{model}, {os.cpu_count()} CPUs, bytecode caching {caching}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -202,7 +175,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 2 (quartiles need two runs a side)")
 
     workdir = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.workdir))
-    machine = _machine(workdir)
     try:
         checkouts = {side: workdir / side for side in SIDES}
         parent = build_parent(args.parent, checkouts["parent"])
@@ -244,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "command": shlex.join(["python3", "tools/bench_pairs.py", *(argv or sys.argv[1:])]),
         "parent": parent,
-        "machine": f"{machine}; {environment}",
+        "machine": f"{_machine()}; {environment}",
         "claimed": args.claimed,
         "summary": summary,
         "runs": runs,

@@ -326,26 +326,21 @@ def _write_output(target: Path, text: str, make_dir: bool = False) -> None:
 def _cmd_propagate(args, out) -> int:
     paths = [Path(p) for p in args.scenario]
     if args.out is not None and args.out_dir is not None:
-        sys.stderr.write("error: use --out or --out-dir, not both\n")
-        return EXIT_INVALID
+        raise ValueError("use --out or --out-dir, not both")
     if len(paths) > 1 and args.out is not None:
-        sys.stderr.write("error: use --out-dir with multiple scenarios\n")
-        return EXIT_INVALID
+        raise ValueError("use --out-dir with multiple scenarios")
     targets = [None if args.out is None else Path(args.out)] * len(paths)
     if args.out_dir is not None:
         targets = [Path(args.out_dir) / (path.stem + ".csv") for path in paths]
         writers: dict[Path, Path] = {}
         for path, target in zip(paths, targets):
-            if target in writers:
-                sys.stderr.write(f"error: {writers[target]} and {path} would both write {target}\n")
-                return EXIT_INVALID
-            writers[target] = path
+            if writers.setdefault(target, path) is not path:
+                raise ValueError(f"{writers[target]} and {path} would both write {target}")
     for path, target in zip(paths, targets):
         try:
             scenario = parse_scenario(path.read_text())
         except (OSError, ValueError) as exc:
-            sys.stderr.write(f"error: invalid scenario {path}: {exc}\n")
-            return EXIT_INVALID
+            raise ValueError(f"invalid scenario {path}: {exc}") from None
         try:
             rows = _MODES[scenario.mode](scenario)
         except (CollisionApproachError, DomainError) as exc:
@@ -372,8 +367,9 @@ def _cmd_verify(args, out) -> int:
     for name in names:
         try:
             report = run_suite(name, args.n, args.samples, args.seed)
-        except DomainError as exc:
-            # the suite's own samples left a map's domain: a failed check, not bad input
+        except (DomainError, RuntimeError) as exc:
+            # the suite's own samples left a map's domain, or its sampler gave up:
+            # a failed check, not bad input
             sys.stderr.write(f"error: suite {name} raised: {exc}\n")
             lines.append(f"{name},{args.samples},inf,fail")
             all_passed = False
@@ -415,7 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run verification suites")
     p_ver.set_defaults(run=_cmd_verify)
     p_ver.add_argument("--suite", required=True, help="suite name or 'all'")
-    p_ver.add_argument("--n", type=int, default=2)
+    p_ver.add_argument(
+        "--n", type=int, default=2, help="dimension, at least 1 (at n = 1, ls-equivariance, "
+        "so(n+1)-brackets and lenz-brackets report exactly 0 and check nothing)"
+    )
     p_ver.add_argument("--samples", type=int, default=500)
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--out", help="also write the report to this file")
@@ -430,16 +429,10 @@ def _merge_vector_flags(argv: list[str]) -> list[str]:
     """Join vector flags with their values so negative components are not
     mistaken for option names by argparse."""
     merged: list[str] = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in _VECTOR_FLAGS and i + 1 < len(argv):
-            merged.append(f"{token}={argv[i + 1]}")
-            skip = True
-        else:
-            merged.append(token)
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _VECTOR_FLAGS else None
+        merged.append(token if value is None else f"{token}={value}")
     return merged
 
 

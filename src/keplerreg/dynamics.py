@@ -184,17 +184,11 @@ def _rendered(n: int):
     return namespace["force"], namespace["leapfrog"]
 
 
-def _kepler_force(q: list[float], scale: float = 1.0) -> tuple[list[float], float]:
-    """scale times the Kepler force -q (q.q)^-1.5 at one position q, a list of
-    floats, and q.q: the force line of the step loop's template."""
-    return _rendered(len(q))[0](q, scale)
-
-
 def kepler_vector_field(point: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of the Kepler equations: (p, -q (q.q)^-1.5), the leapfrog's force."""
     _nonzero_squares(point.q, "q must be nonzero (vector field singular at collision)")
     try:
-        return point.p.copy(), np.array(_kepler_force(point.q.tolist())[0])
+        return point.p.copy(), np.array(_rendered(point.n)[0](point.q.tolist(), 1.0)[0])
     except OverflowError:  # (q.q)^-1.5 is out of float range
         raise DomainError(f"|q| = {point.radius:.3e} is too small: (q.q)^-1.5 overflows") from None
 

@@ -241,11 +241,13 @@ def _sample_phase_compact(
     once.  A round runs as many candidates as samples are still missing, and
     each gives at most one sample, so no round draws past the point where a
     one-candidate-at-a-time loop would stop: the rows, and the generator's
-    state after the call, are the same as such a loop's.
+    state after the call, are the same as such a loop's.  Past ``_bound_rows``'s
+    number of candidates (the window is out of reach at large n) it raises as that does.
     """
-    qs, ps, found = [], [], 0
+    qs, ps, found, total = [], [], 0, 0
     while found < count:
         missing = count - found
+        total += missing
         dirs, tails, norms, k = np.empty((missing, n)), np.empty((missing, n + 1)), [], 0
         for _ in range(missing):
             direction = rng.standard_normal(out=dirs[k])
@@ -264,6 +266,11 @@ def _sample_phase_compact(
         qs.append(q[keep])
         ps.append(p[keep])
         found += int(keep.sum())
+        if found < count and total >= 20_000 * count + 200_000:
+            raise RuntimeError(
+                f"rejection sampling failed to find {count} points after "
+                f"{total} draws; the requested constraints are too tight"
+            )
     return _check_rows(np.concatenate(qs), np.concatenate(ps), "qp")
 
 
@@ -645,36 +652,29 @@ def _suite_conservation(n: int, samples: int, seed: int) -> _Defects:
 # Registry
 
 
-@dataclass(frozen=True, eq=False)
-class SuiteDef:
-    runner: Callable[[int, int, int], _Defects]
-    module: str
-    invariant: str
-
-
-_SUITES: dict[str, SuiteDef] = {
-    "stereo-roundtrip": SuiteDef(_suite_stereo_roundtrip, "stereo", "round-trip"),
-    "stereo-canonical": SuiteDef(_suite_stereo_canonical, "stereo", "canonicity"),
-    "metric": SuiteDef(_suite_metric, "stereo", "metric-identity"),
-    "moser-symplectic": SuiteDef(_suite_moser_symplectic, "moser", "symplecticity"),
-    "fibration-scale": SuiteDef(_suite_fibration_scale, "moser", "scale-invariance"),
-    "moser-levelset": SuiteDef(_suite_moser_levelset, "moser", "level-set-gradients"),
-    "ls-symplectic": SuiteDef(_suite_ls_symplectic, "ligonschaaf", "symplecticity"),
-    "ls-roundtrip": SuiteDef(_suite_ls_roundtrip, "ligonschaaf", "monotone-root-inverse"),
-    "ls-equivariance": SuiteDef(_suite_ls_equivariance, "ligonschaaf", "rotation-equivariance"),
-    "intertwine-flows": SuiteDef(_suite_intertwine, "dynamics", "flow-intertwining"),
-    "momenta-pullback": SuiteDef(_suite_momenta_pullback, "symmetry", "momentum-pullback"),
-    "so(n+1)-brackets": SuiteDef(_suite_so_brackets, "symmetry", "so-algebra"),
-    "lenz-brackets": SuiteDef(_suite_lenz_brackets, "symmetry", "lenz-algebra"),
-    "mu-squared": SuiteDef(_suite_mu_squared, "symmetry", "moment-map-norm"),
-    "conservation": SuiteDef(_suite_conservation, "symmetry", "first-integrals"),
+_SUITES: dict[str, Callable[[int, int, int], _Defects]] = {
+    "stereo-roundtrip": _suite_stereo_roundtrip,
+    "stereo-canonical": _suite_stereo_canonical,
+    "metric": _suite_metric,
+    "moser-symplectic": _suite_moser_symplectic,
+    "fibration-scale": _suite_fibration_scale,
+    "moser-levelset": _suite_moser_levelset,
+    "ls-symplectic": _suite_ls_symplectic,
+    "ls-roundtrip": _suite_ls_roundtrip,
+    "ls-equivariance": _suite_ls_equivariance,
+    "intertwine-flows": _suite_intertwine,
+    "momenta-pullback": _suite_momenta_pullback,
+    "so(n+1)-brackets": _suite_so_brackets,
+    "lenz-brackets": _suite_lenz_brackets,
+    "mu-squared": _suite_mu_squared,
+    "conservation": _suite_conservation,
 }
 
 SUITE_NAMES: tuple[str, ...] = tuple(_SUITES)
 
 
-def suite_registry() -> dict[str, SuiteDef]:
-    """The full registry, keyed by suite name."""
+def suite_registry() -> dict[str, Callable[[int, int, int], _Defects]]:
+    """Each suite's runner(n, samples, seed), keyed by suite name."""
     return dict(_SUITES)
 
 
@@ -690,7 +690,7 @@ def run_suite(name: str, n: int, samples: int, seed: int) -> SuiteReport:
         raise ValueError("samples must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    tolerance, defects, sample = _SUITES[name].runner(n, samples, seed)
+    tolerance, defects, sample = _SUITES[name](n, samples, seed)
     failures = sorted(
         (
             Failure(where=_where(sample(k)), observed=d, expected=0.0, tolerance=tolerance)

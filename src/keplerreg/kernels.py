@@ -179,17 +179,11 @@ def _project(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _lift(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stereographic lift (x, y) -> (u, v) of one point (n,) or of a
     batch (m, n), with the sphere point's checks on every row."""
-    x2 = np.vecdot(x, x)
-    xy = np.vecdot(x, y)
+    x2 = np.vecdot(x, x)[..., None]
+    xy = np.vecdot(x, y)[..., None]
     denom = x2 + 1.0
-    u = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
-    v = np.empty_like(u)
-    # The transposed views put coordinates first, so the per-point scalars
-    # broadcast the same way for one point and for a batch.
-    u.T[:-1] = 2.0 * x.T / denom
-    u.T[-1] = (x2 - 1.0) / denom
-    v.T[:-1] = 0.5 * denom * y.T - xy * x.T
-    v.T[-1] = xy
+    u = np.concatenate([2.0 * x / denom, (x2 - 1.0) / denom], axis=-1)
+    v = np.concatenate([0.5 * denom * y - xy * x, xy], axis=-1)
     _check_rows(u, v, "uv")
     return u, v
 

@@ -151,6 +151,12 @@ class TestMapCommand:
             "'moser', 'moser-inverse', 'fibration', 'ls', 'ls-inverse')\n"
         )
 
+    def test_a_trailing_vector_flag_reaches_argparse_unjoined(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["map", "--which", "ls", "--p", "0,-1", "--q"])
+        assert caught.value.code == 1
+        assert capsys.readouterr() == ("", "keplerreg map: error: argument --q: expected one argument\n")
+
     def test_fibration(self, capsys):
         code, out, _ = run_cli(
             ["map", "--which", "fibration", "--q", "4,0", "--p", "0,0.5"], capsys
@@ -396,6 +402,16 @@ class TestVerifyCommand:
             f"error: suite {name}" for name in raised
         ]
         assert all(line.endswith("r.s = 0 broke") for line in lines)
+
+    # no draw meets the bracket suite's sampling window at n = 8, and none meets
+    # the compact sampler's energy window at n = 60, before each sampler gives up
+    @pytest.mark.parametrize("suite, n, samples", [("so(n+1)-brackets", 8, 50), ("moser-symplectic", 60, 5)])
+    def test_a_sampler_that_gives_up_reports_and_exits_2(self, suite, n, samples, capsys):
+        argv = ["verify", "--suite", suite, "--n", str(n), "--samples", str(samples)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, f"{suite},{samples},inf,fail\n")
+        assert err.startswith(f"error: suite {suite} raised: rejection sampling failed to find ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -13,7 +13,6 @@ from keplerreg import (
     run_suite,
     sample_bound_states,
     standard_form,
-    suite_registry,
     symplectic_defect,
 )
 from keplerreg.core import _bound_rows
@@ -118,21 +117,6 @@ class TestSymplecticDefect:
 class TestRegistry:
     def test_exactly_the_specified_suites(self):
         assert set(SUITE_NAMES) == SPEC_SUITES
-
-    def test_suites_map_to_distinct_invariants(self):
-        registry = suite_registry()
-        targets = [(d.module, d.invariant) for d in registry.values()]
-        assert len(targets) == len(set(targets))
-
-    def test_modules_are_real(self):
-        registry = suite_registry()
-        assert {d.module for d in registry.values()} <= {
-            "stereo",
-            "moser",
-            "ligonschaaf",
-            "dynamics",
-            "symmetry",
-        }
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(UnknownSuiteError):

@@ -27,7 +27,7 @@ from keplerreg import (
     sample_bound_states,
     to_plane,
 )
-from keplerreg.dynamics import _kepler_force
+from keplerreg.dynamics import _rendered
 from keplerreg.core import _bound_rows
 from keplerreg.ligonschaaf import _ls_inverse_rows
 from keplerreg.kernels import (
@@ -38,6 +38,7 @@ from keplerreg.kernels import (
     _fibration_rows,
     _integral_rows,
     _lenz,
+    _lift,
     _on_pole,
 )
 
@@ -46,17 +47,18 @@ from keplerreg.kernels import (
 def test_kepler_vector_field_is_the_leapfrog_force_bit_for_bit(n):
     points = sample_bound_states(n, 500, 11 + n)
     half_dt = 0.5e-3
+    force_at = _rendered(n)[0]
     for pt in points:
         velocity, force = kepler_vector_field(pt)
         assert np.array_equal(velocity, pt.p)
-        shared, r2 = _kepler_force(pt.q.tolist())
+        shared, r2 = force_at(pt.q.tolist(), 1.0)
         assert force.tolist() == shared, pt
         # -q (q.q)^-1.5 spelled out: even-index squares, then odd, and C pow
         q = pt.q
         assert r2 == np.sum(q[0::2] * q[0::2]) + np.sum(q[1::2] * q[1::2])
         assert np.array_equal(force, -q * np.float_power(r2, -1.5)), pt
         # the leapfrog's half kick is this force times dt/2, entry by entry
-        kick, _ = _kepler_force(pt.q.tolist(), half_dt)
+        kick, _ = force_at(pt.q.tolist(), half_dt)
         assert kick == [f * half_dt for f in shared]
 
 
@@ -171,6 +173,19 @@ def test_field_index_past_n_still_fails_when_called():
     for field in (momentum, lenz):
         with pytest.raises(IndexError):
             field(q, p)
+
+
+@pytest.mark.parametrize("dtype", [np.longdouble, np.float32])
+def test_lift_keeps_its_input_dtype(dtype):
+    # x.x + 1 is a power of two and y is dyadic, so every dtype lifts these rows
+    # exactly and even float32 rows meet the 1e-10 sphere checks
+    x = np.array([[1, 1, 1], [1, 0, 0], [0, 0, 0], [-1, 1, -1]], dtype=dtype)
+    y = np.array([[0.5, -0.25, 1], [0, 2, -0.5], [1, 0, 0], [0.25, 0.5, 0.75]], dtype=dtype)
+    for rows in ((x, y), (x[0], y[0])):
+        u, v = _lift(*rows)
+        assert u.dtype == v.dtype == dtype
+        expected = _lift(*(a.astype(float) for a in rows))
+        assert np.array_equal(u, expected[0]) and np.array_equal(v, expected[1])
 
 
 @pytest.mark.parametrize("gap, on_pole", [(2e-10, False), (0.5e-10, True), (0.0, True)])

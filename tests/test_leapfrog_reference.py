@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from keplerreg import CollisionApproachError, kepler_integrate
-from keplerreg.dynamics import _kepler_force, _leapfrog, _rendered
+from keplerreg.dynamics import _leapfrog, _rendered
 
 
 def _force(q):
@@ -117,10 +117,10 @@ def test_body_is_rendered_once_per_dimension():
     for n in range(1, 7):
         q, p = [1.0] + [0.5] * (n - 1), [0.0] * n
         _leapfrog(q, p, 1e-3, [2])
-        _kepler_force(q)
+        _rendered(n)[0](q, 1.0)
         force, leapfrog = _rendered(n)
         _leapfrog(q, p, 1e-3, [3])
-        _kepler_force(q, 0.5)
+        _rendered(n)[0](q, 0.5)
         assert _rendered(n) == (force, leapfrog)
         assert leapfrog.__code__.co_filename == f"<leapfrog n={n}>"
         codes |= {force.__code__, leapfrog.__code__}

@@ -75,3 +75,13 @@ def test_exit_codes_are_the_cli_codes():
 def test_suites_said_to_report_exactly_0_at_n_1(suite):
     assert f"`{suite}`" in README.split("report exactly 0")[0].rsplit("At n = 1,", 1)[1]
     assert harness.run_suite(suite, 1, 40, 5).max_defect == 0.0
+
+
+def test_verify_help_names_the_suites_readme_says_check_nothing_at_n_1(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "500")  # no help line wraps, so no name is split
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    helped = capsys.readouterr().out.split("at n = 1,", 1)[1].split("report exactly 0")[0]
+    said = README.split("report exactly 0")[0].rsplit("At n = 1,", 1)[1]
+    names = harness.SUITE_NAMES
+    assert [name for name in names if name in helped] == [name for name in names if f"`{name}`" in said]

@@ -490,12 +490,12 @@ ORACLES = {
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("suite", sorted(ORACLES))
 def test_suite_defects_equal_per_sample_oracle(suite, n):
-    _, defects, _ = harness.suite_registry()[suite].runner(n, 60, 7)
+    _, defects, _ = harness.suite_registry()[suite](n, 60, 7)
     assert defects == ORACLES[suite](n, 60, 7)
 
 
 def test_lenz_defects_equal_the_oracle_where_an_angular_pair_sets_one():
-    _, defects, _ = harness.suite_registry()["lenz-brackets"].runner(3, 500, 42)
+    _, defects, _ = harness.suite_registry()["lenz-brackets"](3, 500, 42)
     assert defects == _oracle_lenz_brackets(3, 500, 42)
     # without the {L_ij, L_kl} relations some sample's defect is lower
     assert _oracle_lenz_brackets(3, 500, 42, angular=False) != defects

@@ -13,78 +13,76 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each public name and the module that defines it, in the order of __all__.
-_ORIGIN = {
-    name: module
-    for module, names in (
-        ("core", (
-            "DomainError",
-            "MomentumMatrix",
-            "PhasePoint",
-            "PlaneCotangentPoint",
-            "SphereCotangentPoint",
-            "kepler_energy",
-            "sample_bound_states",
-        )),
-        ("dynamics", (
-            "CollisionApproachError",
-            "FlowTimes",
-            "Trajectory",
-            "arc_time",
-            "delaunay_energy",
-            "delaunay_flow",
-            "kepler_integrate",
-            "kepler_period",
-            "kepler_vector_field",
-            "regularized_propagate",
-        )),
-        ("harness", (
-            "SUITE_NAMES",
-            "Failure",
-            "SuiteReport",
-            "UnknownSuiteError",
-            "jacobian",
-            "run_suite",
-            "standard_form",
-            "suite_registry",
-            "symplectic_defect",
-        )),
-        ("ligonschaaf", (
-            "LSAngle",
-            "PunctureError",
-            "angle_equation",
-            "ls_angle",
-            "ls_inverse",
-            "ls_map",
-        )),
-        ("moser", (
-            "ChartHamiltonians",
-            "chart_hamiltonians",
-            "fourier",
-            "fourier_inverse",
-            "moser_fibration",
-            "moser_map",
-            "moser_map_inverse",
-            "scale_phase",
-            "scale_sphere",
-            "to_reference_shell",
-        )),
-        ("stereo", ("to_plane", "to_sphere")),
-        ("symmetry", (
-            "angular_momentum",
-            "angular_momentum_field",
-            "extended_momentum",
-            "extended_momentum_field",
-            "hamiltonian_field",
-            "lenz_field",
-            "lenz_vector",
-            "momentum_norm_squared",
-            "poisson_bracket",
-            "sphere_momentum",
-        )),
-    )
-    for name in names
+# The public names of each module, in the order of __all__: the package's
+# and each module's own __all__ read this one table.
+_PUBLIC = {
+    "core": (
+        "DomainError",
+        "MomentumMatrix",
+        "PhasePoint",
+        "PlaneCotangentPoint",
+        "SphereCotangentPoint",
+        "kepler_energy",
+        "sample_bound_states",
+    ),
+    "dynamics": (
+        "CollisionApproachError",
+        "FlowTimes",
+        "Trajectory",
+        "arc_time",
+        "delaunay_energy",
+        "delaunay_flow",
+        "kepler_integrate",
+        "kepler_period",
+        "kepler_vector_field",
+        "regularized_propagate",
+    ),
+    "harness": (
+        "SUITE_NAMES",
+        "Failure",
+        "SuiteReport",
+        "UnknownSuiteError",
+        "jacobian",
+        "run_suite",
+        "standard_form",
+        "suite_registry",
+        "symplectic_defect",
+    ),
+    "ligonschaaf": (
+        "LSAngle",
+        "PunctureError",
+        "angle_equation",
+        "ls_angle",
+        "ls_inverse",
+        "ls_map",
+    ),
+    "moser": (
+        "ChartHamiltonians",
+        "chart_hamiltonians",
+        "fourier",
+        "fourier_inverse",
+        "moser_fibration",
+        "moser_map",
+        "moser_map_inverse",
+        "scale_phase",
+        "scale_sphere",
+        "to_reference_shell",
+    ),
+    "stereo": ("to_plane", "to_sphere"),
+    "symmetry": (
+        "angular_momentum",
+        "angular_momentum_field",
+        "extended_momentum",
+        "extended_momentum_field",
+        "hamiltonian_field",
+        "lenz_field",
+        "lenz_vector",
+        "momentum_norm_squared",
+        "poisson_bracket",
+        "sphere_momentum",
+    ),
 }
+_ORIGIN = {name: module for module, names in _PUBLIC.items() for name in names}
 _SUBMODULES = {*_ORIGIN.values(), "kernels", "cli"}
 
 __all__ = list(_ORIGIN)

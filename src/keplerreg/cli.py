@@ -413,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", required=True, help="suite name or 'all'")
     p_ver.add_argument(
         "--n", type=int, default=2, help="dimension, at least 1 (at n = 1, ls-equivariance, "
-        "so(n+1)-brackets and lenz-brackets report exactly 0 and check nothing)"
+        "so(n+1)-brackets and lenz-brackets report exactly 0 and check nothing; above n = 7, "
+        "intertwine-flows, so(n+1)-brackets and conservation give up drawing 500 samples)"
     )
     p_ver.add_argument("--samples", type=int, default=500)
     p_ver.add_argument("--seed", type=int, default=42)

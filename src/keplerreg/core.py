@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import _PUBLIC
 from .kernels import (
     _CONSTRAINT_TOL,
     DomainError,
@@ -26,15 +27,7 @@ from .kernels import (
     _wedge_entries,
 )
 
-__all__ = [
-    "DomainError",
-    "PhasePoint",
-    "SphereCotangentPoint",
-    "PlaneCotangentPoint",
-    "MomentumMatrix",
-    "kepler_energy",
-    "sample_bound_states",
-]
+__all__ = list(_PUBLIC["core"])
 
 
 def _freeze_pair(obj) -> None:

@@ -22,22 +22,12 @@ from typing import Iterator
 
 import numpy as np
 
+from . import _PUBLIC
 from .core import DomainError, PhasePoint, SphereCotangentPoint
 from .kernels import _bound_root, _delaunay_energy, _delaunay_flow_rows, _energy, _nonzero_squares
 from .ligonschaaf import PunctureError, _ls_inverse_rows, ls_map
 
-__all__ = [
-    "CollisionApproachError",
-    "Trajectory",
-    "FlowTimes",
-    "kepler_vector_field",
-    "kepler_integrate",
-    "delaunay_energy",
-    "delaunay_flow",
-    "regularized_propagate",
-    "arc_time",
-    "kepler_period",
-]
+__all__ = list(_PUBLIC["dynamics"])
 
 
 class CollisionApproachError(RuntimeError):

@@ -36,6 +36,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _PUBLIC
 from .core import PhasePoint, PlaneCotangentPoint, SphereCotangentPoint, _bound_rows
 from .kernels import (
     _chart_hamiltonians,
@@ -58,21 +59,10 @@ from .kernels import (
 from .ligonschaaf import _ROOT_TOL, _ls_inverse_rows, _solve_rotation_angle, angle_equation
 from .symmetry import _bracket_batch, _central_differences
 
+# The package's harness names, then the ones only this module exports.
 __all__ = [
-    "UnknownSuiteError",
-    "FD_STEP",
-    "Failure",
-    "SuiteReport",
-    "jacobian",
-    "fd_tolerance",
-    "standard_form",
-    "symplectic_defect",
-    "flat_to_sphere",
-    "flat_moser_map",
-    "flat_ls_map",
-    "SUITE_NAMES",
-    "suite_registry",
-    "run_suite",
+    *_PUBLIC["harness"],
+    "FD_STEP", "fd_tolerance", "flat_to_sphere", "flat_moser_map", "flat_ls_map",
 ]
 
 

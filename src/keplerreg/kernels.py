@@ -35,7 +35,16 @@ def _check_rows(a: np.ndarray, b: np.ndarray, names: str):
             ("|u.v|", tangent, "v must be tangent at u"),
         ):
             bad = defect > bound
-            if bad.any():
+            failed = bad.any()
+            if failed and label == "|u.v|":
+                # v.v underflows below |v| ~ 1e-154: measure v again, scaled exactly by 2^-exp
+                exp = np.frexp(np.max(np.abs(b), axis=-1))[1]
+                scaled = np.ldexp(b, -exp[..., None])
+                length = np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), exp)
+                bound = _CONSTRAINT_TOL * np.minimum(1.0, length)
+                bad = defect > bound
+                failed = bad.any()
+            if failed:
                 bound = np.broadcast_to(bound, bad.shape)[bad][0]
                 raise DomainError(f"{label} = {defect[bad][0]:.3e} exceeds {bound:.3g}; {meaning}")
     return a, b

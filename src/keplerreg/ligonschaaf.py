@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _PUBLIC
 from .core import DomainError, PhasePoint, SphereCotangentPoint
 from .kernels import (
     _CONSTRAINT_TOL,
@@ -33,14 +34,7 @@ from .kernels import (
     _scale,
 )
 
-__all__ = [
-    "PunctureError",
-    "LSAngle",
-    "ls_angle",
-    "ls_map",
-    "ls_inverse",
-    "angle_equation",
-]
+__all__ = list(_PUBLIC["ligonschaaf"])
 
 # Every row of the rotation-angle solve must end with |f(theta)| at most this.
 _ROOT_TOL = 1e-14

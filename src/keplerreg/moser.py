@@ -14,22 +14,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import _PUBLIC
 from .core import DomainError, PhasePoint, PlaneCotangentPoint, SphereCotangentPoint
 from .kernels import _chart_hamiltonians, _fibration_rows, _lift, _scale
 from .stereo import to_plane
 
-__all__ = [
-    "fourier",
-    "fourier_inverse",
-    "moser_map",
-    "moser_map_inverse",
-    "moser_fibration",
-    "scale_phase",
-    "scale_sphere",
-    "to_reference_shell",
-    "ChartHamiltonians",
-    "chart_hamiltonians",
-]
+__all__ = list(_PUBLIC["moser"])
 
 
 def fourier(point: PhasePoint) -> PlaneCotangentPoint:

@@ -8,10 +8,11 @@ harness checks numerically.  The formulas live in ``keplerreg.kernels``.
 
 from __future__ import annotations
 
+from . import _PUBLIC
 from .core import PlaneCotangentPoint, SphereCotangentPoint
 from .kernels import _lift, _project
 
-__all__ = ["to_plane", "to_sphere"]
+__all__ = list(_PUBLIC["stereo"])
 
 
 def to_plane(sp: SphereCotangentPoint) -> PlaneCotangentPoint:

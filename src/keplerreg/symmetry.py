@@ -19,21 +19,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import _PUBLIC
 from .core import DomainError, MomentumMatrix, PhasePoint, SphereCotangentPoint
 from .kernels import _energy, _extended_rows, _lenz, _nonzero_squares, _wedge_entries
 
-__all__ = [
-    "angular_momentum",
-    "lenz_vector",
-    "extended_momentum",
-    "sphere_momentum",
-    "momentum_norm_squared",
-    "poisson_bracket",
-    "hamiltonian_field",
-    "angular_momentum_field",
-    "lenz_field",
-    "extended_momentum_field",
-]
+__all__ = list(_PUBLIC["symmetry"])
 
 ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 

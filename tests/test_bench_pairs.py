@@ -95,3 +95,43 @@ def test_machine_says_whether_runs_cache_bytecode(monkeypatch):
     assert tool._machine().endswith(", bytecode caching on")
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")  # empty counts as unset
     assert tool._machine().endswith(", bytecode caching on")
+
+
+_MOUNTS = """\
+/dev/vda / ext4 rw,relatime 0 0
+tmpfs /tmp tmpfs rw,nosuid,size=65536k 0 0
+/dev/vdb /tmp/my\\040runs xfs rw,noatime 0 0
+tmpfs /tmp/my\\040runs/ram tmpfs ro 0 0
+tmpfs /tmp/my\\040runs/ram tmpfs rw,size=1024k 0 0
+"""
+
+
+@pytest.mark.parametrize(
+    "directory, filesystem",
+    [
+        ("/home/user/runs", "ext4 (rw,relatime)"),
+        ("/tmp", "tmpfs (rw,nosuid,size=65536k)"),
+        ("/tmp/bench-pairs-1", "tmpfs (rw,nosuid,size=65536k)"),
+        # the escaped space is a space, and the deepest mount point holding the path wins
+        ("/tmp/my runs/bench-pairs-1", "xfs (rw,noatime)"),
+        ("/tmp/my runsx", "tmpfs (rw,nosuid,size=65536k)"),
+        # a point mounted twice: the later mount hides the earlier one
+        ("/tmp/my runs/ram/a", "tmpfs (rw,size=1024k)"),
+    ],
+)
+def test_filesystem_of_the_runs_directory(directory, filesystem):
+    assert _load()._filesystem(Path(directory), _MOUNTS) == filesystem
+
+
+def test_machine_names_the_filesystem_or_unknown(monkeypatch, tmp_path):
+    tool = _load()
+    assert ", filesystem " in tool._machine(tmp_path)
+    real_open = open
+
+    def no_mounts(path, *args, **kwargs):
+        if path == "/proc/mounts":
+            raise FileNotFoundError(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", no_mounts)
+    assert ", filesystem unknown, " in tool._machine(tmp_path)

@@ -26,6 +26,7 @@ from keplerreg import (
     moser_fibration,
     sample_bound_states,
     to_plane,
+    to_sphere,
 )
 from keplerreg.dynamics import _rendered
 from keplerreg.core import _bound_rows
@@ -261,3 +262,16 @@ def test_one_coordinate_sphere_rows_are_rejected_by_name(check, u):
     with pytest.raises(DomainError) as info:
         check(np.array(u), np.array([[0.0]]))
     assert str(info.value) == "sphere points need at least two coordinates"
+
+
+def test_a_short_covector_is_measured_past_the_underflow_of_v_dot_v():
+    # v.v underflows to 0 below |v| ~ 1e-154; the tangency bound 1e-10 min(1, |v|)
+    # must still see |v|, or a lifted point with a tiny y is rejected
+    sp = to_sphere(PlaneCotangentPoint([1.0, 1.0], [9.93602874e-285, 9.93602874e-285]))
+    assert np.all(sp.v != 0.0)
+    # tangent up to rounding (u.v = -8.5e-217), next to a row of unit length
+    u = np.array([[0.6, 0.0, 0.8]] * 2)
+    _check_rows(u, np.array([[0.8e-200, 0.3e-200, -0.6e-200], [0.0, 1.0, 0.0]]), "uv")
+    # a short v off the tangent space is still rejected, at 1e-10 of its length
+    with pytest.raises(DomainError, match=r"\|u\.v\| = 1\.000e-200 exceeds 1\.6e-210;"):
+        _check_rows(u[0], np.array([0.0, 1e-200, 1.25e-200]), "uv")

@@ -67,17 +67,24 @@ _GUARDS = {
 }
 
 # (importer, origin, name) of every private name one non-kernel module
-# imports from another.
+# imports from another, or from the package root (origin "").
 _PRIVATE_IMPORTS = {
     ("cli", "dynamics", "_leapfrog_span"),
     ("cli", "dynamics", "_regularized_rows"),
+    ("core", "", "_PUBLIC"),
+    ("dynamics", "", "_PUBLIC"),
     ("dynamics", "ligonschaaf", "_ls_inverse_rows"),
+    ("harness", "", "_PUBLIC"),
     ("harness", "core", "_bound_rows"),
     ("harness", "ligonschaaf", "_ROOT_TOL"),
     ("harness", "ligonschaaf", "_ls_inverse_rows"),
     ("harness", "ligonschaaf", "_solve_rotation_angle"),
     ("harness", "symmetry", "_bracket_batch"),
     ("harness", "symmetry", "_central_differences"),
+    ("ligonschaaf", "", "_PUBLIC"),
+    ("moser", "", "_PUBLIC"),
+    ("stereo", "", "_PUBLIC"),
+    ("symmetry", "", "_PUBLIC"),
 }
 
 # Traced functions the tiny seed-0 workloads must reach between them.
@@ -98,14 +105,16 @@ def _modules() -> dict[str, ast.Module]:
 
 def _imports_from(tree: ast.Module):
     """(origin module, name) of every ``from keplerreg.X import name`` or
-    ``from .X import name`` in tree; origin is None for another package."""
+    ``from .X import name`` in tree; origin is "" for the package root
+    (``from keplerreg import name`` or ``from . import name``) and None for
+    another package."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if node.level:
                 origin = module
-            elif module.startswith("keplerreg."):
-                origin = module.removeprefix("keplerreg.")
+            elif module == "keplerreg" or module.startswith("keplerreg."):
+                origin = module.removeprefix("keplerreg").removeprefix(".")
             else:
                 origin = None
             for alias in node.names:
@@ -167,6 +176,11 @@ def test_one_row_contract_per_pair():
     for kind in (core.PhasePoint, core.SphereCotangentPoint, core.PlaneCotangentPoint):
         assert "__post_init__" not in vars(kind), kind.__name__
         assert kind.__post_init__ is core._Point.__post_init__
+
+
+def test_imports_from_the_package_root_have_one_origin():
+    source = ast.parse("from keplerreg import _X\nfrom . import _Y\n")
+    assert list(_imports_from(source)) == [("", "_X"), ("", "_Y")]
 
 
 def test_private_imports_between_wrapper_modules():
@@ -292,6 +306,13 @@ def test_package_namespace_resolves_every_public_name():
 def test_each_public_name_is_in_its_module_all():
     for name, module in keplerreg._ORIGIN.items():
         assert name in importlib.import_module(f"keplerreg.{module}").__all__, name
+    # each module's __all__ is its group of the package's table, and only the
+    # harness exports names of its own
+    own = {"harness": ["FD_STEP", "fd_tolerance", "flat_to_sphere", "flat_moser_map",
+                       "flat_ls_map"]}
+    for module, names in keplerreg._PUBLIC.items():
+        exported = importlib.import_module(f"keplerreg.{module}").__all__
+        assert exported == [*names, *own.get(module, [])], module
 
 
 def test_package_imports_name_stdlib_numpy_or_itself():

@@ -77,11 +77,33 @@ def test_suites_said_to_report_exactly_0_at_n_1(suite):
     assert harness.run_suite(suite, 1, 40, 5).max_defect == 0.0
 
 
+def _largest_n_readme_states() -> tuple[int, str]:
+    """README's largest n at which every suite draws its samples, and the text
+    naming the suites that give up above it."""
+    match = re.search(r"^Above n = (\d+), (.*?)\s+give up", README, re.M | re.S)
+    return int(match[1]), match[2]
+
+
 def test_verify_help_names_the_suites_readme_says_check_nothing_at_n_1(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "500")  # no help line wraps, so no name is split
     with pytest.raises(SystemExit):
         cli.main(["verify", "--help"])
-    helped = capsys.readouterr().out.split("at n = 1,", 1)[1].split("report exactly 0")[0]
+    text = capsys.readouterr().out
+
+    def named(where: str, quote: str = "") -> list[str]:
+        return [name for name in harness.SUITE_NAMES if f"{quote}{name}{quote}" in where]
+
+    helped = text.split("at n = 1,", 1)[1].split("report exactly 0")[0]
     said = README.split("report exactly 0")[0].rsplit("At n = 1,", 1)[1]
-    names = harness.SUITE_NAMES
-    assert [name for name in names if name in helped] == [name for name in names if f"`{name}`" in said]
+    assert named(helped) == named(said, "`")
+    # and the same largest n, with the same suites giving up above it
+    limit, said = _largest_n_readme_states()
+    helped = re.search(rf"above n = {limit}, (.*?)\s+give up", text)[1]
+    assert named(helped) == named(said, "`")
+
+
+def test_so_n1_brackets_draws_at_the_largest_n_readme_states_and_gives_up_above():
+    limit, _ = _largest_n_readme_states()
+    assert harness.run_suite("so(n+1)-brackets", limit, 10, 42).passed
+    with pytest.raises(RuntimeError, match="rejection sampling failed"):
+        harness.run_suite("so(n+1)-brackets", limit + 1, 10, 42)

@@ -27,7 +27,9 @@ tenths of the pairs, ties counting for neither side, and its median is
 better than the parent's by more than ``parent_iqr``.  A summary's
 ``correct`` is false if any run of it was not.
 The report's ``machine`` says whether the runs could cache bytecode, since
-without a cache each run's set-up compiles every module it imports.
+without a cache each run's set-up compiles every module it imports, and
+names the type and mount options of the filesystem that holds the runs'
+directory, since the cost of each output write depends on them.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import shlex
 import shutil
 import statistics
@@ -145,7 +148,24 @@ def summarize(runs: list[dict], pairs: int, better: dict[str, str]) -> dict:
     return summary
 
 
-def _machine() -> str:
+def _filesystem(directory: Path, mounts: str) -> str:
+    """Type and mount options of the filesystem that holds directory (an
+    absolute path), from the text of /proc/mounts: the longest mount point
+    that contains it, the last listed where one point is mounted twice."""
+    found = ("", "unknown")
+    for line in mounts.splitlines():
+        _, point, kind, options, *_ = line.split()
+        # /proc/mounts writes a space in a path as \040 (any byte as \ooo)
+        point = re.sub(r"\\([0-7]{3})", lambda m: chr(int(m[1], 8)), point)
+        if directory.is_relative_to(point) and len(point) >= len(found[0]):
+            found = (point, f"{kind} ({options})")
+    return found[1]
+
+
+def _machine(directory: Path | None = None) -> str:
+    """The CPU, the bytecode caching of the runs, and the filesystem of
+    directory (by default the temporary directory, where runs go unless
+    ``--workdir`` says otherwise)."""
     model = platform.processor() or platform.machine()
     try:
         with open("/proc/cpuinfo") as info:
@@ -156,7 +176,13 @@ def _machine() -> str:
     # Runs inherit this variable; when set, each run compiles every module it imports.
     flag = os.environ.get("PYTHONDONTWRITEBYTECODE", "")
     caching = f"off (PYTHONDONTWRITEBYTECODE={flag})" if flag else "on"
-    return f"{model}, {os.cpu_count()} CPUs, bytecode caching {caching}"
+    directory = Path(directory or tempfile.gettempdir()).resolve()
+    try:
+        with open("/proc/mounts") as mounts:
+            filesystem = _filesystem(directory, mounts.read())
+    except OSError:
+        filesystem = "unknown"
+    return f"{model}, {os.cpu_count()} CPUs, filesystem {filesystem}, bytecode caching {caching}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -175,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 2 (quartiles need two runs a side)")
 
     workdir = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.workdir))
+    machine = _machine(workdir)
     try:
         checkouts = {side: workdir / side for side in SIDES}
         parent = build_parent(args.parent, checkouts["parent"])
@@ -216,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "command": shlex.join(["python3", "tools/bench_pairs.py", *(argv or sys.argv[1:])]),
         "parent": parent,
-        "machine": f"{_machine()}; {environment}",
+        "machine": f"{machine}; {environment}",
         "claimed": args.claimed,
         "summary": summary,
         "runs": runs,

@@ -1,0 +1,195 @@
+"""Say whether a change alters what the CLI does: compare it with its parent
+commit on a fixed set of cases.
+
+Usage, from the root of a checkout:
+
+    python3 tools/compare_outputs.py --parent HEAD --out compare.json
+
+The parent (``--parent``, default HEAD) is built with ``git archive``; the
+change is the working tree as ``git add -A`` would stage it (both as
+tools/bench_pairs.py builds them).  Each case runs ``-m keplerreg.cli
+ARGS``, with the interpreter that runs this tool, once in each tree: a
+subprocess with ``PYTHONPATH=<tree>/src`` and ``COLUMNS=80``, in an empty
+directory of its own inside the tree.  It compares the exit code, stdout,
+stderr and every file the run writes there, after replacing the tree's
+path with ``<tree>``.  The cases:
+
+- each propagate workload of perfbench/workloads.py at seeds 23 and 7, as
+  one ``propagate ... --out-dir`` call on all of its scenario files;
+- ``verify --suite all --n N --seed S`` for n = 1..4 and seeds 0, 23, 42;
+- ``map`` with each ``--which`` choice, and README's two ``map`` examples;
+- the output-target errors, an invalid scenario, an unknown suite and
+  ``verify --n 0``;
+- ``--help`` of the program and of each command.
+
+The output JSON lists every case.  For a case that differs it gives the
+first stream that differs (``exit``, ``stdout``, ``stderr`` or ``file
+NAME``), its first differing line, counted from 1, and that line on each
+side (null where that side has no such line).  The exit code is 0 when
+every case matches and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import itertools
+import json
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, SIDES, build_change, build_parent
+
+PLACEHOLDER = b"<tree>"
+OUT = "{out}"  # in a case's arguments: the directory the case runs in
+
+PROPAGATE_WORKLOADS = ("propagate-regularized", "propagate-direct")
+PROPAGATE_SEEDS = (23, 7)
+VERIFY_DIMS = (1, 2, 3, 4)
+VERIFY_SEEDS = (0, 23, 42)
+MAP_INPUTS = {
+    "moser": ["--q", "0.3,-1.2,0.5", "--p", "0.4,0.2,-0.7"],
+    "moser-inverse": ["--u", "0.6,0,0.8", "--v", "0,0.5,0"],
+    "fibration": ["--q", "0.3,-1.2,0.5", "--p", "0.4,0.2,-0.7"],
+    "ls": ["--q", "0.3,-1.2,0.5", "--p", "0.4,0.2,-0.7"],
+    "ls-inverse": ["--u", "0.6,0,0.8", "--v", "0,0.5,0"],
+}
+README_MAP_EXAMPLES = (
+    ["map", "--which", "ls", "--q", "1,0", "--p", "0,1"],
+    ["map", "--which", "ls-inverse", "--u", "0,0,-1", "--v", "-0.70710678,0,0"],
+)
+SCENARIO = "n = 2\nq = 1,0\np = 0,1\nt_end = 1\nmode = regularized\noutput_count = 3\n"
+
+
+def _workloads():
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def cases(inputs: Path) -> list[tuple[str, list[str]]]:
+    """(name, arguments) of every case, writing their input files into inputs."""
+    workloads = _workloads()
+    found: list[tuple[str, list[str]]] = []
+    for workload, seed in itertools.product(PROPAGATE_WORKLOADS, PROPAGATE_SEEDS):
+        directory = inputs / f"{workload}-{seed}"
+        directory.mkdir(parents=True)
+        scenarios = []
+        for op in workloads.build(workload, seed, directory):
+            for path, text in op.files.items():
+                path.write_text(text)
+                scenarios.append(str(path))
+        found.append((f"{workload} seed {seed}", ["propagate", *scenarios, "--out-dir", OUT]))
+    for n, seed in itertools.product(VERIFY_DIMS, VERIFY_SEEDS):
+        found.append((f"verify all n {n} seed {seed}",
+                      ["verify", "--suite", "all", "--n", str(n), "--seed", str(seed)]))
+    for which, point in MAP_INPUTS.items():
+        found.append((f"map {which}", ["map", "--which", which, *point]))
+    for k, argv in enumerate(README_MAP_EXAMPLES, start=1):
+        found.append((f"README map example {k}", list(argv)))
+
+    (inputs / "other").mkdir()
+    good, twin, bad = inputs / "a.scn", inputs / "other" / "a.scn", inputs / "bad.scn"
+    for path, text in ((good, SCENARIO), (twin, SCENARIO), (bad, "n = 2\nq = 1,x\n")):
+        path.write_text(text)
+    found += [
+        ("error: --out and --out-dir",
+         ["propagate", str(good), "--out", f"{OUT}/a.csv", "--out-dir", OUT]),
+        ("error: --out with two scenarios",
+         ["propagate", str(good), str(twin), "--out", f"{OUT}/a.csv"]),
+        ("error: --out-dir clash", ["propagate", str(good), str(twin), "--out-dir", OUT]),
+        ("error: cannot write", ["propagate", str(good), "--out", f"{OUT}/missing/a.csv"]),
+        ("error: invalid scenario", ["propagate", str(bad)]),
+        ("error: unknown suite", ["verify", "--suite", "no-such-suite"]),
+        ("error: verify --n 0", ["verify", "--suite", "all", "--n", "0"]),
+        ("help", ["--help"]),
+    ]
+    for command in ("map", "propagate", "verify"):
+        found.append((f"help {command}", [command, "--help"]))
+    return found
+
+
+def run_case(tree: Path, number: int, args: list[str]) -> dict[str, bytes]:
+    """One run of a case in tree: each stream and written file by name, with
+    the tree's path replaced by the placeholder."""
+    here = tree / "compare-outputs" / f"{number:03d}"
+    here.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "COLUMNS": "80"}
+    argv = [sys.executable, "-m", "keplerreg.cli", *(a.replace(OUT, str(here)) for a in args)]
+    done = subprocess.run(argv, cwd=here, env=env, capture_output=True)
+    streams = {"exit": str(done.returncode).encode(), "stdout": done.stdout, "stderr": done.stderr}
+    for path in sorted(p for p in here.rglob("*") if p.is_file()):
+        streams[f"file {path.relative_to(here)}"] = path.read_bytes()
+    return {name: data.replace(str(tree).encode(), PLACEHOLDER) for name, data in streams.items()}
+
+
+def first_difference(parent: dict[str, bytes], change: dict[str, bytes]) -> dict | None:
+    """The first stream that differs and its first differing line, or None."""
+    for stream in [*parent, *(name for name in change if name not in parent)]:
+        sides = (parent.get(stream), change.get(stream))
+        if sides[0] == sides[1]:
+            continue
+        lines = [[] if data is None else data.split(b"\n") for data in sides]
+        for number, pair in enumerate(itertools.zip_longest(*lines), start=1):
+            if pair[0] != pair[1]:
+                text = [None if x is None else x.decode(errors="backslashreplace") for x in pair]
+                return {"stream": stream, "line": number, "parent": text[0], "change": text[1]}
+    return None
+
+
+def compare(
+    trees: dict[str, Path], inputs: Path, chosen: list[tuple[str, list[str]]]
+) -> list[dict]:
+    """Each chosen case (from ``cases(inputs)``), run in both trees: its name,
+    arguments and whether it matched."""
+    report = []
+    for number, (name, args) in enumerate(chosen):
+        runs = {side: run_case(trees[side], number, args) for side in SIDES}
+        difference = first_difference(runs["parent"], runs["change"])
+        shown = [a.replace(str(inputs), "<inputs>").replace(OUT, "<out>") for a in args]
+        entry = {"case": name, "args": shown, "same": difference is None}
+        report.append(entry if difference is None else {**entry, **difference})
+        print(f"{name}: {'same' if difference is None else 'DIFFERS'}", file=sys.stderr)
+    return report
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="the commit to compare the change with")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    workdir = Path(tempfile.mkdtemp(prefix="compare-outputs-"))
+    try:
+        trees = {side: workdir / side for side in SIDES}
+        parent = build_parent(args.parent, trees["parent"])
+        build_change(trees["change"])
+        inputs = workdir / "inputs"
+        report = compare(trees, inputs, cases(inputs))
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+    differing = [entry["case"] for entry in report if not entry["same"]]
+    args.out.write_text(json.dumps({
+        "what": (
+            "CLI cases run in the parent commit and in the change: exit code, stdout, "
+            "stderr and written files compared after replacing each tree's path with "
+            "<tree>; each differing case gives its first differing stream and line."
+        ),
+        "command": shlex.join(["python3", "tools/compare_outputs.py", *(argv or sys.argv[1:])]),
+        "parent": parent,
+        "differing": differing,
+        "cases": report,
+    }, indent=1) + "\n")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -290,14 +290,11 @@ def _bound_rows(
     if max_energy > _MAX_ENERGY:
         raise ValueError(f"max_energy must be <= {_MAX_ENERGY}")
     rng = np.random.default_rng(seed)
-    chunks: list[tuple[np.ndarray, np.ndarray]] = []
-    found = total = 0
-    max_draws = 20_000 * count + 200_000
     batch = max(4 * count, 512)
-    while found < count:
+
+    def draw(missing: int) -> tuple[np.ndarray, np.ndarray, int]:
         qs = rng.uniform(-_Q_HALF_WIDTH, _Q_HALF_WIDTH, size=(batch, n))
         ps = rng.uniform(-_P_HALF_WIDTH, _P_HALF_WIDTH, size=(batch, n))
-        total += batch
         r = np.linalg.norm(qs, axis=1)
         ok = r >= _MIN_RADIUS
         energy = np.full(batch, np.inf)
@@ -314,12 +311,21 @@ def _bound_rows(
         if max_eccentricity is not None:
             ecc = np.linalg.norm(_lenz(qs, ps), axis=1)
             ok &= ecc <= max_eccentricity
-        keep = np.flatnonzero(ok)[: count - found]
-        chunks.append((qs[keep], ps[keep]))
-        found += len(keep)
-        if found < count and total >= max_draws:
-            raise RuntimeError(
-                f"rejection sampling failed to find {count} points after "
-                f"{total} draws; the requested constraints are too tight"
-            )
-    return _check_rows(*map(np.concatenate, zip(*chunks)), "qp")
+        return qs[ok], ps[ok], batch
+
+    return _rejection_rows(count, draw, "qp")
+
+
+def _rejection_rows(count: int, draw, names: str) -> tuple[np.ndarray, np.ndarray]:
+    """The first count rows (a, b) that rounds of draw(missing) -> (a, b, drawn) keep,
+    drawn being the round's candidates; raises after 20,000 candidates per row plus
+    200,000, and checks the rows once by the pair's names (``_check_rows``)."""
+    chunks, missing, total = [], count, 0
+    while missing:
+        a, b, drawn = draw(missing)
+        chunks.append((a[:missing], b[:missing]))
+        missing, total = missing - len(chunks[-1][0]), total + drawn
+        if missing and total >= 20_000 * count + 200_000:
+            message = f"rejection sampling failed to find {count} points after {total} draws"
+            raise RuntimeError(f"{message}; the requested constraints are too tight")
+    return _check_rows(*map(np.concatenate, zip(*chunks)), names)

@@ -377,6 +377,24 @@ class TestVerifyCommand:
         assert code == 2
         assert out.strip().endswith("fail")
 
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_a_nan_defect_fails_its_suite_and_the_others_still_report(self, bad, capsys, monkeypatch):
+        norm_squared = harness._norm_squared
+
+        def nan_at_bad(upper):
+            out = norm_squared(upper)
+            out[bad] = np.nan
+            return out
+
+        monkeypatch.setattr(harness, "_norm_squared", nan_at_bad)
+        argv = ["verify", "--suite", "all", "--samples", "5", "--seed", "3"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (2, "")
+        lines = out.splitlines()
+        assert [line.split(",")[0] for line in lines] == list(harness.SUITE_NAMES)
+        for line in lines:
+            assert line == "mu-squared,5,nan,fail" or line.endswith(",pass"), line
+
     def test_raising_suite_reports_and_exits_2(self, capsys, monkeypatch):
         # A suite whose own samples raise is a failed check: every suite
         # still prints its line, the raising ones as inf and fail.

@@ -323,3 +323,55 @@ class TestSampleBoundStates:
         a = sample_bound_states(2, 3, seed)
         b = sample_bound_states(2, 3, seed)
         assert all(np.array_equal(x.q, y.q) for x, y in zip(a, b))
+
+
+class TestRejectionRows:
+    """core._rejection_rows, the one loop of every rejection sampler, on stub rounds."""
+
+    @staticmethod
+    def _rounds(kept: list[int], drawn: int, n: int = 2):
+        """draw(missing) whose round r keeps kept[r] rows, numbered on across
+        rounds, out of drawn candidates; it records each missing."""
+        asked, start = [], 0
+
+        def draw(missing):
+            nonlocal start
+            k = kept[len(asked)]
+            asked.append(missing)
+            q = np.arange(start, start + k, dtype=float)[:, None] * np.ones(n)
+            start += k
+            return q, -q, drawn
+
+        return draw, asked
+
+    def test_the_first_count_rows_in_order(self):
+        # the last round keeps 5 rows where 3 are missing: the first 3 count
+        draw, asked = self._rounds([0, 2, 5], 4)
+        q, p = core._rejection_rows(5, draw, "qp")
+        assert asked == [5, 5, 3]
+        assert q.tolist() == [[k, k] for k in (0.0, 1.0, 2.0, 3.0, 4.0)]
+        assert np.array_equal(p, -q)
+
+    def test_gives_up_at_the_limit(self):
+        # 20,000 candidates per row plus 200,000: 240,000 for two rows
+        draw, asked = self._rounds([0, 0, 0, 2], 60_000)
+        assert len(core._rejection_rows(2, draw, "qp")[0]) == 2  # found in the last round
+        draw, asked = self._rounds([0, 0, 0, 1], 60_000)
+        with pytest.raises(RuntimeError) as raised:
+            core._rejection_rows(2, draw, "qp")
+        assert str(raised.value) == (
+            "rejection sampling failed to find 2 points after 240000 draws; "
+            "the requested constraints are too tight"
+        )
+        assert asked == [2, 2, 2, 2]
+
+    def test_checks_the_kept_rows_by_the_pair_names(self):
+        def draw(missing):
+            return np.array([[1.0, 0.0], [1.0, np.nan]]), np.zeros((2, 2)), 2
+
+        # the NaN row is cut away at count 1, and kept at count 2
+        assert core._rejection_rows(1, draw, "qp")[0].tolist() == [[1.0, 0.0]]
+        with pytest.raises(DomainError, match="q must have finite entries"):
+            core._rejection_rows(2, draw, "qp")
+        with pytest.raises(DomainError, match="u must have finite entries"):
+            core._rejection_rows(2, draw, "uv")

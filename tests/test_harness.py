@@ -131,6 +131,18 @@ class TestRegistry:
             run_suite("metric", 2, 10, -1)
 
 
+def _nan_mu_squared(monkeypatch, bad: int, scale: float) -> None:
+    """mu-squared's sum of squared momenta, times scale, with sample bad's NaN."""
+    norm_squared = harness._norm_squared
+
+    def patched(upper):
+        out = norm_squared(upper) * scale
+        out[bad] = np.nan
+        return out
+
+    monkeypatch.setattr(harness, "_norm_squared", patched)
+
+
 class TestReports:
     def test_reproducible(self):
         a = run_suite("mu-squared", 2, 100, 9)
@@ -174,6 +186,20 @@ class TestReports:
                 (pt.q.tobytes(), pt.p.tobytes()) for pt in drawn
             )
             assert report.line().endswith(",fail")
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_a_nan_defect_fails_and_is_listed_first(self, bad, monkeypatch):
+        # mu^2 of sample bad is NaN: the suite fails there, and max_defect is
+        # NaN, wherever the NaN sits among the defects.
+        for scale, failing in ((1.0, 1), (1.0 + 1e-9, 5)):
+            _nan_mu_squared(monkeypatch, bad, scale)
+            report = run_suite("mu-squared", 2, 5, 3)
+            assert np.isnan(report.max_defect) and not report.passed
+            assert len(report.failures) == failing
+            assert np.isnan(report.failures[0].observed)
+            observed = [f.observed for f in report.failures[1:]]
+            assert observed == sorted(observed, reverse=True) and not np.isnan(observed).any()
+            assert report.line() == "mu-squared,5,nan,fail"
 
     def test_ls_roundtrip_names_puncture_and_q_side_failures(self, monkeypatch):
         # The inverse marks one sphere sample as a puncture and misses one

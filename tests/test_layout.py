@@ -76,6 +76,7 @@ _PRIVATE_IMPORTS = {
     ("dynamics", "ligonschaaf", "_ls_inverse_rows"),
     ("harness", "", "_PUBLIC"),
     ("harness", "core", "_bound_rows"),
+    ("harness", "core", "_rejection_rows"),
     ("harness", "ligonschaaf", "_ROOT_TOL"),
     ("harness", "ligonschaaf", "_ls_inverse_rows"),
     ("harness", "ligonschaaf", "_solve_rotation_angle"),
@@ -192,6 +193,28 @@ def test_private_imports_between_wrapper_modules():
             if origin not in (None, "kernels") and name.startswith("_"):
                 found.add((importer, origin, name))
     assert found == _PRIVATE_IMPORTS
+
+
+def test_one_rejection_loop():
+    # every rejection sampler hands core._rejection_rows one round, and only
+    # that loop counts candidates: its limit and message are written once
+    callers = set()
+    for name, tree in _modules().items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_rejection_rows"
+                for call in ast.walk(node)
+            ):
+                callers.add((name, node.name))
+    assert callers == {
+        ("core", "_bound_rows"),
+        ("harness", "_sample_phase_compact"),
+        ("harness", "_sample_sphere"),
+        ("harness", "_suite_lenz_brackets"),
+    }
+    source = "".join(path.read_text() for path in sorted(_PACKAGE.glob("*.py")))
+    assert source.count("rejection sampling failed") == 1
+    assert source.count("20_000") == 1
 
 
 def _load(name: str, monkeypatch):

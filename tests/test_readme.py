@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import re
 import shlex
 from pathlib import Path
@@ -107,3 +108,23 @@ def test_so_n1_brackets_draws_at_the_largest_n_readme_states_and_gives_up_above(
     assert harness.run_suite("so(n+1)-brackets", limit, 10, 42).passed
     with pytest.raises(RuntimeError, match="rejection sampling failed"):
         harness.run_suite("so(n+1)-brackets", limit + 1, 10, 42)
+
+
+def _tolerance_classes() -> list[tuple[float, str]]:
+    """README's tolerance classes: each class's tolerance, evaluated at the
+    harness's step, and the text of its item."""
+    policy = README.split("one of five tolerances", 1)[1].split("\n- ", 1)[0]
+    classes = []
+    for item in policy.split("\n  - ")[1:]:
+        expression = re.sub(r"(\d) (\w)", r"\1 * \2", item.split("`")[1]).replace("^", "**")
+        classes.append((eval(expression, {"h": harness.FD_STEP, "eps": EPS}), item))
+    return classes
+
+
+@pytest.mark.parametrize("suite", harness.SUITE_NAMES)
+def test_each_suite_is_listed_once_under_its_tolerance(suite):
+    classes = _tolerance_classes()
+    assert len(classes) == 5
+    listed = [tolerance for tolerance, item in classes for _ in range(item.count(f"`{suite}`"))]
+    tolerance = harness.suite_registry()[suite](2, 5, 0)[0]
+    assert len(listed) == 1 and math.isclose(listed[0], tolerance, rel_tol=1e-12)

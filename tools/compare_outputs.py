@@ -16,7 +16,10 @@ path with ``<tree>``.  The cases:
 
 - each propagate workload of perfbench/workloads.py at seeds 23 and 7, as
   one ``propagate ... --out-dir`` call on all of its scenario files;
-- ``verify --suite all --n N --seed S`` for n = 1..4 and seeds 0, 23, 42;
+- ``verify --suite all --n N --seed S`` for n = 1..4 and seeds 0, 23, 42,
+  and for n = 5..7 at seed 23, where the samplers draw many rounds;
+- two samplers that give up: ``verify --suite "so(n+1)-brackets" --n 8
+  --samples 50`` and ``verify --suite moser-symplectic --n 60 --samples 5``;
 - ``map`` with each ``--which`` choice, and README's two ``map`` examples;
 - the output-target errors, an invalid scenario, an unknown suite and
   ``verify --n 0``;
@@ -52,6 +55,8 @@ PROPAGATE_WORKLOADS = ("propagate-regularized", "propagate-direct")
 PROPAGATE_SEEDS = (23, 7)
 VERIFY_DIMS = (1, 2, 3, 4)
 VERIFY_SEEDS = (0, 23, 42)
+VERIFY_MANY_ROUNDS = (5, 6, 7)  # at seed 23
+GIVE_UPS = (("so(n+1)-brackets", 8, 50), ("moser-symplectic", 60, 5))  # suite, n, samples
 MAP_INPUTS = {
     "moser": ["--q", "0.3,-1.2,0.5", "--p", "0.4,0.2,-0.7"],
     "moser-inverse": ["--u", "0.6,0,0.8", "--v", "0,0.5,0"],
@@ -87,9 +92,13 @@ def cases(inputs: Path) -> list[tuple[str, list[str]]]:
                 path.write_text(text)
                 scenarios.append(str(path))
         found.append((f"{workload} seed {seed}", ["propagate", *scenarios, "--out-dir", OUT]))
-    for n, seed in itertools.product(VERIFY_DIMS, VERIFY_SEEDS):
+    many_rounds = ((n, 23) for n in VERIFY_MANY_ROUNDS)
+    for n, seed in [*itertools.product(VERIFY_DIMS, VERIFY_SEEDS), *many_rounds]:
         found.append((f"verify all n {n} seed {seed}",
                       ["verify", "--suite", "all", "--n", str(n), "--seed", str(seed)]))
+    for suite, n, samples in GIVE_UPS:
+        found.append((f"give up: {suite} n {n}",
+                      ["verify", "--suite", suite, "--n", str(n), "--samples", str(samples)]))
     for which, point in MAP_INPUTS.items():
         found.append((f"map {which}", ["map", "--which", which, *point]))
     for k, argv in enumerate(README_MAP_EXAMPLES, start=1):

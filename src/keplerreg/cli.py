@@ -362,25 +362,15 @@ def _cmd_verify(args, out) -> int:
     from .harness import SUITE_NAMES, run_suite
 
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    lines = []
-    all_passed = True
-    for name in names:
-        try:
-            report = run_suite(name, args.n, args.samples, args.seed)
-        except (DomainError, RuntimeError) as exc:
-            # the suite's own samples left a map's domain, or its sampler gave up:
-            # a failed check, not bad input
-            sys.stderr.write(f"error: suite {name} raised: {exc}\n")
-            lines.append(f"{name},{args.samples},inf,fail")
-            all_passed = False
-            continue
-        lines.append(report.line())
-        all_passed &= report.passed
-    text = "\n".join(lines) + "\n"
+    reports = [run_suite(name, args.n, args.samples, args.seed) for name in names]
+    for report in reports:
+        if not report.passed:
+            sys.stderr.write(f"error: suite {report.name} failed: {report.failures[0].where}\n")
+    text = "".join(report.line() + "\n" for report in reports)
     out.write(text)
     if args.out is not None:
         _write_output(Path(args.out), text)
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+    return EXIT_OK if all(report.passed for report in reports) else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------------------

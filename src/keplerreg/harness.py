@@ -5,25 +5,21 @@ measurement) plus the named property suites that exercise the library's
 invariants over seeded samples.  Every suite is deterministic in
 (n, samples, seed).  Its samples stay rows from draw to report: each
 sampler returns row arrays checked once per batch as the value objects
-check a point, and the suite computes defects only.  It returns
-(tolerance, defects, sample): one float per sample, and sample(k), which
-builds the k-th sample's value object (or, for an unexpected puncture in
-ls-roundtrip, its message).  run_suite alone builds the SuiteReport: the
-worst defect (NaN if any is), plus a Failure for each sample above tolerance
-or NaN, the only samples it calls sample(k) for.  A Failure's ``where`` is the
-sample's str() with every float at its shortest round-trip repr, so the
-sample can be rebuilt bit for bit.
+check a point, and the suite computes defects only.  The registry pairs
+each suite's tolerance with its runner, which returns (defects, sample):
+one float per sample, and sample(k), which builds the k-th sample's value
+object (or, for an unexpected puncture in ls-roundtrip, its message).
+run_suite alone builds the SuiteReport: the worst defect (NaN if any is),
+plus a Failure for each sample above tolerance or NaN, the only samples it
+calls sample(k) for.  A Failure's ``where`` is the sample's str() with
+every float at its shortest round-trip repr, so the sample can be rebuilt
+bit for bit.  A runner that raises DomainError (its samples left a map's
+domain) or RuntimeError (its sampler gave up) is reported as one sample
+of defect inf whose ``where`` is the error's text.
 
-Tolerances are stratified by error source, in five classes: 1e-12 for exact
-closed-form compositions (stereo-roundtrip, metric, ls-equivariance,
-momenta-pullback, mu-squared); the complete first-derivative error model
-100 h^2 + 5 eps / h of central differences, truncation plus the roundoff
-floor near 1.1e-9 at h = 1e-6 (stereo-canonical, moser-symplectic,
-ls-symplectic); 1e-10 for rescaled maps, Richardson gradients and the root
-solve (fibration-scale, moser-levelset, ls-roundtrip); 1e-5 for Richardson
-brackets (so(n+1)-brackets, lenz-brackets); and, for the two flow suites,
-whose oracle is the closed-form Kepler flow, 100 eps per unit of each
-sample's conditioning (intertwine-flows, conservation).  Sampling avoids
+Tolerances are stratified by error source; the finite-difference ones
+follow fd_tolerance's model at FD_STEP, and the flow suites bound each
+sample's error per unit of its conditioning.  Sampling avoids
 near-singular regions (|q| >= 0.1, H <= -0.05, base points away from the
 projection pole); the invariants hold analytically everywhere, but finite
 differences degrade near the singular sets, whose behavior is covered by
@@ -41,7 +37,8 @@ import numpy as np
 
 from . import _PUBLIC
 from .core import (
-    PhasePoint, PlaneCotangentPoint, SphereCotangentPoint, _bound_rows, _rejection_rows,
+    DomainError, PhasePoint, PlaneCotangentPoint, SphereCotangentPoint, _bound_rows,
+    _rejection_rows,
 )
 from .kernels import (
     _chart_hamiltonians,
@@ -335,14 +332,14 @@ def _max_abs_diff(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 # Suites
 
 
-# (tolerance, one defect per sample, sample(k) -> the k-th sample's value object)
-_Defects = tuple[float, list[float], Callable[[int], object]]
+# (one defect per sample, sample(k) -> the k-th sample's value object)
+_Defects = tuple[list[float], Callable[[int], object]]
 
 
 def _symplectic_suite(fn, kind: type, a: np.ndarray, b: np.ndarray) -> _Defects:
     """Symplectic defect of fn at each row (a, b) = (positions, momenta)."""
     z = np.concatenate([a, b], axis=-1)
-    return fd_tolerance(FD_STEP), symplectic_defect(fn, z, FD_STEP).tolist(), _points(kind, a, b)
+    return symplectic_defect(fn, z, FD_STEP).tolist(), _points(kind, a, b)
 
 
 def _suite_stereo_roundtrip(n: int, samples: int, seed: int) -> _Defects:
@@ -356,7 +353,7 @@ def _suite_stereo_roundtrip(n: int, samples: int, seed: int) -> _Defects:
         [_max_abs_diff((x_back, xs), (y_back, ys)), _max_abs_diff((u_back, us), (v_back, vs))]
     )
     plane, sphere = _points(PlaneCotangentPoint, xs, ys), _points(SphereCotangentPoint, us, vs)
-    return 1e-12, defects.tolist(), lambda k: plane(k) if k < samples else sphere(k - samples)
+    return defects.tolist(), lambda k: plane(k) if k < samples else sphere(k - samples)
 
 
 def _suite_metric(n: int, samples: int, seed: int) -> _Defects:
@@ -365,7 +362,7 @@ def _suite_metric(n: int, samples: int, seed: int) -> _Defects:
     _, v = _lift(xs, ys)
     # (x.x+1)^2 (y.y)/4 is twice the chart's geodesic energy
     defects = np.abs(np.vecdot(v, v) - 2.0 * _chart_hamiltonians(xs, ys)[0])
-    return 1e-12, defects.tolist(), _points(PlaneCotangentPoint, xs, ys)
+    return defects.tolist(), _points(PlaneCotangentPoint, xs, ys)
 
 
 def _suite_stereo_canonical(n: int, samples: int, seed: int) -> _Defects:
@@ -392,7 +389,7 @@ def _suite_fibration_scale(n: int, samples: int, seed: int) -> _Defects:
     for rho in (0.5, 2.0, 10.0):
         u_rho, v_rho, _ = _fibration_rows(*_scale(qs, ps, rho))
         defects = np.maximum(defects, _max_abs_diff((u_rho, u), (v_rho, v)))
-    return 1e-10, defects.tolist(), _points(PhasePoint, qs, ps)
+    return defects.tolist(), _points(PhasePoint, qs, ps)
 
 
 def _suite_moser_levelset(n: int, samples: int, seed: int) -> _Defects:
@@ -419,7 +416,7 @@ def _suite_moser_levelset(n: int, samples: int, seed: int) -> _Defects:
     # The Hamiltonian fields (dH/dy, -dH/dx) differ entrywise by the
     # gradient differences up to sign and order.
     defects = np.max(np.abs(grads[..., 0] - grads[..., 1]), axis=0)
-    return 1e-10, defects.tolist(), _points(SphereCotangentPoint, us, vs)
+    return defects.tolist(), _points(SphereCotangentPoint, us, vs)
 
 
 def _suite_ls_symplectic(n: int, samples: int, seed: int) -> _Defects:
@@ -433,6 +430,10 @@ def _suite_ls_symplectic(n: int, samples: int, seed: int) -> _Defects:
     return _symplectic_suite(flat_ls_map(n), PhasePoint, *rows)
 
 
+# ls-roundtrip's tolerance, which also scales its root residuals.
+_LS_ROUNDTRIP_TOL = 1e-10
+
+
 def _suite_ls_roundtrip(n: int, samples: int, seed: int) -> _Defects:
     """Two-sided inverse identities plus the monotone-root contract.
 
@@ -442,15 +443,14 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int) -> _Defects:
     strictly negative (the monotone-root invariant), and a non-negative
     slope or an unexpected puncture is reported as an outright failure.
     """
-    tolerance = 1e-10
-    scale = tolerance / _ROOT_TOL
+    scale = _LS_ROUNDTRIP_TOL / _ROOT_TOL
     qs, ps = _bound_rows(n, samples, seed)
     spheres = _sample_sphere(np.random.default_rng(seed + 1), n, samples)
     r, s, at_puncture = _ls_map_rows(qs, ps)
     us, vs = (np.concatenate(pair) for pair in zip((r, s), spheres))
     q_back, p_back, puncture = _ls_inverse_rows(us, vs)
     m = samples
-    defects = np.full(len(us), 2.0 * tolerance)
+    defects = np.full(len(us), 2.0 * _LS_ROUNDTRIP_TOL)
     defects[:m] = _max_abs_diff((q_back[:m], qs), (p_back[:m], ps))
     # Sphere samples: the forward map undoes the inverse, and the
     # inverse's rotation angle, v_(n+1) of the fibration, is the root.
@@ -461,8 +461,8 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int) -> _Defects:
     sigma = np.sqrt(np.vecdot(vs[k], vs[k]))
     residual, slope = angle_equation(theta, us[k, -1], vs[k, -1] / sigma)
     d = np.maximum(d, np.abs(residual) * scale)
-    defects[k] = np.where(slope >= 0.0, np.maximum(d, 2.0 * tolerance), d)
-    defects[puncture] = 2.0 * tolerance
+    defects[k] = np.where(slope >= 0.0, np.maximum(d, 2.0 * _LS_ROUNDTRIP_TOL), d)
+    defects[puncture] = 2.0 * _LS_ROUNDTRIP_TOL
     phase, sphere = _points(PhasePoint, qs, ps), _points(SphereCotangentPoint, us, vs)
 
     def sample(k: int):
@@ -471,7 +471,7 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int) -> _Defects:
         sp = SphereCotangentPoint._from_checked(us[k], vs[k], bool(k < m and at_puncture[k]))
         return f"unexpected puncture at {_where(sp)}"
 
-    return tolerance, defects.tolist(), sample
+    return defects.tolist(), sample
 
 
 def _suite_ls_equivariance(n: int, samples: int, seed: int) -> _Defects:
@@ -491,7 +491,7 @@ def _suite_ls_equivariance(n: int, samples: int, seed: int) -> _Defects:
     rotated = _ls_map_rows(apply(rot, qs), apply(rot, ps))
     base = _ls_map_rows(qs, ps)
     defects = _max_abs_diff(*((a, apply(rot_ext, b)) for a, b in zip(rotated[:2], base[:2])))
-    return 1e-12, defects.tolist(), _points(PhasePoint, qs, ps)
+    return defects.tolist(), _points(PhasePoint, qs, ps)
 
 
 # The flow suites' bound on each sample's error per unit of conditioning.
@@ -551,7 +551,7 @@ def _suite_intertwine(n: int, samples: int, seed: int) -> _Defects:
         root_a = np.sqrt(a)[:, None]
         errors = _max_abs_diff((r, r_ref), (s / root_a, s_ref / root_a))
         worst = np.maximum(worst, _flow_defects(errors, kappa**2 + t * a**-1.5))
-    return _FLOW_TOL, worst.tolist(), _points(PhasePoint, qs, ps)
+    return worst.tolist(), _points(PhasePoint, qs, ps)
 
 
 def _suite_momenta_pullback(n: int, samples: int, seed: int) -> _Defects:
@@ -561,7 +561,7 @@ def _suite_momenta_pullback(n: int, samples: int, seed: int) -> _Defects:
     r, s, _ = _ls_map_rows(qs, ps)
     i, j = _upper_pairs(n + 1)
     diff = _wedge_entries(r, s, i, j) - _extended_rows(qs, ps)[:, i, j]
-    return 1e-12, np.max(np.abs(diff), axis=-1).tolist(), _points(PhasePoint, qs, ps)
+    return np.max(np.abs(diff), axis=-1).tolist(), _points(PhasePoint, qs, ps)
 
 
 def _suite_mu_squared(n: int, samples: int, seed: int) -> _Defects:
@@ -569,7 +569,7 @@ def _suite_mu_squared(n: int, samples: int, seed: int) -> _Defects:
     qs, ps = _bound_rows(n, samples, seed)
     mu2 = _norm_squared(_extended_rows(qs, ps))
     defects = np.abs(mu2 * (-2.0 * _energy(qs, ps)) - 1.0)
-    return 1e-12, defects.tolist(), _points(PhasePoint, qs, ps)
+    return defects.tolist(), _points(PhasePoint, qs, ps)
 
 
 def _algebra_defects(field, a, b, kappa, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -602,7 +602,7 @@ def _suite_so_brackets(n: int, samples: int, seed: int) -> _Defects:
     qs, ps = _bound_rows(n, samples, seed, min_energy=-2.0, max_energy=-0.2)
     i, j = _upper_pairs(n + 1)
     worst = _algebra_defects(lambda q, p: _extended_rows(q, p)[..., i, j], i, j, 1.0, qs, ps)
-    return 1e-5, worst.tolist(), _points(PhasePoint, qs, ps)
+    return worst.tolist(), _points(PhasePoint, qs, ps)
 
 
 def _suite_lenz_brackets(n: int, samples: int, seed: int) -> _Defects:
@@ -623,7 +623,7 @@ def _suite_lenz_brackets(n: int, samples: int, seed: int) -> _Defects:
     a, b = _integral_pairs(n)
     kappa = -2.0 * _energy(qs, ps)
     worst = _algebra_defects(lambda q, p: _integral_rows(q, p)[..., 1:], a, b, kappa, qs, ps)
-    return 1e-5, worst.tolist(), _points(PhasePoint, qs, ps)
+    return worst.tolist(), _points(PhasePoint, qs, ps)
 
 
 def _suite_conservation(n: int, samples: int, seed: int) -> _Defects:
@@ -632,41 +632,42 @@ def _suite_conservation(n: int, samples: int, seed: int) -> _Defects:
     qs, ps = _flow_rows(n, samples, seed)
     q, p, _, kappa = _kepler_flow(qs, ps, 0.5)
     drift = np.max(np.abs(_integral_rows(q, p) - _integral_rows(qs, ps)), axis=-1)
-    return _FLOW_TOL, _flow_defects(drift, kappa**2).tolist(), _points(PhasePoint, qs, ps)
+    return _flow_defects(drift, kappa**2).tolist(), _points(PhasePoint, qs, ps)
 
 
 # ---------------------------------------------------------------------------
 # Registry
 
 
-_SUITES: dict[str, Callable[[int, int, int], _Defects]] = {
-    "stereo-roundtrip": _suite_stereo_roundtrip,
-    "stereo-canonical": _suite_stereo_canonical,
-    "metric": _suite_metric,
-    "moser-symplectic": _suite_moser_symplectic,
-    "fibration-scale": _suite_fibration_scale,
-    "moser-levelset": _suite_moser_levelset,
-    "ls-symplectic": _suite_ls_symplectic,
-    "ls-roundtrip": _suite_ls_roundtrip,
-    "ls-equivariance": _suite_ls_equivariance,
-    "intertwine-flows": _suite_intertwine,
-    "momenta-pullback": _suite_momenta_pullback,
-    "so(n+1)-brackets": _suite_so_brackets,
-    "lenz-brackets": _suite_lenz_brackets,
-    "mu-squared": _suite_mu_squared,
-    "conservation": _suite_conservation,
+_SUITES: dict[str, tuple[float, Callable[[int, int, int], _Defects]]] = {
+    "stereo-roundtrip": (1e-12, _suite_stereo_roundtrip),
+    "stereo-canonical": (fd_tolerance(FD_STEP), _suite_stereo_canonical),
+    "metric": (1e-12, _suite_metric),
+    "moser-symplectic": (fd_tolerance(FD_STEP), _suite_moser_symplectic),
+    "fibration-scale": (1e-10, _suite_fibration_scale),
+    "moser-levelset": (1e-10, _suite_moser_levelset),
+    "ls-symplectic": (fd_tolerance(FD_STEP), _suite_ls_symplectic),
+    "ls-roundtrip": (_LS_ROUNDTRIP_TOL, _suite_ls_roundtrip),
+    "ls-equivariance": (1e-12, _suite_ls_equivariance),
+    "intertwine-flows": (_FLOW_TOL, _suite_intertwine),
+    "momenta-pullback": (1e-12, _suite_momenta_pullback),
+    "so(n+1)-brackets": (1e-5, _suite_so_brackets),
+    "lenz-brackets": (1e-5, _suite_lenz_brackets),
+    "mu-squared": (1e-12, _suite_mu_squared),
+    "conservation": (_FLOW_TOL, _suite_conservation),
 }
 
 SUITE_NAMES: tuple[str, ...] = tuple(_SUITES)
 
 
-def suite_registry() -> dict[str, Callable[[int, int, int], _Defects]]:
-    """Each suite's runner(n, samples, seed), keyed by suite name."""
+def suite_registry() -> dict[str, tuple[float, Callable[[int, int, int], _Defects]]]:
+    """Each suite's (tolerance, runner(n, samples, seed)), keyed by suite name."""
     return dict(_SUITES)
 
 
 def run_suite(name: str, n: int, samples: int, seed: int) -> SuiteReport:
-    """Execute one named verification suite; deterministic per seed."""
+    """Execute one named verification suite; deterministic per seed.  Only bad
+    arguments raise: a suite that raises is a failing report."""
     if name not in _SUITES:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; known suites: {', '.join(SUITE_NAMES)}"
@@ -677,7 +678,14 @@ def run_suite(name: str, n: int, samples: int, seed: int) -> SuiteReport:
         raise ValueError("samples must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    tolerance, defects, sample = _SUITES[name](n, samples, seed)
+    tolerance, runner = _SUITES[name]
+    try:
+        defects, sample = runner(n, samples, seed)
+    except (DomainError, RuntimeError) as exc:
+        # the suite's own samples left a map's domain, or its sampler gave up:
+        # one failed sample, named by the error
+        error = str(exc)
+        defects, sample = [math.inf], lambda k: error
     failures = sorted(
         (
             Failure(where=_where(sample(k)), observed=d, expected=0.0, tolerance=tolerance)

@@ -389,7 +389,8 @@ class TestVerifyCommand:
         monkeypatch.setattr(harness, "_norm_squared", nan_at_bad)
         argv = ["verify", "--suite", "all", "--samples", "5", "--seed", "3"]
         code, out, err = run_cli(argv, capsys)
-        assert (code, err) == (2, "")
+        assert code == 2
+        assert err.startswith("error: suite mu-squared failed: PhasePoint(") and err.count("\n") == 1
         lines = out.splitlines()
         assert [line.split(",")[0] for line in lines] == list(harness.SUITE_NAMES)
         for line in lines:
@@ -416,10 +417,31 @@ class TestVerifyCommand:
                 raised.append(name)
         assert "ls-roundtrip" in raised
         lines = err.splitlines()
-        assert [line.split(" raised: ")[0] for line in lines] == [
+        assert [line.split(" failed: ")[0] for line in lines] == [
             f"error: suite {name}" for name in raised
         ]
         assert all(line.endswith("r.s = 0 broke") for line in lines)
+
+    def test_a_failing_suite_names_its_worst_sample_on_stderr(self, capsys, monkeypatch):
+        # At tolerance 0 the metric suite fails on its ordinary samples; the
+        # one stderr line's sample rebuilds a worst sample bit for bit.
+        from keplerreg import PlaneCotangentPoint
+
+        _, runner = harness._SUITES["metric"]
+        monkeypatch.setitem(harness._SUITES, "metric", (0.0, runner))
+        argv = ["verify", "--suite", "metric", "--n", "3", "--samples", "20", "--seed", "5"]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        (line,) = err.splitlines()
+        where = line.removeprefix("error: suite metric failed: ")
+        assert where.startswith("PlaneCotangentPoint(")
+        point = eval(where, {"array": np.array, "PlaneCotangentPoint": PlaneCotangentPoint})
+        defects, _ = runner(3, 20, 5)
+        xs, ys = harness._sample_plane(np.random.default_rng(5), 3, 20)
+        assert any(
+            point.x.tobytes() == xs[k].tobytes() and point.y.tobytes() == ys[k].tobytes()
+            for k, d in enumerate(defects) if d == max(defects)
+        )
 
     # no draw meets the bracket suite's sampling window at n = 8, and none meets
     # the compact sampler's energy window at n = 60, before each sampler gives up
@@ -428,7 +450,7 @@ class TestVerifyCommand:
         argv = ["verify", "--suite", suite, "--n", str(n), "--samples", str(samples)]
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, f"{suite},{samples},inf,fail\n")
-        assert err.startswith(f"error: suite {suite} raised: rejection sampling failed to find ")
+        assert err.startswith(f"error: suite {suite} failed: rejection sampling failed to find ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(

@@ -131,6 +131,41 @@ class TestRegistry:
             run_suite("metric", 2, 10, -1)
 
 
+def _leaves_domain(q, p):
+    raise DomainError("r.s = 0 broke")
+
+
+class TestRaisingSuite:
+    """A suite that raises is one failing sample whose where is the error;
+    only bad arguments make run_suite raise."""
+
+    @staticmethod
+    def _check_reported(name, n, samples, seed, error):
+        tolerance, runner = harness.suite_registry()[name]
+        with pytest.raises(error) as raised:
+            runner(n, samples, seed)
+        report = run_suite(name, n, samples, seed)
+        assert report.max_defect == np.inf and not report.passed
+        assert [f.where for f in report.failures] == [str(raised.value)]
+        assert report.tolerance == report.failures[0].tolerance == tolerance
+        assert report.line() == f"{name},{samples},inf,fail"
+
+    def test_a_sampler_that_gives_up(self):
+        self._check_reported("so(n+1)-brackets", 8, 10, 42, RuntimeError)
+
+    def test_a_domain_error_inside_a_suite(self, monkeypatch):
+        monkeypatch.setattr(harness, "_ls_map_rows", _leaves_domain)
+        self._check_reported("ls-roundtrip", 3, 20, 4, DomainError)
+
+    def test_bad_arguments_still_raise(self, monkeypatch):
+        # even where the suite itself would raise
+        monkeypatch.setattr(harness, "_ls_map_rows", _leaves_domain)
+        with pytest.raises(UnknownSuiteError):
+            run_suite("nope", 2, 10, 0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            run_suite("ls-roundtrip", 0, 10, 0)
+
+
 def _nan_mu_squared(monkeypatch, bad: int, scale: float) -> None:
     """mu-squared's sum of squared momenta, times scale, with sample bad's NaN."""
     norm_squared = harness._norm_squared

@@ -217,6 +217,38 @@ def test_one_rejection_loop():
     assert source.count("20_000") == 1
 
 
+def _own_returns(function: ast.FunctionDef) -> list[ast.Return]:
+    """The return statements of function itself, not of the functions it defines."""
+    found, todo = [], list(function.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Return):
+            found.append(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_one_report_path():
+    # run_suite alone turns a suite's outcome into a report: verify writes
+    # no line of its own and catches nothing, and every suite returns only
+    # (defects, sample), its tolerance being its registry entry
+    modules = _modules()
+    assert "inf,fail" not in (_PACKAGE / "cli.py").read_text()
+    verify = next(node for node in modules["cli"].body
+                  if getattr(node, "name", None) == "_cmd_verify")
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(verify))
+    functions = {node.name: node for node in modules["harness"].body
+                 if isinstance(node, ast.FunctionDef)}
+    suites = [name for name in functions if name.startswith("_suite_")]
+    assert len(suites) == 15
+    for name in [*suites, "_symplectic_suite"]:
+        for node in _own_returns(functions[name]):
+            if getattr(getattr(node.value, "func", None), "id", None) == "_symplectic_suite":
+                continue
+            assert isinstance(node.value, ast.Tuple) and len(node.value.elts) == 2, name
+
+
 def _load(name: str, monkeypatch):
     spec = importlib.util.spec_from_file_location(name, _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

@@ -20,6 +20,8 @@ path with ``<tree>``.  The cases:
   and for n = 5..7 at seed 23, where the samplers draw many rounds;
 - two samplers that give up: ``verify --suite "so(n+1)-brackets" --n 8
   --samples 50`` and ``verify --suite moser-symplectic --n 60 --samples 5``;
+- a mixed run, ``verify --suite all --n 9 --samples 50 --seed 23``: eight
+  suites give up and seven pass, so failing and passing lines interleave;
 - ``map`` with each ``--which`` choice, and README's two ``map`` examples;
 - the output-target errors, an invalid scenario, an unknown suite and
   ``verify --n 0``;
@@ -57,6 +59,7 @@ VERIFY_DIMS = (1, 2, 3, 4)
 VERIFY_SEEDS = (0, 23, 42)
 VERIFY_MANY_ROUNDS = (5, 6, 7)  # at seed 23
 GIVE_UPS = (("so(n+1)-brackets", 8, 50), ("moser-symplectic", 60, 5))  # suite, n, samples
+MIXED = (9, 50, 23)  # n, samples, seed: eight suites give up, the other seven pass
 MAP_INPUTS = {
     "moser": ["--q", "0.3,-1.2,0.5", "--p", "0.4,0.2,-0.7"],
     "moser-inverse": ["--u", "0.6,0,0.8", "--v", "0,0.5,0"],
@@ -99,6 +102,9 @@ def cases(inputs: Path) -> list[tuple[str, list[str]]]:
     for suite, n, samples in GIVE_UPS:
         found.append((f"give up: {suite} n {n}",
                       ["verify", "--suite", suite, "--n", str(n), "--samples", str(samples)]))
+    n, samples, seed = map(str, MIXED)
+    found.append((f"mixed: verify all n {n} samples {samples} seed {seed}",
+                  ["verify", "--suite", "all", "--n", n, "--samples", samples, "--seed", seed]))
     for which, point in MAP_INPUTS.items():
         found.append((f"map {which}", ["map", "--which", which, *point]))
     for k, argv in enumerate(README_MAP_EXAMPLES, start=1):

@@ -20,7 +20,6 @@ from .kernels import (
     DomainError,
     _check_rows,
     _energy,
-    _lenz,
     _norm_squared,
     _on_pole,
     _upper_pairs,
@@ -230,88 +229,58 @@ def kepler_energy(point: PhasePoint) -> float:
     return float(_energy(point.q, point.p))
 
 
-_Q_HALF_WIDTH = 2.0
-_P_HALF_WIDTH = 1.5
 _MIN_RADIUS = 0.1
+_MIN_ENERGY = -2.0
 _MAX_ENERGY = -0.05
 
 
-def sample_bound_states(
-    n: int,
-    count: int,
-    seed: int,
-    *,
-    pole_gap: float = 0.0,
-    max_eccentricity: float | None = None,
-    min_energy: float | None = None,
-    max_energy: float = _MAX_ENERGY,
-) -> list[PhasePoint]:
-    """Seed-reproducible rejection sample of bound phase points.
-
-    Positions are drawn uniformly from [-2, 2]^n and momenta from
-    [-1.5, 1.5]^n, keeping points with |q| >= 0.1 and H <= -0.05 so that
-    downstream finite differences stay inside the domain.  Identical
-    arguments always produce identical output.
-
-    Optional keywords tighten the sample for callers whose numerical
-    methods degrade near singular sets: ``pole_gap`` keeps the base point
-    of the scale-invariant sphere projection at least that far from the
-    projection pole, ``max_eccentricity`` caps |K| (the orbit
-    eccentricity), and ``min_energy``/``max_energy`` bound H.
-    """
-    qs, ps = _bound_rows(
-        n,
-        count,
-        seed,
-        pole_gap=pole_gap,
-        max_eccentricity=max_eccentricity,
-        min_energy=min_energy,
-        max_energy=max_energy,
-    )
-    return [PhasePoint._from_checked(q, p) for q, p in zip(qs, ps)]
+def sample_bound_states(n: int, count: int, seed: int, **ranges) -> list[PhasePoint]:
+    """Seed-reproducible sample of count bound phase points, drawn from orbital
+    elements by ``_bound_rows``, whose keywords ``ranges`` may set: ``pole_gap``,
+    ``max_eccentricity``, ``min_energy`` and ``max_energy``."""
+    return [PhasePoint._from_checked(q, p) for q, p in zip(*_bound_rows(n, count, seed, **ranges))]
 
 
 def _bound_rows(
-    n: int,
-    count: int,
-    seed: int,
-    *,
-    pole_gap: float = 0.0,
-    max_eccentricity: float | None = None,
-    min_energy: float | None = None,
-    max_energy: float = _MAX_ENERGY,
+    n: int, count: int, seed: int, *, pole_gap: float = 0.0, max_eccentricity: float = 1.0,
+    min_energy: float = _MIN_ENERGY, max_energy: float = _MAX_ENERGY,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``sample_bound_states`` as rows (q, p) of shape (count, n), checked as
-    its points are."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if max_energy > _MAX_ENERGY:
-        raise ValueError(f"max_energy must be <= {_MAX_ENERGY}")
+    """Rows (q, p) of shape (count, n) of bound states from orbital elements
+    (Danby 1988, ch. 6), checked as points are: H uniform on [min_energy,
+    max_energy), e on [0, max_eccentricity) (1 at n = 1: radial orbits), the
+    eccentric anomaly E on [-pi, pi), and the plane's frame (P, Q) the Q factor
+    of an n x 2 Gaussian.  With a = -1/(2H), b = sqrt(1 - e^2): q = a (cos E - e) P
+    + a b sin E Q, p = sqrt(a) (b cos E Q - sin E P) / |q|.  Kept are the states
+    with |q| >= 0.1 whose sphere base point is pole_gap or more from the pole."""
+    for ok, message in (
+        (n >= 1, "n must be >= 1"),
+        (count >= 1, "count must be >= 1"),
+        (max_energy <= _MAX_ENERGY, f"max_energy must be <= {_MAX_ENERGY}"),
+        (min_energy < max_energy, "min_energy must be < max_energy"),
+        ((1.0 if n == 1 else 0.0) <= max_eccentricity <= 1.0,
+         "max_eccentricity must be in [0, 1], and 1 at n = 1"),
+        (0.0 <= pole_gap < 2.0, "pole_gap must be in [0, 2)"),
+    ):
+        if not ok:
+            raise ValueError(message)
     rng = np.random.default_rng(seed)
-    batch = max(4 * count, 512)
 
     def draw(missing: int) -> tuple[np.ndarray, np.ndarray, int]:
-        qs = rng.uniform(-_Q_HALF_WIDTH, _Q_HALF_WIDTH, size=(batch, n))
-        ps = rng.uniform(-_P_HALF_WIDTH, _P_HALF_WIDTH, size=(batch, n))
-        r = np.linalg.norm(qs, axis=1)
-        ok = r >= _MIN_RADIUS
-        energy = np.full(batch, np.inf)
-        energy[ok] = _energy(qs[ok], ps[ok])
-        ok &= energy <= max_energy
-        if min_energy is not None:
-            ok &= energy >= min_energy
-        if pole_gap > 0.0:
-            # Base point of the scale-invariant sphere projection has last
-            # coordinate |q| p^2 - 1; squared distance to the pole is
-            # 2 (2 - |q| p^2).
-            gap = 2.0 - r * np.sum(ps**2, axis=1)
-            ok &= 2.0 * gap >= pole_gap**2
-        if max_eccentricity is not None:
-            ecc = np.linalg.norm(_lenz(qs, ps), axis=1)
-            ok &= ecc <= max_eccentricity
-        return qs[ok], ps[ok], batch
+        size = max(2 * missing, 256)
+        a = -0.5 / rng.uniform(min_energy, max_energy, size)
+        e = rng.uniform(0.0, max_eccentricity, size) if n > 1 else np.ones(size)
+        anomaly = rng.uniform(-np.pi, np.pi, size)
+        frame, tri = np.linalg.qr(rng.standard_normal((size, n, 2)))
+        # R's diagonal made positive, so the frame is uniform; P alone at n = 1, where b = 0
+        frame = frame * np.sign(np.diagonal(tri, axis1=-2, axis2=-1))[:, None, :]
+        cos, sin, b = np.cos(anomaly), np.sin(anomaly), np.sqrt(1.0 - e * e)
+        speed = np.sqrt(a) / (a * (1.0 - e * cos))
+        q = (a * (cos - e))[:, None] * frame[..., 0] + (a * b * sin)[:, None] * frame[..., -1]
+        p = (speed * -sin)[:, None] * frame[..., 0] + (speed * b * cos)[:, None] * frame[..., -1]
+        # the base point's squared distance to the pole is 2 (2 - |q| p.p)
+        r = np.linalg.norm(q, axis=1)
+        keep = (r >= _MIN_RADIUS) & (2.0 * (2.0 - r * np.sum(p**2, axis=1)) >= pole_gap**2)
+        return q[keep], p[keep], size
 
     return _rejection_rows(count, draw, "qp")
 

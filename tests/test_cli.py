@@ -443,9 +443,8 @@ class TestVerifyCommand:
             for k, d in enumerate(defects) if d == max(defects)
         )
 
-    # no draw meets the bracket suite's sampling window at n = 8, and none meets
-    # the compact sampler's energy window at n = 60, before each sampler gives up
-    @pytest.mark.parametrize("suite, n, samples", [("so(n+1)-brackets", 8, 50), ("moser-symplectic", 60, 5)])
+    # no draw meets the compact sampler's energy window at n = 60 before it gives up
+    @pytest.mark.parametrize("suite, n, samples", [("moser-symplectic", 60, 5)])
     def test_a_sampler_that_gives_up_reports_and_exits_2(self, suite, n, samples, capsys):
         argv = ["verify", "--suite", suite, "--n", str(n), "--samples", str(samples)]
         code, out, err = run_cli(argv, capsys)

@@ -1,4 +1,5 @@
-"""tools/compare_outputs.py finds the one case in which two trees differ."""
+"""tools/compare_outputs.py finds the one case in which two trees differ, lists
+every differing line, and checks the differences against expected ones."""
 
 import importlib.util
 from pathlib import Path
@@ -63,10 +64,11 @@ def test_the_one_differing_case_is_found(tool, tmp_path):
         "case": "verify all n 3 seed 23",
         "args": _DIFFERS,
         "same": False,
-        "stream": "stdout",
-        "line": 2,
-        "parent": "",
-        "change": "one more line",
+        "streams": [{
+            "stream": "stdout",
+            "count": 1,
+            "lines": [{"line": 2, "parent": None, "change": "one more line"}],
+        }],
     }
     # the propagate case ran on the workload's 100 scenarios and wrote (and compared) each CSV
     assert len(report[0]["args"]) == 103 and report[0]["args"][-2:] == ["--out-dir", "<out>"]
@@ -75,21 +77,81 @@ def test_the_one_differing_case_is_found(tool, tmp_path):
     assert len(written) == 100 and written[0].read_text().startswith("n = ")
 
 
-def test_first_difference_names_the_stream_and_line(tool):
+def test_differences_list_every_differing_line_of_each_stream(tool):
     same = {"exit": b"0", "stdout": b"a\nb\n", "stderr": b""}
-    assert tool.first_difference(same, dict(same)) is None
-    assert tool.first_difference(same, {**same, "exit": b"1"}) == {
-        "stream": "exit", "line": 1, "parent": "0", "change": "1"
+    assert tool.differences(same, dict(same)) == []
+    assert tool.differences(same, {**same, "exit": b"1"}) == [
+        {"stream": "exit", "count": 1, "lines": [{"line": 1, "parent": "0", "change": "1"}]}
+    ]
+    # stdout is listed before stderr, every differing line is listed, a line
+    # one side lacks is null, and the final newline is no line of its own
+    both = {**same, "stdout": b"x\nb\nc\n", "stderr": b"y"}
+    assert tool.differences(same, both) == [
+        {"stream": "stdout", "count": 2, "lines": [
+            {"line": 1, "parent": "a", "change": "x"},
+            {"line": 3, "parent": None, "change": "c"},
+        ]},
+        {"stream": "stderr", "count": 1, "lines": [{"line": 1, "parent": None, "change": "y"}]},
+    ]
+    # a file only one side writes, and a stream that differs only in its final newline
+    assert tool.differences(same, {**same, "stdout": b"a\nb", "file a.csv": b"t,q1\n"}) == [
+        {"stream": "stdout", "count": 0, "lines": []},
+        {"stream": "file a.csv", "count": 1, "lines": [
+            {"line": 1, "parent": None, "change": "t,q1"},
+        ]},
+    ]
+
+
+# The stub's verify cases end in "--seed S": the change prints its line twice
+# at seed 23 and adds a stderr line at seed 0.
+_VERIFY_CHANGED = (
+    "if args[:1] == ['verify'] and args[-1] == '23':\n    print(*args)\n"
+    "if args[:1] == ['verify'] and args[-1] == '0':\n    print('note', file=sys.stderr)\n"
+)
+_RULE_23 = {"case": "verify all n * seed 23", "stream": "stdout",
+            "before": None, "after": r"verify --suite all --n \d --seed 23"}
+_RULE_0 = {"case": "verify all * seed 0", "stream": "stderr", "before": None, "after": "note"}
+
+
+# Each differing line, in report order: the seed 0 stderr line, then the two seed 23 stdout lines.
+@pytest.mark.parametrize("rules, as_expected, matched, named", [
+    # every differing line matches a rule
+    ([_RULE_23, _RULE_0], True, [2, 1], [1, 0, 0]),
+    # the stderr line matches none
+    ([_RULE_23], False, [2], [None, 0, 0]),
+    # a rule matches nothing
+    ([_RULE_23, _RULE_0, {**_RULE_0, "case": "help*"}], False, [2, 1, 0], [1, 0, 0]),
+    # a pattern must match the whole line, and the stream must be the rule's
+    ([{**_RULE_23, "after": "verify"}, _RULE_0], False, [0, 1], [1, None, None]),
+    ([{**_RULE_23, "stream": "stderr"}, _RULE_0], False, [0, 1], [1, None, None]),
+])
+def test_differences_are_checked_against_expected_rules(
+    tool, tmp_path, rules, as_expected, matched, named
+):
+    trees = {
+        "parent": _tree(tmp_path / "parent", _STUB),
+        "change": _tree(tmp_path / "change", _STUB + _VERIFY_CHANGED),
     }
-    # stdout is looked at before stderr, and a line one side lacks is null
-    both = {**same, "stdout": b"a\nb\nc\n", "stderr": b"x"}
-    assert tool.first_difference(same, both) == {
-        "stream": "stdout", "line": 3, "parent": "", "change": "c"
-    }
-    # a file only one side writes
-    assert tool.first_difference(same, {**same, "file a.csv": b"t,q1\n"}) == {
-        "stream": "file a.csv", "line": 1, "parent": None, "change": "t,q1"
-    }
+    inputs = tmp_path / "inputs"
+    cases = tool.cases(inputs)
+    chosen = [case for case in cases if case[0].startswith("verify all n 1 ") or case[0] == "help"]
+    chosen += [case for case in cases if case[0] == "verify all n 2 seed 23"]
+    report = tool.compare(trees, inputs, chosen)
+    assert [entry["same"] for entry in report] == [False, False, True, True, False]
+    rules = [dict(rule) for rule in rules]
+    assert tool.check_expected(report, rules) is as_expected
+    assert [rule["matched"] for rule in rules] == matched
+    lines = [line for entry in report for stream in entry.get("streams", []) for line in stream["lines"]]
+    assert [line["rule"] for line in lines] == named
+
+
+def test_a_stream_that_differs_in_no_line_matches_no_rule(tool):
+    report = [{"case": "help", "same": False,
+               "streams": [{"stream": "stdout", "count": 0, "lines": []}]}]
+    rule = {"case": "*", "stream": "stdout", "before": ".*", "after": ".*"}
+    assert tool.check_expected(report, [rule]) is False
+    assert tool.check_expected([], [rule]) is False  # nor is it used
+    assert tool.check_expected([], []) is True
 
 
 def test_each_trees_path_is_one_placeholder(tool, tmp_path):

@@ -18,6 +18,7 @@ from keplerreg import (
     harness,
     kepler_energy,
     kernels,
+    lenz_vector,
     ligonschaaf,
     ls_inverse,
     ls_map,
@@ -293,8 +294,6 @@ class TestSampleBoundStates:
         pts = sample_bound_states(
             2, 50, 5, pole_gap=0.05, max_eccentricity=0.6, min_energy=-1.0
         )
-        from keplerreg import lenz_vector
-
         for pt in pts:
             energy = kepler_energy(pt)
             assert -1.0 <= energy <= -0.05
@@ -314,9 +313,67 @@ class TestSampleBoundStates:
         with pytest.raises(ValueError, match=message):
             sample_bound_states(n, count, 0, **kwargs)
 
-    def test_impossible_constraints_error(self):
-        with pytest.raises(RuntimeError, match="rejection sampling"):
-            sample_bound_states(2, 1, 0, max_eccentricity=1e-12)
+    # An impossible range is refused before any draw, naming its argument.
+    @pytest.mark.parametrize("kwargs", [
+        {"min_energy": -0.01},  # above the default max_energy
+        {"min_energy": -0.5, "max_energy": -0.5},
+        {"min_energy": float("nan")},
+    ])
+    def test_min_energy_range_error(self, kwargs):
+        with pytest.raises(ValueError, match="min_energy must be < max_energy"):
+            sample_bound_states(2, 1, 0, **kwargs)
+
+    @pytest.mark.parametrize("n, value", [(2, -1.0), (2, 1.5), (2, float("nan")), (1, 0.6)])
+    def test_max_eccentricity_range_error(self, n, value):
+        with pytest.raises(ValueError, match=r"max_eccentricity must be in \[0, 1\], and 1 at n = 1"):
+            sample_bound_states(n, 1, 0, max_eccentricity=value)
+
+    @pytest.mark.parametrize("value", [3.0, 2.0, -0.1, float("nan")])
+    def test_pole_gap_range_error(self, value):
+        with pytest.raises(ValueError, match=r"pole_gap must be in \[0, 2\)"):
+            sample_bound_states(2, 1, 0, pole_gap=value)
+
+    def test_the_range_ends_are_allowed(self):
+        # max_eccentricity 0 draws circular orbits, and n = 1 radial ones
+        for n, e in ((2, 0.0), (3, 0.0), (1, 1.0)):
+            for pt in sample_bound_states(n, 20, 0, max_eccentricity=e, min_energy=-1.0):
+                assert np.linalg.norm(lenz_vector(pt)) == pytest.approx(e, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    @pytest.mark.parametrize("ranges", [
+        {},
+        {"pole_gap": 0.05, "max_eccentricity": 0.6, "min_energy": -1.0},
+        {"min_energy": -2.0, "max_energy": -0.2},
+    ])
+    def test_rows_meet_every_requested_range(self, n, ranges):
+        # Rows rebuilt from drawn elements carry rounding: H and e computed
+        # from them may pass a range's end by a few ulps.  |q| and the pole
+        # gap are tested on the rows themselves, so they hold exactly.
+        if n == 1 and "max_eccentricity" in ranges:
+            ranges = {**ranges, "max_eccentricity": 1.0}  # every n = 1 orbit is radial
+        min_energy = ranges.get("min_energy", -2.0)
+        max_energy = ranges.get("max_energy", -0.05)
+        max_e = ranges.get("max_eccentricity", 1.0)
+        qs, ps = core._bound_rows(n, 2000, 3, **ranges)
+        assert qs.shape == ps.shape == (2000, n)
+        energy = kernels._energy(qs, ps)
+        assert np.all((min_energy - 1e-12 <= energy) & (energy <= max_energy + 1e-12))
+        # the draw spans its energy range
+        width = max_energy - min_energy
+        assert energy.min() < min_energy + 0.05 * width and energy.max() > max_energy - 0.05 * width
+        lenz = kernels._lenz(qs, ps)
+        e = np.linalg.norm(lenz, axis=1)
+        assert np.all(e <= max_e + 1e-12)
+        if n == 1:
+            assert np.allclose(e, 1.0, rtol=0, atol=1e-12)  # every orbit is radial
+        r = np.linalg.norm(qs, axis=1)
+        assert np.all(r >= 0.1)
+        gap = 2.0 - r * np.sum(ps**2, axis=1)
+        assert np.all(2.0 * gap >= ranges.get("pole_gap", 0.0) ** 2)
+        # the pericentre direction K/|K| is uniform on the sphere: it has mean 0
+        if n > 1:
+            direction = lenz / e[:, None]
+            assert np.all(np.abs(direction.mean(axis=0)) < 0.06)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_seed_reproducible(self, seed):

@@ -79,9 +79,9 @@ def test_suites_said_to_report_exactly_0_at_n_1(suite):
 
 
 def _largest_n_readme_states() -> tuple[int, str]:
-    """README's largest n at which every suite draws its samples, and the text
-    naming the suites that give up above it."""
-    match = re.search(r"^Above n = (\d+), (.*?)\s+give up", README, re.M | re.S)
+    """README's largest n at which every suite but metric draws 500 samples, and
+    the text naming the suites that give up above it."""
+    match = re.search(r"^Above n = (\d+), (.*?)\s+give up drawing 500 samples", README, re.M | re.S)
     return int(match[1]), match[2]
 
 
@@ -103,10 +103,17 @@ def test_verify_help_names_the_suites_readme_says_check_nothing_at_n_1(capsys, m
     assert named(helped) == named(said, "`")
 
 
-def test_so_n1_brackets_draws_at_the_largest_n_readme_states_and_gives_up_above():
-    limit, _ = _largest_n_readme_states()
-    assert harness.run_suite("so(n+1)-brackets", limit, 10, 42).passed
-    report = harness.run_suite("so(n+1)-brackets", limit + 1, 10, 42)
+def test_the_compact_sampler_gives_up_where_readme_says():
+    # Drawing 500 samples near README's largest n takes about 10 s each side,
+    # so the run checks README's figure for 10 samples, one dimension on.
+    limit, said = _largest_n_readme_states()
+    assert [name for name in harness.SUITE_NAMES if f"`{name}`" in said] == [
+        "moser-symplectic", "ls-symplectic"
+    ]
+    tens = int(re.search(r"above n = (\d+)\s+they give up even for 10 samples", README)[1])
+    assert tens == limit + 1
+    assert harness.run_suite("moser-symplectic", tens, 10, 42).passed
+    report = harness.run_suite("moser-symplectic", tens + 1, 10, 42)
     assert report.max_defect == math.inf
     assert report.failures[0].where.startswith("rejection sampling failed")
 

@@ -38,7 +38,6 @@ from keplerreg import (
     to_sphere,
 )
 from keplerreg.harness import SUITE_NAMES, flat_ls_map, flat_moser_map, flat_to_sphere
-from keplerreg.kernels import _energy, _reproject
 from keplerreg.ligonschaaf import _ROOT_TOL, _ls_map_rows
 from keplerreg.moser import _chart_hamiltonians, _fibration_rows
 from keplerreg.symmetry import _central_differences
@@ -421,7 +420,10 @@ def _so_relation(values, a, b, c, d):
 
 
 def _oracle_so_brackets(n, samples, seed):
-    points = sample_bound_states(n, samples, seed, min_energy=-2.0, max_energy=-0.2)
+    cap = 0.6 if n > 1 else 1.0
+    points = sample_bound_states(
+        n, samples, seed, max_eccentricity=cap, min_energy=-2.0, max_energy=-0.2
+    )
     qs, ps = _bracket_rows(points)
     pairs = list(combinations(range(n + 1), 2))
     fields = {pair: extended_momentum_field(pair[0], pair[1], n) for pair in pairs}
@@ -499,210 +501,3 @@ def test_lenz_defects_equal_the_oracle_where_an_angular_pair_sets_one():
     assert defects == _oracle_lenz_brackets(3, 500, 42)
     # without the {L_ij, L_kl} relations some sample's defect is lower
     assert _oracle_lenz_brackets(3, 500, 42, angular=False) != defects
-
-
-# ---------------------------------------------------------------------------
-# The per-draw sampler loops the block draws replaced, as the reference:
-# the same rows bit for bit, and the generator left in the same state.
-
-
-def _oracle_sample_phase_compact(rng, n, count):
-    out = []
-    while len(out) < count:
-        direction = rng.standard_normal(n)
-        norm = np.linalg.norm(direction)
-        if norm < 1e-8:
-            continue
-        q = direction / norm * rng.uniform(0.5, 1.1)
-        p = rng.uniform(-0.6, 0.6, size=n)
-        if -1.8 <= _energy(q, p) <= -0.5:
-            out.append((q, p))
-    return tuple(map(np.stack, zip(*out)))
-
-
-def _oracle_sample_sphere(rng, n, count, *, min_pole_distance=0.05, unit_covector=False):
-    out = []
-    while len(out) < count:
-        u = rng.standard_normal(n + 1)
-        norm = np.linalg.norm(u)
-        if norm < 1e-8 or 2.0 * (1.0 - u[-1] / norm) < min_pole_distance**2:
-            continue
-        u, v = _reproject(u, rng.standard_normal(n + 1))
-        vnorm = np.linalg.norm(v)
-        if vnorm < 0.1:
-            continue
-        if unit_covector:
-            v = v / vnorm
-        elif vnorm > 3.0:
-            v = 3.0 * v / vnorm
-        out.append((u, v))
-    return tuple(map(np.stack, zip(*out)))
-
-
-SAMPLERS = {
-    "sphere": (harness._sample_sphere, _oracle_sample_sphere, {}),
-    "sphere-cap-unit": (
-        harness._sample_sphere,
-        _oracle_sample_sphere,
-        {"min_pole_distance": 1.0, "unit_covector": True},
-    ),
-    "phase-compact": (harness._sample_phase_compact, _oracle_sample_phase_compact, {}),
-}
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
-def test_block_samplers_equal_per_draw_loops(sampler, n):
-    blocks, per_draw, options = SAMPLERS[sampler]
-    for seed in range(8):
-        for count in (1, 10, 500):
-            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            rows = blocks(rng, n, count, **options)
-            expected = per_draw(oracle_rng, n, count, **options)
-            assert all(_same(a, b) for a, b in zip(rows, expected))
-            # a later draw from the same generator (stereo-roundtrip draws its
-            # plane and sphere rows from one) is unchanged
-            assert rng.bit_generator.state == oracle_rng.bit_generator.state
-
-
-class _ScriptedNormals:
-    """Serves a fixed list of standard normals, in any requested shape, and
-    records the shape of each request; running out is an error."""
-
-    def __init__(self, values):
-        self.values, self.used, self.requests = np.array(values, dtype=float), 0, []
-
-    def standard_normal(self, size):
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        end = self.used + math.prod(shape)
-        assert end <= len(self.values), "the scripted stream ran out"
-        self.requests.append(shape)
-        out, self.used = self.values[self.used : end].reshape(shape), end
-        return out
-
-
-# Blocks of n + 1 = 2 normals at n = 1, as the per-draw loop reads them: u, or
-# an accepted u and its v.  Three samples take three rounds of 6, 4 and 1 blocks.
-_SCRIPT = [
-    (0.0, 0.0),  # zero u
-    (0.001, 1.0),  # u inside the pole cap
-    (1.0, 0.0),  # accepted u ...
-    (0.5, 0.05),  # ... whose v - (u.v) u = (0, 0.05) is shorter than 0.1
-    (0.0, -1.0),  # accepted u ...
-    (10.0, 0.0),  # ... whose v is clamped to length 3: sample 0
-    (1.0, 1.0),  # second round: accepted u ...
-    (1.0, -1.0),  # ... and its v: sample 1
-    (0.0, 0.0),  # zero u
-    (-1.0, 0.5),  # accepted u as the round's last block, carried over
-    (0.3, 0.6),  # third round: its v, sample 2
-]
-
-
-def test_sphere_sampler_rare_branches_on_a_scripted_stream():
-    values = np.ravel(_SCRIPT)
-    stream, oracle_stream = _ScriptedNormals(values), _ScriptedNormals(values)
-    u, v = harness._sample_sphere(stream, 1, 3)
-    expected = _oracle_sample_sphere(oracle_stream, 1, 3)
-    assert _same(u, expected[0]) and _same(v, expected[1])
-    assert stream.used == oracle_stream.used == len(values)
-    assert stream.requests == [(6, 2), (4, 2), (1, 2)]
-    assert _same(u[0], np.array([0.0, -1.0])) and _same(v[0], np.array([3.0, 0.0]))
-
-
-class _ScriptedCandidates:
-    """Serves fixed lists of standard normals and of uniforms on [0, 1), into
-    ``out`` or as new arrays, with ``uniform`` as low + (high - low) u, and
-    records each request as (kind, count); running out is an error."""
-
-    def __init__(self, normals, uniforms):
-        self.left = {"normal": list(normals), "random": list(uniforms)}
-        self.requests = []
-
-    def _take(self, kind, size, out):
-        count = out.size if out is not None else 1 if size is None else size
-        assert count <= len(self.left[kind]), "the scripted stream ran out"
-        self.requests.append((kind, count))
-        taken = np.array(self.left[kind][:count], dtype=float)
-        del self.left[kind][:count]
-        if out is not None:
-            out[...] = taken
-            return out
-        return taken[0] if size is None else taken
-
-    def standard_normal(self, size=None, out=None):
-        return self._take("normal", size, out)
-
-    def random(self, size=None, out=None):
-        return self._take("random", size, out)
-
-    def uniform(self, low, high, size=None):
-        return low + (high - low) * self.random(size)
-
-
-# Candidates of the compact sampler at n = 2, count = 2: a direction, and
-# unless it is zero (norm below 1e-8) the uniforms of its radius and momentum.
-# Three rounds of 2, 2 and 1 candidates.
-_COMPACT_SCRIPT = [
-    ((0.0, 0.0), ()),  # zero direction
-    ((3e-9, 4e-9), ()),  # norm 5e-9: zero too, so the first round gives no row
-    ((0.6, 0.8), (0.5, 0.5, 0.5)),  # radius 0.8, p = 0: H = -1.25, sample 0
-    ((1.0, 0.0), (0.0, 0.5, 0.5)),  # radius 0.5, p = 0: H = -2, out of the window
-    ((0.0, -3.0), (0.25, 0.75, 0.25)),  # radius 0.65, p = (0.3, -0.3): sample 1
-]
-
-
-def test_compact_sampler_zero_direction_draws_nothing_more():
-    normals = [x for direction, _ in _COMPACT_SCRIPT for x in direction]
-    uniforms = [x for _, tail in _COMPACT_SCRIPT for x in tail]
-    stream = _ScriptedCandidates(normals, uniforms)
-    oracle_stream = _ScriptedCandidates(normals, uniforms)
-    q, p = harness._sample_phase_compact(stream, 2, 2)
-    expected = _oracle_sample_phase_compact(oracle_stream, 2, 2)
-    assert _same(q, expected[0]) and _same(p, expected[1])
-    assert stream.left == oracle_stream.left == {"normal": [], "random": []}
-    # two calls per candidate, one for a zero direction
-    calls = [[("normal", 2)] + ([("random", 3)] if tail else []) for _, tail in _COMPACT_SCRIPT]
-    assert stream.requests == sum(calls, [])
-    assert np.allclose(q, [[0.48, 0.64], [0.0, -0.65]], rtol=0, atol=1e-15)
-    assert np.allclose(p, [[0.0, 0.0], [0.3, -0.3]], rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize("low, high", [(0.5, 1.1), (-0.6, 0.6)])
-def test_scaled_random_is_uniform_bit_for_bit(low, high):
-    # the compact sampler maps random() to uniform(low, high) this way
-    for seed in range(30):
-        for size in (1, 4, 1000):
-            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            scaled = low + (high - low) * rng.random(size)
-            assert _same(scaled, oracle_rng.uniform(low, high, size))
-            assert low + (high - low) * rng.random() == oracle_rng.uniform(low, high)
-            assert rng.bit_generator.state == oracle_rng.bit_generator.state
-
-
-class _CountingNormals:
-    """A generator that counts its standard_normal calls."""
-
-    def __init__(self, seed):
-        self.rng, self.calls = np.random.default_rng(seed), 0
-
-    def standard_normal(self, *args, **kwargs):
-        self.calls += 1
-        return self.rng.standard_normal(*args, **kwargs)
-
-
-@pytest.mark.parametrize("options", [{}, {"min_pole_distance": 1.0, "unit_covector": True}])
-def test_sphere_sampler_draws_in_blocks(options):
-    # a per-draw loop makes at least two calls per sample
-    for count in (10, 500):
-        rng = _CountingNormals(3)
-        harness._sample_sphere(rng, 2, count, **options)
-        assert 1 <= rng.calls <= 12
-
-
-def test_compact_sampler_takes_one_energy_per_round(monkeypatch):
-    calls = []
-    energy = harness._energy
-    monkeypatch.setattr(harness, "_energy", lambda q, p: calls.append(len(q)) or energy(q, p))
-    harness._sample_phase_compact(np.random.default_rng(3), 2, 500)
-    # a per-draw loop makes at least one call per sample
-    assert 1 <= len(calls) <= 12 and calls[0] == 500

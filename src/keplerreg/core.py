@@ -274,12 +274,14 @@ def _bound_rows(
         # R's diagonal made positive, so the frame is uniform; P alone at n = 1, where b = 0
         frame = frame * np.sign(np.diagonal(tri, axis1=-2, axis2=-1))[:, None, :]
         cos, sin, b = np.cos(anomaly), np.sin(anomaly), np.sqrt(1.0 - e * e)
-        speed = np.sqrt(a) / (a * (1.0 - e * cos))
         q = (a * (cos - e))[:, None] * frame[..., 0] + (a * b * sin)[:, None] * frame[..., -1]
+        # p only where |q| >= 0.1: nearer the origin a (1 - e cos E) may round to 0
+        far = np.linalg.norm(q, axis=1) >= _MIN_RADIUS
+        a, e, b, cos, sin, frame, q = (x[far] for x in (a, e, b, cos, sin, frame, q))
+        speed = np.sqrt(a) / (a * (1.0 - e * cos))
         p = (speed * -sin)[:, None] * frame[..., 0] + (speed * b * cos)[:, None] * frame[..., -1]
         # the base point's squared distance to the pole is 2 (2 - |q| p.p)
-        r = np.linalg.norm(q, axis=1)
-        keep = (r >= _MIN_RADIUS) & (2.0 * (2.0 - r * np.sum(p**2, axis=1)) >= pole_gap**2)
+        keep = 2.0 * (2.0 - np.linalg.norm(q, axis=1) * np.sum(p**2, axis=1)) >= pole_gap**2
         return q[keep], p[keep], size
 
     return _rejection_rows(count, draw, "qp")

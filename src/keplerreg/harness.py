@@ -254,9 +254,7 @@ def _sample_sphere(
         vnorm = np.sqrt(np.vecdot(v, v))[:, None]
         keep = vnorm[:, 0] >= 0.1
         u, v, vnorm = u[keep], v[keep], vnorm[keep]
-        if unit_covector:
-            return u, v / vnorm, size
-        return u, np.where(vnorm > 3.0, 3.0 * v / vnorm, v), size
+        return u, v / vnorm if unit_covector else np.where(vnorm > 3.0, 3.0 * v / vnorm, v), size
 
     return _rejection_rows(count, draw, "uv")
 
@@ -521,18 +519,18 @@ def _suite_mu_squared(n: int, samples: int, seed: int) -> _Defects:
     return defects.tolist(), _points(PhasePoint, qs, ps)
 
 
-def _algebra_defects(field, a, b, kappa, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Each sample's worst |observed - expected| over the pairs x <= y of a
-    field whose entry x is M_(a[x], b[x]), a < b <= n, of an antisymmetric M
-    with {M_ab, M_cd} = g_bc M_da + g_ad M_cb - g_ac M_db - g_bd M_ca and
+def _algebra_defects(values, observed, a, b, kappa) -> np.ndarray:
+    """Each sample's worst |observed - expected| over the pairs x <= y of the
+    brackets observed (..., k, k) of a field with values (..., k) whose entry
+    x is M_(a[x], b[x]), a < b <= n = max(b), of an antisymmetric M with
+    {M_ab, M_cd} = g_bc M_da + g_ad M_cb - g_ac M_db - g_bd M_ca and
     g = diag(1, ..., 1, kappa), kappa a scalar or one per sample: so(n+1) at
-    kappa = 1.  One gradient of the field gives every observed bracket."""
-    n = qs.shape[-1]
-    values = field(qs, ps)
+    kappa = 1."""
+    n = int(b.max())
     matrix = np.zeros(values.shape[:-1] + (n + 1, n + 1))
     matrix[..., a, b], matrix[..., b, a] = values, -values
     x, y = np.triu_indices(len(a))
-    observed = _bracket_batch(field, qs, ps, FD_STEP, richardson=True)[..., x, y]
+    observed = observed[..., x, y]
     a, b, c, d = a[x], b[x], a[y], b[y]
     # a and c lie below n, so g_bd alone can be kappa
     g_bd = (b == d) * np.where(b == n, np.asarray(kappa)[..., None], 1.0)
@@ -547,13 +545,19 @@ def _algebra_defects(field, a, b, kappa, qs: np.ndarray, ps: np.ndarray) -> np.n
 
 def _suite_so_brackets(n: int, samples: int, seed: int) -> _Defects:
     """All so(n+1) bracket relations of the extended momenta on bound
-    samples, the index n standing for the scaled Lenz direction.  As in the
-    flow suites, e stays below 0.6 for n >= 2: near-radial orbits are where the
-    stencil's truncation error peaks (4.8e-8 against 1.4e-9 at n = 2, seed 42)."""
-    cap = 0.6 if n > 1 else 1.0
-    qs, ps = _bound_rows(n, samples, seed, max_eccentricity=cap, min_energy=-2.0, max_energy=-0.2)
+    samples, the index n standing for the scaled Lenz direction.  Brackets
+    use Richardson extrapolation at a step 10x FD_STEP: near-radial orbits
+    bring |p| up to 4.4 at |q| = 0.1, and at FD_STEP their roundoff floor
+    dominates (4.8e-8 against 3.0e-9 at 10x, n = 2, seed 42), while the
+    truncation error stays below it at 10x."""
+    qs, ps = _bound_rows(n, samples, seed, min_energy=-2.0, max_energy=-0.2)
     i, j = _upper_pairs(n + 1)
-    worst = _algebra_defects(lambda q, p: _extended_rows(q, p)[..., i, j], i, j, 1.0, qs, ps)
+
+    def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return _extended_rows(q, p)[..., i, j]
+
+    observed = _bracket_batch(field, qs, ps, 10.0 * FD_STEP, richardson=True)
+    worst = _algebra_defects(field(qs, ps), observed, i, j, 1.0)
     return worst.tolist(), _points(PhasePoint, qs, ps)
 
 
@@ -574,7 +578,12 @@ def _suite_lenz_brackets(n: int, samples: int, seed: int) -> _Defects:
     qs, ps = _rejection_rows(samples, draw, "qp")
     a, b = _integral_pairs(n)
     kappa = -2.0 * _energy(qs, ps)
-    worst = _algebra_defects(lambda q, p: _integral_rows(q, p)[..., 1:], a, b, kappa, qs, ps)
+
+    def field(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return _integral_rows(q, p)[..., 1:]
+
+    observed = _bracket_batch(field, qs, ps, FD_STEP, richardson=True)
+    worst = _algebra_defects(field(qs, ps), observed, a, b, kappa)
     return worst.tolist(), _points(PhasePoint, qs, ps)
 
 

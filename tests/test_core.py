@@ -375,6 +375,29 @@ class TestSampleBoundStates:
             direction = lenz / e[:, None]
             assert np.all(np.abs(direction.mean(axis=0)) < 0.06)
 
+    def test_a_radial_draw_at_the_origin_is_dropped_before_its_momentum(self, monkeypatch):
+        # At n = 1 every orbit has e = 1, so an eccentric anomaly of 0 puts q
+        # at the origin, where a (1 - e cos E) is 0.  Every other anomaly is
+        # made 0 here; with warnings as errors, a speed of 1/0 would raise.
+        real = np.random.default_rng
+
+        class PericentreAnomalies:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def uniform(self, low, high, size):
+                draws = self.rng.uniform(low, high, size)
+                if low == -np.pi:
+                    draws[::2] = 0.0
+                return draws
+
+            def standard_normal(self, size):
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", PericentreAnomalies)
+        qs, ps = core._bound_rows(1, 50, 0)
+        assert np.all(np.abs(qs) >= 0.1) and np.all(np.isfinite(ps))
+
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_seed_reproducible(self, seed):
         a = sample_bound_states(2, 3, seed)

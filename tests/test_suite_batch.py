@@ -38,6 +38,7 @@ from keplerreg import (
     to_sphere,
 )
 from keplerreg.harness import SUITE_NAMES, flat_ls_map, flat_moser_map, flat_to_sphere
+from keplerreg.kernels import _energy
 from keplerreg.ligonschaaf import _ROOT_TOL, _ls_map_rows
 from keplerreg.moser import _chart_hamiltonians, _fibration_rows
 from keplerreg.symmetry import _central_differences
@@ -383,16 +384,16 @@ def _bracket_rows(points):
     return np.stack([pt.q for pt in points]), np.stack([pt.p for pt in points])
 
 
-def _two_gradient_bracket(f, g, qs, ps):
+def _two_gradient_bracket(f, g, qs, ps, step=harness.FD_STEP):
     """{f, g} of two scalar fields at rows qs, ps from one Richardson
-    gradient of each: a reference that does not go through the engine."""
+    gradient of each at step: a reference that does not go through the engine."""
     n = qs.shape[-1]
     z = np.concatenate([qs, ps], axis=-1)
     df, dg = [
         _central_differences(
             lambda z, field=field: field(z[..., :n], z[..., n:]),
             z,
-            harness.FD_STEP,
+            step,
             richardson=True,
         )
         for field in (f, g)
@@ -420,17 +421,17 @@ def _so_relation(values, a, b, c, d):
 
 
 def _oracle_so_brackets(n, samples, seed):
-    cap = 0.6 if n > 1 else 1.0
-    points = sample_bound_states(
-        n, samples, seed, max_eccentricity=cap, min_energy=-2.0, max_energy=-0.2
-    )
+    points = sample_bound_states(n, samples, seed, min_energy=-2.0, max_energy=-0.2)
     qs, ps = _bracket_rows(points)
     pairs = list(combinations(range(n + 1), 2))
     fields = {pair: extended_momentum_field(pair[0], pair[1], n) for pair in pairs}
     values = {pair: field(qs, ps) for pair, field in fields.items()}
     worst = np.zeros(len(points))
     for (a, b), (c, d) in combinations_with_replacement(pairs, 2):
-        observed = _two_gradient_bracket(fields[(a, b)], fields[(c, d)], qs, ps)
+        # the suite's step: 10x FD_STEP
+        observed = _two_gradient_bracket(
+            fields[(a, b)], fields[(c, d)], qs, ps, 10.0 * harness.FD_STEP
+        )
         worst = np.maximum(worst, np.abs(observed - _so_relation(values, a, b, c, d)))
     return worst.tolist()
 
@@ -501,3 +502,40 @@ def test_lenz_defects_equal_the_oracle_where_an_angular_pair_sets_one():
     assert defects == _oracle_lenz_brackets(3, 500, 42)
     # without the {L_ij, L_kl} relations some sample's defect is lower
     assert _oracle_lenz_brackets(3, 500, 42, angular=False) != defects
+
+
+# ---------------------------------------------------------------------------
+# The two harness samplers' rows meet every filter they are drawn under.
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("options", [{}, {"min_pole_distance": 1.0, "unit_covector": True}])
+def test_sphere_rows_meet_every_filter(n, options):
+    u, v = harness._sample_sphere(np.random.default_rng(3), n, 2000, **options)
+    assert u.shape == v.shape == (2000, n + 1)
+    assert np.allclose(np.linalg.norm(u, axis=1), 1.0, rtol=0, atol=1e-12)
+    # |u - north pole|^2 = 2 (1 - u_(n+1)) on the unit sphere
+    assert np.all(2.0 * (1.0 - u[:, -1]) >= options.get("min_pole_distance", 0.05) ** 2 - 1e-12)
+    assert np.allclose(np.vecdot(u, v), 0.0, rtol=0, atol=1e-12)
+    speed = np.linalg.norm(v, axis=1)
+    if options.get("unit_covector"):
+        assert np.allclose(speed, 1.0, rtol=0, atol=1e-12)
+    else:
+        assert np.all((0.1 <= speed) & (speed <= 3.0 + 1e-12))
+        assert np.any(np.isclose(speed, 3.0, rtol=0, atol=1e-12))  # the cap is reached
+        assert np.any(speed < 2.9)
+    # the base point's direction is uniform off the cap: its first n entries have mean 0
+    assert np.all(np.abs(u[:, :-1].mean(axis=0)) < 0.06)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_compact_rows_meet_every_filter(n):
+    q, p = harness._sample_phase_compact(np.random.default_rng(3), n, 2000)
+    assert q.shape == p.shape == (2000, n)
+    radius = np.linalg.norm(q, axis=1)
+    assert np.all((0.5 - 1e-12 <= radius) & (radius < 1.1 + 1e-12))
+    assert np.all(np.abs(p) <= 0.6)
+    # the energy filter ran on these very rows, so its window holds exactly
+    energy = _energy(q, p)
+    assert np.all((-1.8 <= energy) & (energy <= -0.5))
+    assert np.all(np.abs((q / radius[:, None]).mean(axis=0)) < 0.06)

@@ -18,13 +18,12 @@ path with ``<tree>``.  The cases:
   one ``propagate ... --out-dir`` call on all of its scenario files;
 - ``verify --suite all --n N --seed S`` for n = 1..4 and seeds 0, 23, 42,
   and for n = 5..7 at seed 23, where the samplers draw many rounds;
-- two samplers that give up, or used to: ``verify --suite "so(n+1)-brackets"
-  --n 8 --samples 50``, which draws its bound states since they are drawn
-  from orbital elements, and ``verify --suite moser-symplectic --n 60
-  --samples 5``, whose compact sampler still gives up;
-- a mixed run, ``verify --suite all --n 9 --samples 50 --seed 23``, in which
-  eight suites gave up and seven passed while bound states were drawn from a
-  box; now all fifteen draw their samples;
+- two runs above n = 7 with 50 samples, where every suite draws its
+  samples: ``verify --suite "so(n+1)-brackets" --n 8 --seed 42`` and
+  ``verify --suite all --n 9 --seed 23``;
+- a sampler that gives up: ``verify --suite moser-symplectic --n 60
+  --samples 5``, whose compact sampler's momentum box rarely meets its
+  energy window there;
 - ``map`` with each ``--which`` choice, and README's two ``map`` examples;
 - the output-target errors, an invalid scenario, an unknown suite and
   ``verify --n 0``;
@@ -75,10 +74,9 @@ PROPAGATE_SEEDS = (23, 7)
 VERIFY_DIMS = (1, 2, 3, 4)
 VERIFY_SEEDS = (0, 23, 42)
 VERIFY_MANY_ROUNDS = (5, 6, 7)  # at seed 23
-# suite, n, samples: so(n+1)-brackets gave up here while bound states came from a box
-GIVE_UPS = (("so(n+1)-brackets", 8, 50), ("moser-symplectic", 60, 5))
-# n, samples, seed: eight suites gave up here while bound states came from a box
-MIXED = (9, 50, 23)
+# suite, n, samples, seed: runs above n = 7, where every suite draws its samples
+HIGH_N = (("so(n+1)-brackets", 8, 50, 42), ("all", 9, 50, 23))
+GIVE_UP = ("moser-symplectic", 60, 5)  # suite, n, samples
 MAP_INPUTS = {
     "moser": ["--q", "0.3,-1.2,0.5", "--p", "0.4,0.2,-0.7"],
     "moser-inverse": ["--u", "0.6,0,0.8", "--v", "0,0.5,0"],
@@ -118,12 +116,13 @@ def cases(inputs: Path) -> list[tuple[str, list[str]]]:
     for n, seed in [*itertools.product(VERIFY_DIMS, VERIFY_SEEDS), *many_rounds]:
         found.append((f"verify all n {n} seed {seed}",
                       ["verify", "--suite", "all", "--n", str(n), "--seed", str(seed)]))
-    for suite, n, samples in GIVE_UPS:
-        found.append((f"give up: {suite} n {n}",
-                      ["verify", "--suite", suite, "--n", str(n), "--samples", str(samples)]))
-    n, samples, seed = map(str, MIXED)
-    found.append((f"mixed: verify all n {n} samples {samples} seed {seed}",
-                  ["verify", "--suite", "all", "--n", n, "--samples", samples, "--seed", seed]))
+    for suite, n, samples, seed in HIGH_N:
+        found.append((f"verify {suite} n {n} samples {samples} seed {seed}",
+                      ["verify", "--suite", suite, "--n", str(n), "--samples", str(samples),
+                       "--seed", str(seed)]))
+    suite, n, samples = GIVE_UP
+    found.append((f"give up: {suite} n {n}",
+                  ["verify", "--suite", suite, "--n", str(n), "--samples", str(samples)]))
     for which, point in MAP_INPUTS.items():
         found.append((f"map {which}", ["map", "--which", which, *point]))
     for k, argv in enumerate(README_MAP_EXAMPLES, start=1):

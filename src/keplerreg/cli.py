@@ -403,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", required=True, help="suite name or 'all'")
     p_ver.add_argument(
         "--n", type=int, default=2, help="dimension, at least 1 (at n = 1, ls-equivariance, "
-        "so(n+1)-brackets and lenz-brackets report exactly 0 and check nothing; above n = 41, "
-        "moser-symplectic and ls-symplectic give up drawing 500 samples at seed 42; metric "
-        "exceeds its absolute bound at some seeds from n = 8)"
+        "so(n+1)-brackets and lenz-brackets report exactly 0 and check nothing, and "
+        "ls-roundtrip exceeds its absolute bound at seeds 19 and 54; above n = 41, "
+        "moser-symplectic and ls-symplectic give up drawing 500 samples at seed 42)"
     )
     p_ver.add_argument("--samples", type=int, default=500)
     p_ver.add_argument("--seed", type=int, default=42)

@@ -20,7 +20,6 @@ from .kernels import (
     DomainError,
     _check_rows,
     _energy,
-    _norm_squared,
     _on_pole,
     _upper_pairs,
     _wedge_entries,
@@ -217,7 +216,7 @@ class MomentumMatrix:
 
     def norm_squared(self) -> float:
         """Sum of squares over the independent (i < j) entries."""
-        return float(_norm_squared(self.upper))
+        return float(np.sum(self.upper * self.upper))
 
 
 def kepler_energy(point: PhasePoint) -> float:

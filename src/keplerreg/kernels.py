@@ -55,11 +55,6 @@ def _on_pole(u: np.ndarray) -> np.ndarray:
     return 1.0 - u[..., -1] < _CONSTRAINT_TOL
 
 
-def _norm_squared(upper: np.ndarray) -> np.ndarray:
-    """Sum of squares of each matrix (..., k, k), each summed as one flat array."""
-    return np.sum((upper * upper).reshape(upper.shape[:-2] + (-1,)), axis=-1)
-
-
 def _nonzero_squares(x: np.ndarray, message: str) -> np.ndarray:
     """x.x over (..., k) arrays; DomainError(message) at x = 0: q = 0 or v = 0."""
     x2 = np.vecdot(x, x)
@@ -151,17 +146,12 @@ def _sphere_integral_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _extended_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``extended_momentum`` of one point (n,) or rows (m, n), as strict upper
-    triangles (..., n+1, n+1); DomainError unless every row is bound.  p.p and
-    1/|q| are taken once, for H and K both."""
-    p2, inverse_radius = np.vecdot(p, p), _inverse_radius(q, "energy")
-    w = _bound_root(_energy_of(p2, inverse_radius))
+    """The so(n+1) momenta of one point (n,) or rows (m, n): the L and K columns of
+    ``_integral_rows``, each K_i divided by sqrt(-2H); DomainError unless every row is bound."""
+    rows = _integral_rows(q, p)
     n = q.shape[-1]
-    upper = np.zeros(q.shape[:-1] + (n + 1, n + 1))
-    i, j = _upper_pairs(n)
-    upper[..., i, j] = _wedge_entries(q, p, i, j)
-    upper[..., :n, n] = _lenz_of(q, p, p2, inverse_radius) / w[..., None]
-    return upper
+    rows[..., -n:] /= _bound_root(rows[..., 0])[..., None]
+    return rows[..., 1:]
 
 
 def _scale(q: np.ndarray, p: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,9 @@ import numpy as np
 
 from . import _PUBLIC
 from .core import DomainError, MomentumMatrix, PhasePoint, SphereCotangentPoint
-from .kernels import _energy, _extended_rows, _lenz, _nonzero_squares, _wedge_entries
+from .kernels import (
+    _energy, _extended_rows, _integral_pairs, _lenz, _nonzero_squares, _wedge_entries,
+)
 
 __all__ = list(_PUBLIC["symmetry"])
 
@@ -48,7 +50,9 @@ def extended_momentum(point: PhasePoint) -> MomentumMatrix:
     The upper-left n x n block is the angular momentum and the extra
     column is L_i(n+1) = K_i / sqrt(-2H).
     """
-    return MomentumMatrix(_extended_rows(point.q, point.p))
+    upper = np.zeros((point.n + 1, point.n + 1))
+    upper[_integral_pairs(point.n)] = _extended_rows(point.q, point.p)
+    return MomentumMatrix(upper)
 
 
 def sphere_momentum(sp: SphereCotangentPoint) -> MomentumMatrix:
@@ -63,7 +67,8 @@ def momentum_norm_squared(obj: PhasePoint | SphereCotangentPoint) -> float:
     sphere side it equals 1/(-2 H_delaunay).
     """
     if isinstance(obj, PhasePoint):
-        return extended_momentum(obj).norm_squared()
+        rows = _extended_rows(obj.q, obj.p)
+        return float(np.vecdot(rows, rows))
     if isinstance(obj, SphereCotangentPoint):
         _nonzero_squares(obj.v, "|v| must be nonzero")
         return sphere_momentum(obj).norm_squared()
@@ -106,9 +111,9 @@ def extended_momentum_field(i: int, j: int, n: int) -> ScalarField:
         return lambda q, p: np.zeros(np.shape(q)[:-1])
     if i < n and j < n:
         return angular_momentum_field(i, j)
-    if j == n:
-        return lambda q, p: _extended_rows(q, p)[..., i, n]
-    return lambda q, p: -_extended_rows(q, p)[..., j, n]
+    # K_k / sqrt(-2H) is the column n(n-1)/2 + k of _extended_rows, and M_nk = -M_kn
+    column, sign = n * (n - 1) // 2 + min(i, j), 1.0 if j == n else -1.0
+    return lambda q, p: sign * _extended_rows(q, p)[..., column]
 
 
 def _central_differences(

@@ -379,14 +379,14 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("bad", [0, 1])
     def test_a_nan_defect_fails_its_suite_and_the_others_still_report(self, bad, capsys, monkeypatch):
-        norm_squared = harness._norm_squared
+        tolerance, runner = harness._SUITES["mu-squared"]
 
-        def nan_at_bad(upper):
-            out = norm_squared(upper)
-            out[bad] = np.nan
-            return out
+        def nan_at_bad(n, samples, seed):
+            defects, sample = runner(n, samples, seed)
+            defects[bad] = np.nan
+            return defects, sample
 
-        monkeypatch.setattr(harness, "_norm_squared", nan_at_bad)
+        monkeypatch.setitem(harness._SUITES, "mu-squared", (tolerance, nan_at_bad))
         argv = ["verify", "--suite", "all", "--samples", "5", "--seed", "3"]
         code, out, err = run_cli(argv, capsys)
         assert code == 2

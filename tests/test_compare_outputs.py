@@ -52,7 +52,7 @@ def test_the_one_differing_case_is_found(tool, tmp_path):
     inputs = tmp_path / "inputs"
     cases = tool.cases(inputs)
     names = [name for name, _ in cases]
-    assert len(cases) == len(set(names)) == 40
+    assert len(cases) == len(set(names)) == 41
     # a run of each kind: a propagate batch, verify, an error and a help text
     chosen = [cases[names.index(name)] for name in (
         "propagate-regularized seed 23", "verify all n 3 seed 23", "verify all n 3 seed 42",

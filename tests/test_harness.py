@@ -167,15 +167,16 @@ class TestRaisingSuite:
 
 
 def _nan_mu_squared(monkeypatch, bad: int, scale: float) -> None:
-    """mu-squared's sum of squared momenta, times scale, with sample bad's NaN."""
-    norm_squared = harness._norm_squared
+    """mu-squared's energies, times scale, with sample bad's NaN (of the suites, it
+    alone runs while harness._energy is patched)."""
+    energy = harness._energy
 
-    def patched(upper):
-        out = norm_squared(upper) * scale
+    def patched(q, p):
+        out = energy(q, p) * scale
         out[bad] = np.nan
         return out
 
-    monkeypatch.setattr(harness, "_norm_squared", patched)
+    monkeypatch.setattr(harness, "_energy", patched)
 
 
 class TestReports:
@@ -196,12 +197,10 @@ class TestReports:
         assert status in ("pass", "fail")
 
     def test_failures_name_each_failing_sample(self, monkeypatch):
-        # A 1e-9 relative error in mu^2 fails every mu-squared sample (tolerance 1e-12).
-        # The suite sums the squared momenta of all samples in one _norm_squared call.
-        norm_squared = harness._norm_squared
-        monkeypatch.setattr(
-            harness, "_norm_squared", lambda upper: norm_squared(upper) * (1.0 + 1e-9)
-        )
+        # A 1e-9 relative error in H fails every mu-squared sample (tolerance 1e-12).
+        # The suite takes the energies of all samples in one _energy call.
+        energy = harness._energy
+        monkeypatch.setattr(harness, "_energy", lambda q, p: energy(q, p) * (1.0 + 1e-9))
         for n in (2, 4):
             report = run_suite("mu-squared", n, 40, 5)
             assert len(report.failures) == 40
@@ -214,8 +213,8 @@ class TestReports:
             names = {"PhasePoint": PhasePoint, "array": np.array}
             rebuilt = [eval(f.where, names) for f in report.failures]
             for f, pt in zip(report.failures, rebuilt):
-                mu2 = momentum_norm_squared(pt) * (1.0 + 1e-9)
-                assert abs(mu2 * (-2.0 * kepler_energy(pt)) - 1.0) == f.observed
+                h = kepler_energy(pt) * (1.0 + 1e-9)
+                assert abs(momentum_norm_squared(pt) * (-2.0 * h) - 1.0) == f.observed
             drawn = sample_bound_states(n, 40, 5)
             assert sorted((pt.q.tobytes(), pt.p.tobytes()) for pt in rebuilt) == sorted(
                 (pt.q.tobytes(), pt.p.tobytes()) for pt in drawn
@@ -317,6 +316,31 @@ class TestReports:
 def test_suite_passes_smoke(name):
     report = run_suite(name, 2, 60, 42)
     assert report.passed, f"{name}: max_defect {report.max_defect:.3e}"
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_metric_passes_where_its_values_reach_thousands(n):
+    # each defect is relative to (x.x+1)^2 y.y/4, so the suite's bound does
+    # not move with n; these seeds failed the absolute bound 1e-12 at n = 12
+    for seed in (0, 4, 42):
+        report = run_suite("metric", n, 500, seed)
+        assert report.tolerance == 85.0 * np.finfo(float).eps
+        assert report.passed, report.line()
+
+
+def test_metric_fails_a_relative_defect_of_ten_times_its_bound(monkeypatch):
+    tolerance = harness.suite_registry()["metric"][0]
+    lift, scale = harness._lift, np.sqrt(1.0 + 10.0 * tolerance)
+
+    def skewed(x, y):
+        u, v = lift(x, y)
+        return u, v * scale
+
+    assert run_suite("metric", 2, 500, 42).passed
+    monkeypatch.setattr(harness, "_lift", skewed)
+    report = run_suite("metric", 2, 500, 42)
+    assert len(report.failures) == 500
+    assert 9.0 * tolerance < report.max_defect < 11.0 * tolerance
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -81,12 +81,9 @@ def _composed_extended_rows(q, p):
     bad = energy >= 0.0
     if bad.any():
         raise DomainError(f"H must be negative, got H = {energy[bad][0]:.6g}")
-    n = q.shape[-1]
-    upper = np.zeros(q.shape[:-1] + (n + 1, n + 1))
-    i, j = np.triu_indices(n, 1)
-    upper[..., i, j] = q[..., i] * p[..., j] - q[..., j] * p[..., i]
-    upper[..., :n, n] = _lenz(q, p) / np.sqrt(-2.0 * energy)[..., None]
-    return upper
+    i, j = np.triu_indices(q.shape[-1], 1)
+    wedge = q[..., i] * p[..., j] - q[..., j] * p[..., i]
+    return np.concatenate([wedge, _lenz(q, p) / np.sqrt(-2.0 * energy)[..., None]], -1)
 
 
 def _same_bits(a, b) -> bool:

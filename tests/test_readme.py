@@ -118,10 +118,24 @@ def test_the_compact_sampler_gives_up_where_readme_says():
     assert report.failures[0].where.startswith("rejection sampling failed")
 
 
+def test_ls_roundtrip_fails_at_n_1_where_readme_and_help_say(capsys, monkeypatch):
+    said = re.search(r"`ls-roundtrip` fails at some seeds.*?seeds (\d+) and (\d+) of 0-99", README,
+                     re.S)
+    monkeypatch.setenv("COLUMNS", "500")
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    helped = re.search(r"ls-roundtrip exceeds its absolute bound at seeds (\d+) and (\d+)",
+                       capsys.readouterr().out)
+    assert said.groups() == helped.groups()
+    failing = {int(seed) for seed in said.groups()}
+    for seed in sorted(failing | set(range(10))):
+        assert harness.run_suite("ls-roundtrip", 1, 500, seed).passed == (seed not in failing)
+
+
 def _tolerance_classes() -> list[tuple[float, str]]:
     """README's tolerance classes: each class's tolerance, evaluated at the
     harness's step, and the text of its item."""
-    policy = README.split("one of five tolerances", 1)[1].split("\n- ", 1)[0]
+    policy = README.split("one of six tolerances", 1)[1].split("\n- ", 1)[0]
     classes = []
     for item in policy.split("\n  - ")[1:]:
         expression = re.sub(r"(\d) (\w)", r"\1 * \2", item.split("`")[1]).replace("^", "**")
@@ -132,7 +146,7 @@ def _tolerance_classes() -> list[tuple[float, str]]:
 @pytest.mark.parametrize("suite", harness.SUITE_NAMES)
 def test_each_suite_is_listed_once_under_its_tolerance(suite):
     classes = _tolerance_classes()
-    assert len(classes) == 5
+    assert len(classes) == 6
     listed = [tolerance for tolerance, item in classes for _ in range(item.count(f"`{suite}`"))]
     tolerance = harness.suite_registry()[suite][0]
     assert len(listed) == 1 and math.isclose(listed[0], tolerance, rel_tol=1e-12)

@@ -298,7 +298,8 @@ def _oracle_metric(n, samples, seed):
     for pl in _wrap(PlaneCotangentPoint, rows):
         x2, y2 = float(pl.x @ pl.x), float(pl.y @ pl.y)
         v = to_sphere(pl).v
-        defects.append(abs(float(v @ v) - (x2 + 1.0) ** 2 * y2 / 4.0))
+        metric = (x2 + 1.0) ** 2 * y2 / 4.0
+        defects.append(abs(float(v @ v) - metric) / metric)
     return defects
 
 
@@ -423,7 +424,9 @@ def _so_relation(values, a, b, c, d):
 def _oracle_so_brackets(n, samples, seed):
     points = sample_bound_states(n, samples, seed, min_energy=-2.0, max_energy=-0.2)
     qs, ps = _bracket_rows(points)
-    pairs = list(combinations(range(n + 1), 2))
+    # the suite's pair order: every (i, j) with i < j < n, then each (i, n); the
+    # bracket accumulation is not bit-antisymmetric, so {a, b} and {b, a} may differ
+    pairs = [*combinations(range(n), 2), *((i, n) for i in range(n))]
     fields = {pair: extended_momentum_field(pair[0], pair[1], n) for pair in pairs}
     values = {pair: field(qs, ps) for pair, field in fields.items()}
     worst = np.zeros(len(points))

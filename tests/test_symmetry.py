@@ -254,16 +254,15 @@ def _two_gradient_bracket(f, g, qs, ps, h, richardson):
 
 class TestExtendedMomentumField:
     def test_matches_matrix_entries(self):
-        for pt in sample_bound_states(3, 100, 64):
-            mat = extended_momentum(pt)
-            for i in range(4):
-                for j in range(4):
-                    if i == j:
-                        continue
-                    field = extended_momentum_field(i, j, 3)
-                    assert float(field(pt.q, pt.p)) == pytest.approx(
-                        mat.entry(i, j), rel=1e-12, abs=1e-15
-                    )
+        # bit for bit, in both orders and on the diagonal
+        for n in (1, 2, 3, 4):
+            fields = {(i, j): extended_momentum_field(i, j, n)
+                      for i in range(n + 1) for j in range(n + 1)}
+            for pt in sample_bound_states(n, 100, 64):
+                mat = extended_momentum(pt)
+                for (i, j), field in fields.items():
+                    got = np.float64(field(pt.q, pt.p)).tobytes()
+                    assert got == np.float64(mat.entry(i, j)).tobytes(), (n, i, j)
 
     @pytest.mark.parametrize("i", [0, 2, 3])
     def test_diagonal_is_zero_of_the_batch_shape(self, i):

@@ -20,7 +20,8 @@ path with ``<tree>``.  The cases:
   and for n = 5..7 at seed 23, where the samplers draw many rounds;
 - two runs above n = 7 with 50 samples, where every suite draws its
   samples: ``verify --suite "so(n+1)-brackets" --n 8 --seed 42`` and
-  ``verify --suite all --n 9 --seed 23``;
+  ``verify --suite all --n 9 --seed 23``, and ``verify --suite metric
+  --n 12 --seed 42`` with 500 samples, whose metric values reach thousands;
 - a sampler that gives up: ``verify --suite moser-symplectic --n 60
   --samples 5``, whose compact sampler's momentum box rarely meets its
   energy window there;
@@ -75,7 +76,7 @@ VERIFY_DIMS = (1, 2, 3, 4)
 VERIFY_SEEDS = (0, 23, 42)
 VERIFY_MANY_ROUNDS = (5, 6, 7)  # at seed 23
 # suite, n, samples, seed: runs above n = 7, where every suite draws its samples
-HIGH_N = (("so(n+1)-brackets", 8, 50, 42), ("all", 9, 50, 23))
+HIGH_N = (("so(n+1)-brackets", 8, 50, 42), ("all", 9, 50, 23), ("metric", 12, 500, 42))
 GIVE_UP = ("moser-symplectic", 60, 5)  # suite, n, samples
 MAP_INPUTS = {
     "moser": ["--q", "0.3,-1.2,0.5", "--p", "0.4,0.2,-0.7"],

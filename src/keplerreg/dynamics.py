@@ -339,6 +339,10 @@ def arc_time(traj: Trajectory) -> list[FlowTimes]:
 
 
 def kepler_period(energy: float) -> float:
-    """Orbital period 2 pi (-2H)^(-3/2) of a bound Kepler orbit."""
+    """Orbital period 2 pi (-2H)^(-3/2) of a bound Kepler orbit; DomainError unless finite."""
     _bound_root(np.float64(energy))
-    return 2.0 * math.pi * (-2.0 * energy) ** -1.5
+    with np.errstate(over="ignore"):  # the period overflows from H = -5.34e-206 up
+        period = 2.0 * math.pi * np.float64(-2.0 * energy) ** -1.5
+    if not (math.isfinite(energy) and math.isfinite(period)):
+        raise DomainError(f"H and the period must be finite, got H = {energy:.6g}")
+    return float(period)

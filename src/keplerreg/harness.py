@@ -86,7 +86,7 @@ def jacobian(fn: Callable[[np.ndarray], np.ndarray], point, h: float) -> np.ndar
     roundoff error.  Domain errors raised by the map are re-raised with
     the offending stencil point identified.
     """
-    return np.stack(_central_differences(fn, np.asarray(point, dtype=float), h), axis=-1)
+    return _central_differences(fn, np.asarray(point, dtype=float), h)
 
 
 def fd_tolerance(h: float) -> float:
@@ -364,10 +364,10 @@ def _suite_moser_levelset(n: int, samples: int, seed: int) -> _Defects:
 
     us, vs = _sample_sphere(rng, n, samples, min_pole_distance=1.0, unit_covector=True)
     z = np.concatenate(_project(us, vs), axis=-1)
-    grads = np.stack(_central_differences(geodesic_and_speed_defect, z, h, richardson=True))
+    grads = _central_differences(geodesic_and_speed_defect, z, h, richardson=True)
     # The Hamiltonian fields (dH/dy, -dH/dx) differ entrywise by the
     # gradient differences up to sign and order.
-    defects = np.max(np.abs(grads[..., 0] - grads[..., 1]), axis=0)
+    defects = np.max(np.abs(grads[:, 0] - grads[:, 1]), axis=-1)
     return defects.tolist(), _points(SphereCotangentPoint, us, vs)
 
 

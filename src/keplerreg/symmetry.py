@@ -122,16 +122,16 @@ def _central_differences(
     h: float,
     *,
     richardson: bool = False,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Central differences of fn along each coordinate of z, error O(h^2).
 
-    Entry k is (fn(z + h e_k) - fn(z - h e_k)) / span with e_k a unit step
-    along the last axis of z.  The divisor is the actual span between the
-    two stencil points rather than the nominal 2h, which removes the
-    step-representation part of the roundoff error.  z is one point (m,)
-    or a batch (N, m) on which fn returns (N,) or (N, k).  With
-    ``richardson`` each entry is (4 D(h/2) - D(h)) / 3, error O(h^4).  A
-    DomainError raised by fn is re-raised naming the stencil point (of a
+    One array (..., k, m), or (..., m) for a scalar fn: entry [..., j] is
+    (fn(z + h e_j) - fn(z - h e_j)) / span, e_j a unit step along the last
+    axis of z.  The span between the two stencil points, not the nominal
+    2h, removes the step-representation part of the roundoff error.  z is
+    one point (m,) or a batch (N, m) on which fn returns (N,) or (N, k).
+    With ``richardson`` the array is (4 D(h/2) - D(h)) / 3, error O(h^4).
+    A DomainError raised by fn is re-raised naming the stencil point (of a
     batch, the first row that raises) on one line, floats round-trip.
     """
     if not h > 0.0:
@@ -153,7 +153,7 @@ def _central_differences(
                     f"stencil point {point!r} for coordinate {k} leaves the domain: {error}"
                 ) from exc
 
-    def differences(step: float) -> list[np.ndarray]:
+    def differences(step: float) -> np.ndarray:
         out = []
         # z.T[k] is coordinate k: a scalar for one point, a column for a batch
         for k in range(z.shape[-1]):
@@ -163,13 +163,10 @@ def _central_differences(
             diff = evaluate(z_plus, k) - evaluate(z_minus, k)
             # one span per point, broadcast over the trailing axis of fn's value
             out.append((diff.T / (hi - lo).T).T)
-        return out
+        return np.stack(out, axis=-1)
 
     coarse = differences(h)
-    if not richardson:
-        return coarse
-    fine = differences(0.5 * h)
-    return [(4.0 * f - c) / 3.0 for f, c in zip(fine, coarse)]
+    return (4.0 * differences(0.5 * h) - coarse) / 3.0 if richardson else coarse
 
 
 def _bracket_batch(
@@ -180,17 +177,17 @@ def _bracket_batch(
     *,
     richardson: bool = False,
 ) -> np.ndarray:
-    """Every canonical bracket {field_a, field_b} of a field valued (..., k),
-    as (..., k, k), from one central-difference gradient of it."""
+    """Every canonical bracket {field_a, field_b} of a field valued (..., k), as
+    (..., k, k): half - half^T, half_ab = sum_i dfield_a/dq_i dfield_b/dp_i."""
     n = qs.shape[-1]
     z = np.concatenate([qs, ps], axis=-1)
     grad = _central_differences(
         lambda z: field(z[..., :n], z[..., n:]), z, h, richardson=richardson
     )
-    total = 0.0
-    for dq, dp in zip(grad[:n], grad[n:]):
-        total = total + dq[..., :, None] * dp[..., None, :] - dp[..., :, None] * dq[..., None, :]
-    return total
+    half = 0.0
+    for i in range(n):
+        half = half + grad[..., :, None, i] * grad[..., None, :, n + i]
+    return half - np.swapaxes(half, -1, -2)
 
 
 def poisson_bracket(

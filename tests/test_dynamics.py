@@ -393,6 +393,14 @@ class TestKeplerPeriod:
             kepler_period(energy)
         assert str(info.value) == f"H must be negative, got H = {shown}"
 
+    @pytest.mark.parametrize(
+        "energy, shown", [(-1e-300, "-1e-300"), (-5.3e-206, "-5.3e-206"), (-math.inf, "-inf")]
+    )
+    def test_non_finite_period_or_energy_raises(self, energy, shown):
+        with pytest.raises(DomainError) as info:
+            kepler_period(energy)
+        assert str(info.value) == f"H and the period must be finite, got H = {shown}"
+
     def test_period_is_the_closed_form_bit_for_bit(self):
         for energy in (-0.5, -1.0, -0.123, -1e-6, -37.5):
             assert kepler_period(energy) == 2.0 * math.pi * (-2.0 * energy) ** -1.5

@@ -21,7 +21,9 @@ from keplerreg import (
     sample_bound_states,
     sphere_momentum,
 )
-from keplerreg.kernels import _energy, _lenz
+from keplerreg.core import _bound_rows
+from keplerreg.harness import FD_STEP
+from keplerreg.kernels import _energy, _extended_rows, _integral_rows, _lenz
 from keplerreg.symmetry import _bracket_batch, _central_differences
 
 SQRT7 = math.sqrt(7.0)
@@ -233,6 +235,25 @@ class TestPoissonBracket:
         assert shared.shape == (30, n + 1, n + 1)
         assert shared.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_brackets_are_exactly_antisymmetric(self, n):
+        # {a, b} = -{b, a} to the last bit, and {a, a} = 0, for the fields and
+        # steps of both bracket suites; a zero may carry either sign
+        qs, ps = _bound_rows(n, 500, 42, min_energy=-2.0, max_energy=-0.2)
+        for field, h in (
+            (_extended_rows, 10.0 * FD_STEP),
+            (lambda q, p: _integral_rows(q, p)[..., 1:], FD_STEP),
+        ):
+            observed = _bracket_batch(field, qs, ps, h, richardson=True)
+            assert np.array_equal(observed, -np.swapaxes(observed, -1, -2))
+            assert not np.diagonal(observed, axis1=-2, axis2=-1).any()
+        fields = [extended_momentum_field(i, n, n) for i in range(n)]
+        fields += [angular_momentum_field(0, 1), lenz_field(0)] if n > 1 else []
+        for pt in sample_bound_states(n, 5, 23):
+            for f in fields:
+                for g in fields:
+                    assert poisson_bracket(f, g, pt, 1e-6) == -poisson_bracket(g, f, pt, 1e-6)
+
 
 def _two_gradient_bracket(f, g, qs, ps, h, richardson):
     """The bracket engine with one central-difference gradient of f and
@@ -243,13 +264,14 @@ def _two_gradient_bracket(f, g, qs, ps, h, richardson):
     df = _central_differences(lambda z: f(z[..., :n], z[..., n:]), z, h, richardson=richardson)
     dg = _central_differences(lambda z: g(z[..., :n], z[..., n:]), z, h, richardson=richardson)
     batch = qs.ndim - 1
-    kf, kg = df[0].ndim - batch, dg[0].ndim - batch
-    df = [d.reshape(d.shape + (1,) * kg) for d in df]
-    dg = [d.reshape(d.shape[:batch] + (1,) * kf + d.shape[batch:]) for d in dg]
-    total = 0.0
+    kf, kg = df.ndim - 1 - batch, dg.ndim - 1 - batch
+    df = df.reshape(df.shape[:-1] + (1,) * kg + df.shape[-1:])
+    dg = dg.reshape(dg.shape[:batch] + (1,) * kf + dg.shape[batch:])
+    fq_gp = gq_fp = 0.0
     for k in range(n):
-        total = total + df[k] * dg[n + k] - df[n + k] * dg[k]
-    return total
+        fq_gp = fq_gp + df[..., k] * dg[..., n + k]
+        gq_fp = gq_fp + dg[..., k] * df[..., n + k]
+    return fq_gp - gq_fp
 
 
 class TestExtendedMomentumField:

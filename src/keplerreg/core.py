@@ -29,9 +29,9 @@ __all__ = list(_PUBLIC["core"])
 
 
 def _freeze_pair(obj) -> None:
-    """Store a value object's first two fields, its vector pair, read-only,
-    after every check; the pair's names pick the checks (``_check_rows``)."""
-    names = "".join([f.name for f in fields(obj)[:2]])
+    """Store a point's two fields, its vector pair, read-only, after every
+    check; the pair's names pick the checks (``_check_rows``)."""
+    names = "".join([f.name for f in fields(obj)])
     a, b = (np.array(getattr(obj, name), dtype=float) for name in names)
     for name, arr in zip(names, (a, b)):
         if arr.ndim != 1 or arr.size < 1:
@@ -44,22 +44,21 @@ def _freeze_pair(obj) -> None:
 
 
 class _Point:
-    """Base of the point value objects: the constructor checks their pair, the first
+    """Base of the point value objects: the constructor checks their pair, their
     two fields (``_freeze_pair``); ``_from_checked`` adopts rows a kernel checked."""
 
     def __post_init__(self) -> None:
         _freeze_pair(self)
 
     @classmethod
-    def _from_checked(cls, a: np.ndarray, b: np.ndarray, *rest):
+    def _from_checked(cls, a: np.ndarray, b: np.ndarray):
         """The point of float rows a, b that a kernel has just put through this
-        class's check, frozen without a second check; each later field takes
-        its value from rest, or else its default.  Only the map wrappers and
+        class's check, frozen without a second check.  Only the map wrappers and
         the samplers call this; the public constructor keeps every check."""
         a.setflags(write=False)
         b.setflags(write=False)
-        point, values = object.__new__(cls), iter((a, b, *rest))
-        vars(point).update((f.name, next(values, f.default)) for f in fields(cls))
+        point = object.__new__(cls)
+        vars(point).update(zip([f.name for f in fields(cls)], (a, b)))
         return point
 
 
@@ -103,15 +102,13 @@ class SphereCotangentPoint(_Point):
     """A covector (u, v) on the unit sphere S^n, embedded in R^(n+1) x R^(n+1).
 
     Construction enforces the constraints |u| = 1 and u.v = 0 to within
-    1e-10 and rejects violations.  ``at_puncture`` marks points
-    produced on (or within tolerance of) the polar fiber, where the
-    inverse regularization maps are undefined; such points are still valid
-    states of the completed flow.
+    1e-10 and rejects violations.  Points on (or within 1e-10 of) the polar
+    fiber, where the inverse regularization maps are undefined, are still
+    valid states of the completed flow.
     """
 
     u: np.ndarray
     v: np.ndarray
-    at_puncture: bool = False
 
     @property
     def n(self) -> int:
@@ -131,9 +128,14 @@ class SphereCotangentPoint(_Point):
         """True when v != 0 (membership in the punctured bundle)."""
         return self.covector_norm > 0.0
 
+    @property
+    def at_puncture(self) -> bool:
+        """True on the polar fiber: the pole gap 1 - u_(n+1) is below 1e-10."""
+        return bool(_on_pole(self.u))
+
     def off_pole(self) -> bool:
         """True when the pole gap 1 - u_(n+1) is at least 1e-10."""
-        return not _on_pole(self.u)
+        return not self.at_puncture
 
     def is_regular(self) -> bool:
         """True off both the zero section and the polar fiber.

@@ -292,8 +292,8 @@ def delaunay_flow(sp: SphereCotangentPoint, t: float) -> SphereCotangentPoint:
     onto the constraint set (u normalized, v orthogonalized and restored to
     length rho) to suppress drift over long flows.
     """
-    u, v, at_puncture = _delaunay_flow_rows(sp.u, sp.v, np.array([t], float))
-    return SphereCotangentPoint._from_checked(u[0], v[0], bool(at_puncture[0]))
+    u, v, _ = _delaunay_flow_rows(sp.u, sp.v, np.array([t], float))
+    return SphereCotangentPoint._from_checked(u[0], v[0])
 
 
 def _regularized_rows(start: SphereCotangentPoint, t: np.ndarray) -> tuple[np.ndarray, ...]:

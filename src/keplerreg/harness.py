@@ -212,27 +212,6 @@ def _sample_plane(
     return _check_rows(xs, ys, "xy")
 
 
-def _sample_phase_compact(
-    rng: np.random.Generator, n: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (q, p) of bound phase points with all coordinates and map values
-    O(1), for the finite-difference canonicity suites, whose roundoff floor
-    scales with them: q of a uniform direction and a radius uniform on
-    [0.5, 1.1), p uniform on [-0.6, 0.6)^n, kept where -1.8 <= H <= -0.5."""
-
-    def draw(missing: int) -> tuple[np.ndarray, np.ndarray, int]:
-        size = max(2 * missing, 256)
-        dirs, radii = rng.standard_normal((size, n)), rng.uniform(0.5, 1.1, size)
-        p, norms = rng.uniform(-0.6, 0.6, (size, n)), np.linalg.norm(dirs, axis=1)
-        ok = norms >= 1e-8
-        q, p = dirs[ok] * (radii[ok] / norms[ok])[:, None], p[ok]
-        energy = _energy(q, p)
-        keep = (-1.8 <= energy) & (energy <= -0.5)
-        return q[keep], p[keep], size
-
-    return _rejection_rows(count, draw, "qp")
-
-
 def _sample_sphere(
     rng: np.random.Generator, n: int, count: int, *, min_pole_distance: float = 0.05,
     unit_covector: bool = False,
@@ -327,10 +306,17 @@ def _suite_stereo_canonical(n: int, samples: int, seed: int) -> _Defects:
     return _symplectic_suite(flat_to_sphere(n), PlaneCotangentPoint, *rows)
 
 
+def _canonicity_rows(n: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bound rows (q, p) for the FD canonicity suites, whose roundoff floor scales
+    with the coordinates and map values: H in [-1, -0.8], away from H -> 0 where
+    the Ligon-Schaaf covector 1/sqrt(-2H) blows up, and base points in the southern
+    hemisphere (|q| >= a), so |q| lies in [0.5, 1.25) and |p| <= sqrt(2)."""
+    return _bound_rows(n, samples, seed, min_energy=-1.0, max_energy=-0.8, pole_gap=math.sqrt(2.0))
+
+
 def _suite_moser_symplectic(n: int, samples: int, seed: int) -> _Defects:
     """Symplectic defect of the Moser map via finite differences."""
-    rows = _sample_phase_compact(np.random.default_rng(seed), n, samples)
-    return _symplectic_suite(flat_moser_map(n), PhasePoint, *rows)
+    return _symplectic_suite(flat_moser_map(n), PhasePoint, *_canonicity_rows(n, samples, seed))
 
 
 def _suite_fibration_scale(n: int, samples: int, seed: int) -> _Defects:
@@ -372,14 +358,8 @@ def _suite_moser_levelset(n: int, samples: int, seed: int) -> _Defects:
 
 
 def _suite_ls_symplectic(n: int, samples: int, seed: int) -> _Defects:
-    """Symplectic defect of the Ligon-Schaaf map via finite differences.
-
-    The map is singular as H -> 0 (the covector norm 1/sqrt(-2H) blows
-    up), so the compact sampler keeps the energy well inside the bound
-    region.
-    """
-    rows = _sample_phase_compact(np.random.default_rng(seed), n, samples)
-    return _symplectic_suite(flat_ls_map(n), PhasePoint, *rows)
+    """Symplectic defect of the Ligon-Schaaf map via finite differences."""
+    return _symplectic_suite(flat_ls_map(n), PhasePoint, *_canonicity_rows(n, samples, seed))
 
 
 # ls-roundtrip's tolerance, which also scales its root residuals.
@@ -398,7 +378,7 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int) -> _Defects:
     scale = _LS_ROUNDTRIP_TOL / _ROOT_TOL
     qs, ps = _bound_rows(n, samples, seed)
     spheres = _sample_sphere(np.random.default_rng(seed + 1), n, samples)
-    r, s, at_puncture = _ls_map_rows(qs, ps)
+    r, s, _ = _ls_map_rows(qs, ps)
     us, vs = (np.concatenate(pair) for pair in zip((r, s), spheres))
     q_back, p_back, puncture = _ls_inverse_rows(us, vs)
     m = samples
@@ -420,8 +400,7 @@ def _suite_ls_roundtrip(n: int, samples: int, seed: int) -> _Defects:
     def sample(k: int):
         if not puncture[k]:
             return phase(k) if k < m else sphere(k)
-        sp = SphereCotangentPoint._from_checked(us[k], vs[k], bool(k < m and at_puncture[k]))
-        return f"unexpected puncture at {_where(sp)}"
+        return f"unexpected puncture at {_where(SphereCotangentPoint._from_checked(us[k], vs[k]))}"
 
     return defects.tolist(), sample
 

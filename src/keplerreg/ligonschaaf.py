@@ -83,11 +83,10 @@ def ls_map(point: PhasePoint) -> SphereCotangentPoint:
     The output satisfies |r| = 1, r.s = 0 and |s| = 1/sqrt(-2H), so the
     Delaunay energy -1/(2 s.s) of the image equals the Kepler energy of
     the input.  Points landing within 1e-10 of the polar fiber
-    (collision completion points) are returned with ``at_puncture`` set
+    (collision completion points) are returned, ``at_puncture`` true,
     rather than rejected; only the inverse map must refuse them.
     """
-    r, s, at_puncture = _ls_map_rows(point.q, point.p)
-    return SphereCotangentPoint._from_checked(r, s, bool(at_puncture))
+    return SphereCotangentPoint._from_checked(*_ls_map_rows(point.q, point.p)[:2])
 
 
 def angle_equation(theta, r_last, s_last):

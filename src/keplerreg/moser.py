@@ -84,7 +84,7 @@ def scale_sphere(sp: SphereCotangentPoint, rho: float) -> SphereCotangentPoint:
     """Scale action on the sphere side: u -> u, v -> rho v."""
     if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
-    return SphereCotangentPoint(sp.u, rho * sp.v, at_puncture=sp.at_puncture)
+    return SphereCotangentPoint(sp.u, rho * sp.v)
 
 
 def to_reference_shell(point: PhasePoint) -> PhasePoint:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from keplerreg import PhasePoint, kepler_energy, scale_phase
+from keplerreg import PhasePoint, core, harness, kepler_energy, scale_phase
 
 settings.register_profile("det", deadline=None, derandomize=True, max_examples=60)
 settings.load_profile("det")
@@ -27,6 +27,20 @@ def circular():
 def rectilinear():
     """Radial free-fall orbit: H = -1, collides at t = pi/(2 sqrt 2)."""
     return PhasePoint([1.0, 0.0], [0.0, 0.0])
+
+
+@pytest.fixture
+def bound_draws_give_up(monkeypatch):
+    """The harness's bound-state draws hand the real rejection loop rounds that keep
+    nothing, so every suite drawing bound states gives up by its limit and message."""
+
+    def never_kept(n, count, seed, **ranges):
+        empty = np.empty((0, n))
+        return core._rejection_rows(
+            count, lambda missing: (empty, empty, max(2 * missing, 256)), "qp"
+        )
+
+    monkeypatch.setattr(harness, "_bound_rows", never_kept)
 
 
 def max_abs(*arrays) -> float:

@@ -29,7 +29,7 @@ import keplerreg as kr
 import mp_reference as ref
 from keplerreg.cli import main as cli_main
 from keplerreg.harness import (
-    _sample_phase_compact,
+    _canonicity_rows,
     _sample_plane,
     flat_ls_map,
     flat_moser_map,
@@ -54,15 +54,15 @@ def test_01_stereo_roundtrip_and_metric():
     assert report("01 stereo round trip + metric", ok, f"max defect {worst:.3e} <= 1e-12")
 
 
-def _plane_samples(rng, n, count):
+def _plane_samples(n, count, seed):
     """Flat (x, y) samples drawn as the stereo-canonical suite draws them."""
-    return np.concatenate(_sample_plane(rng, n, count, box=0.8), axis=1)
+    return np.concatenate(_sample_plane(np.random.default_rng(seed), n, count, box=0.8), axis=1)
 
 
-def _phase_samples(rng, n, count):
+def _phase_samples(n, count, seed):
     """Flat (q, p) samples drawn as the Moser and Ligon-Schaaf canonicity
     suites draw them."""
-    return np.concatenate(_sample_phase_compact(rng, n, count), axis=1)
+    return np.concatenate(_canonicity_rows(n, count, seed), axis=1)
 
 
 # Criterion 02 per suite: its samples, the program's flat map and the
@@ -88,7 +88,7 @@ def test_02_canonicity_at_pinned_step():
         exact[name] = double[name] = 0.0
         for n in (2, 3):
             fn = flat_map(n)
-            for z in draw(np.random.default_rng(seed), n, samples):
+            for z in draw(n, samples, seed):
                 columns = []
                 for z_plus, z_minus, span in ref.stencil(z, h):
                     f_plus = ref.evaluate(ref_map, n, z_plus)

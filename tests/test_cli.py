@@ -117,6 +117,22 @@ class TestMapCommand:
         assert float(record["delaunay_energy"]) == delaunay_energy(sp)
         assert record["at_puncture"] == ("true" if sp.at_puncture else "false")
 
+    def test_an_image_next_to_the_pole_is_at_the_puncture(self, capsys):
+        # u_(n+1) = 1 - 2e-12: within 1e-10 of the pole
+        argv = ["map", "--which", "moser", "--q", "1e-6,0", "--p", "1e6,0"]
+        code, out, err = run_cli(argv, capsys)
+        record = dict(line.split(" = ") for line in out.strip().splitlines())
+        assert (code, err, record["at_puncture"]) == (0, "", "true")
+
+    # numpy's overflow warnings stay out of stderr: the row check names the failure
+    @pytest.mark.parametrize("which, message", [
+        ("moser", "u must have finite entries"),
+        ("fibration", "H must be negative for the fibration, got H = inf"),
+    ])
+    def test_an_overflowing_input_writes_only_its_error_line(self, which, message, capsys):
+        argv = ["map", "--which", which, "--q", "1e300,1e-160", "--p", "1e160,-1e160"]
+        assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
+
     def test_ls_inverse_missing_vectors(self, capsys):
         code, out, err = run_cli(["map", "--which", "ls-inverse", "--u", "0,0,1"], capsys)
         assert (code, out) == (1, "")
@@ -443,9 +459,11 @@ class TestVerifyCommand:
             for k, d in enumerate(defects) if d == max(defects)
         )
 
-    # no draw meets the compact sampler's energy window at n = 60 before it gives up
+    # no round of the bound-state draw keeps a row, so its rejection loop gives up
     @pytest.mark.parametrize("suite, n, samples", [("moser-symplectic", 60, 5)])
-    def test_a_sampler_that_gives_up_reports_and_exits_2(self, suite, n, samples, capsys):
+    def test_a_sampler_that_gives_up_reports_and_exits_2(
+        self, suite, n, samples, capsys, bound_draws_give_up
+    ):
         argv = ["verify", "--suite", suite, "--n", str(n), "--samples", str(samples)]
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, f"{suite},{samples},inf,fail\n")

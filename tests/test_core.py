@@ -107,6 +107,16 @@ class TestSphereCotangentPoint:
         zero = SphereCotangentPoint([1, 0, 0], [0, 0, 0])
         assert not zero.off_zero_section()
 
+    @pytest.mark.parametrize("u, v, puncture", [
+        ([0, 1], [1, 0], True),  # a constructed point on the pole
+        ([0, -1], [1, 0], False),
+        ([2e-6, 1 - 2e-12], [1, -2e-6], True),  # within 1e-10 of the pole
+    ])
+    def test_at_puncture_is_read_from_u(self, u, v, puncture):
+        sp = SphereCotangentPoint(u, v)
+        assert sp.at_puncture is puncture is not sp.off_pole()
+        assert "at_puncture" not in repr(sp)
+
     def test_custom_tolerance(self):
         u = np.array([0.0, 0.0, 1.0 + 5e-9])
         with pytest.raises(DomainError):
@@ -300,6 +310,23 @@ class TestSampleBoundStates:
             assert np.linalg.norm(lenz_vector(pt)) <= 0.6
             gap = 2.0 - pt.radius * float(pt.p @ pt.p)
             assert 2.0 * gap >= 0.05**2
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_canonicity_filters_respected(self, n):
+        # the moser-symplectic and ls-symplectic draw: H in [-1, -0.8] and a pole
+        # gap of sqrt 2, so every base point lies in the southern hemisphere
+        qs, ps = harness._canonicity_rows(n, 2000, 3)
+        again = core._bound_rows(n, 2000, 3, min_energy=-1.0, max_energy=-0.8, pole_gap=2**0.5)
+        assert qs.tobytes() == again[0].tobytes() and ps.tobytes() == again[1].tobytes()
+        assert qs.shape == ps.shape == (2000, n)
+        energy = kernels._energy(qs, ps)
+        assert np.all((-1.0 - 1e-12 <= energy) & (energy <= -0.8 + 1e-12))
+        assert np.all(kernels._fibration_rows(qs, ps)[0][:, -1] <= 0.0)
+        # so |q| >= a = -1/(2H) >= 0.5, |q| < 2a <= 1.25 and |p|^2 <= 1/a <= 2
+        radius = np.linalg.norm(qs, axis=1)
+        assert np.all((0.5 - 1e-12 <= radius) & (radius < 1.25 + 1e-12))
+        assert np.all(np.linalg.norm(ps, axis=1) <= 2**0.5 + 1e-12)
+        assert np.all(np.abs((qs / radius[:, None]).mean(axis=0)) < 0.06)
 
     @pytest.mark.parametrize(
         "n, count, kwargs, message",

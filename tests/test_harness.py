@@ -150,7 +150,7 @@ class TestRaisingSuite:
         assert report.tolerance == report.failures[0].tolerance == tolerance
         assert report.line() == f"{name},{samples},inf,fail"
 
-    def test_a_sampler_that_gives_up(self):
+    def test_a_sampler_that_gives_up(self, bound_draws_give_up):
         self._check_reported("moser-symplectic", 60, 5, 42, RuntimeError)
 
     def test_a_domain_error_inside_a_suite(self, monkeypatch):

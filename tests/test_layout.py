@@ -207,7 +207,6 @@ def test_one_rejection_loop():
                 callers.add((name, node.name))
     assert callers == {
         ("core", "_bound_rows"),
-        ("harness", "_sample_phase_compact"),
         ("harness", "_sample_sphere"),
         ("harness", "_suite_lenz_brackets"),
     }

@@ -38,7 +38,6 @@ from keplerreg import (
     to_sphere,
 )
 from keplerreg.harness import SUITE_NAMES, flat_ls_map, flat_moser_map, flat_to_sphere
-from keplerreg.kernels import _energy
 from keplerreg.ligonschaaf import _ROOT_TOL, _ls_map_rows
 from keplerreg.moser import _chart_hamiltonians, _fibration_rows
 from keplerreg.symmetry import _central_differences
@@ -530,16 +529,3 @@ def test_sphere_rows_meet_every_filter(n, options):
         assert np.any(speed < 2.9)
     # the base point's direction is uniform off the cap: its first n entries have mean 0
     assert np.all(np.abs(u[:, :-1].mean(axis=0)) < 0.06)
-
-
-@pytest.mark.parametrize("n", [1, 2, 8])
-def test_compact_rows_meet_every_filter(n):
-    q, p = harness._sample_phase_compact(np.random.default_rng(3), n, 2000)
-    assert q.shape == p.shape == (2000, n)
-    radius = np.linalg.norm(q, axis=1)
-    assert np.all((0.5 - 1e-12 <= radius) & (radius < 1.1 + 1e-12))
-    assert np.all(np.abs(p) <= 0.6)
-    # the energy filter ran on these very rows, so its window holds exactly
-    energy = _energy(q, p)
-    assert np.all((-1.8 <= energy) & (energy <= -0.5))
-    assert np.all(np.abs((q / radius[:, None]).mean(axis=0)) < 0.06)

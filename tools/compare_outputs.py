@@ -18,13 +18,11 @@ path with ``<tree>``.  The cases:
   one ``propagate ... --out-dir`` call on all of its scenario files;
 - ``verify --suite all --n N --seed S`` for n = 1..4 and seeds 0, 23, 42,
   and for n = 5..7 at seed 23, where the samplers draw many rounds;
-- two runs above n = 7 with 50 samples, where every suite draws its
-  samples: ``verify --suite "so(n+1)-brackets" --n 8 --seed 42`` and
-  ``verify --suite all --n 9 --seed 23``, and ``verify --suite metric
-  --n 12 --seed 42`` with 500 samples, whose metric values reach thousands;
-- a sampler that gives up: ``verify --suite moser-symplectic --n 60
-  --samples 5``, whose compact sampler's momentum box rarely meets its
-  energy window there;
+- runs above n = 7, where every suite draws its samples: ``verify --suite
+  "so(n+1)-brackets" --n 8 --seed 42`` and ``verify --suite all --n 9
+  --seed 23`` with 50 samples, ``verify --suite metric --n 12 --seed 42``
+  with 500 samples, whose metric values reach thousands, and ``verify
+  --suite moser-symplectic --n 60 --samples 5 --seed 42``;
 - ``map`` with each ``--which`` choice, and README's two ``map`` examples;
 - the output-target errors, an invalid scenario, an unknown suite and
   ``verify --n 0``;
@@ -76,8 +74,10 @@ VERIFY_DIMS = (1, 2, 3, 4)
 VERIFY_SEEDS = (0, 23, 42)
 VERIFY_MANY_ROUNDS = (5, 6, 7)  # at seed 23
 # suite, n, samples, seed: runs above n = 7, where every suite draws its samples
-HIGH_N = (("so(n+1)-brackets", 8, 50, 42), ("all", 9, 50, 23), ("metric", 12, 500, 42))
-GIVE_UP = ("moser-symplectic", 60, 5)  # suite, n, samples
+HIGH_N = (
+    ("so(n+1)-brackets", 8, 50, 42), ("all", 9, 50, 23), ("metric", 12, 500, 42),
+    ("moser-symplectic", 60, 5, 42),
+)
 MAP_INPUTS = {
     "moser": ["--q", "0.3,-1.2,0.5", "--p", "0.4,0.2,-0.7"],
     "moser-inverse": ["--u", "0.6,0,0.8", "--v", "0,0.5,0"],
@@ -121,9 +121,6 @@ def cases(inputs: Path) -> list[tuple[str, list[str]]]:
         found.append((f"verify {suite} n {n} samples {samples} seed {seed}",
                       ["verify", "--suite", suite, "--n", str(n), "--samples", str(samples),
                        "--seed", str(seed)]))
-    suite, n, samples = GIVE_UP
-    found.append((f"give up: {suite} n {n}",
-                  ["verify", "--suite", suite, "--n", str(n), "--samples", str(samples)]))
     for which, point in MAP_INPUTS.items():
         found.append((f"map {which}", ["map", "--which", which, *point]))
     for k, argv in enumerate(README_MAP_EXAMPLES, start=1):

@@ -220,6 +220,7 @@ def _cmd_map(args, out) -> int:
 # propagate subcommand
 
 
+@functools.cache
 def _csv_header(n: int) -> str:
     pairs = zip(*(index.tolist() for index in _integral_pairs(n)))
     momenta = [f"K{i + 1}" if j == n else f"L{i + 1}{j + 1}" for i, j in pairs]

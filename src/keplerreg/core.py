@@ -20,7 +20,9 @@ from .kernels import (
     DomainError,
     _check_rows,
     _energy,
+    _frames,
     _on_pole,
+    _radius,
     _upper_pairs,
     _wedge_entries,
 )
@@ -80,7 +82,7 @@ class PhasePoint(_Point):
     @property
     def radius(self) -> float:
         """|q|, the distance from the collision point."""
-        return math.sqrt(np.vecdot(self.q, self.q))
+        return float(_radius(self.q, None))
 
     def is_bound(self) -> bool:
         """True off the collision set with negative energy (bound motion)."""
@@ -249,10 +251,11 @@ def _bound_rows(
     """Rows (q, p) of shape (count, n) of bound states from orbital elements
     (Danby 1988, ch. 6), checked as points are: H uniform on [min_energy,
     max_energy), e on [0, max_eccentricity) (1 at n = 1: radial orbits), the
-    eccentric anomaly E on [-pi, pi), and the plane's frame (P, Q) the Q factor
-    of an n x 2 Gaussian.  With a = -1/(2H), b = sqrt(1 - e^2): q = a (cos E - e) P
-    + a b sin E Q, p = sqrt(a) (b cos E Q - sin E P) / |q|.  Kept are the states
-    with |q| >= 0.1 whose sphere base point is pole_gap or more from the pole."""
+    eccentric anomaly E on [-pi, pi), and the plane's frame (P, Q) the two-pass
+    Gram-Schmidt frame of an n x 2 Gaussian (``_frames``; P alone at n = 1).
+    With a = -1/(2H), b = sqrt(1 - e^2): q = a (cos E - e) P + a b sin E Q,
+    p = sqrt(a) (b cos E Q - sin E P) / |q|.  Kept are the states with |q| >= 0.1
+    whose sphere base point is pole_gap or more from the pole."""
     for ok, message in (
         (n >= 1, "n must be >= 1"),
         (count >= 1, "count must be >= 1"),
@@ -271,18 +274,20 @@ def _bound_rows(
         a = -0.5 / rng.uniform(min_energy, max_energy, size)
         e = rng.uniform(0.0, max_eccentricity, size) if n > 1 else np.ones(size)
         anomaly = rng.uniform(-np.pi, np.pi, size)
-        frame, tri = np.linalg.qr(rng.standard_normal((size, n, 2)))
-        # R's diagonal made positive, so the frame is uniform; P alone at n = 1, where b = 0
-        frame = frame * np.sign(np.diagonal(tri, axis1=-2, axis2=-1))[:, None, :]
+        # one column at n = 1, where b = 0
+        frame = _frames(rng.standard_normal((size, n, 2)))
         cos, sin, b = np.cos(anomaly), np.sin(anomaly), np.sqrt(1.0 - e * e)
         q = (a * (cos - e))[:, None] * frame[..., 0] + (a * b * sin)[:, None] * frame[..., -1]
         # p only where |q| >= 0.1: nearer the origin a (1 - e cos E) may round to 0
-        far = np.linalg.norm(q, axis=1) >= _MIN_RADIUS
-        a, e, b, cos, sin, frame, q = (x[far] for x in (a, e, b, cos, sin, frame, q))
+        radius = np.linalg.norm(q, axis=1)
+        far = radius >= _MIN_RADIUS
+        a, e, b, cos, sin, frame, q, radius = (
+            x[far] for x in (a, e, b, cos, sin, frame, q, radius)
+        )
         speed = np.sqrt(a) / (a * (1.0 - e * cos))
         p = (speed * -sin)[:, None] * frame[..., 0] + (speed * b * cos)[:, None] * frame[..., -1]
         # the base point's squared distance to the pole is 2 (2 - |q| p.p)
-        keep = 2.0 * (2.0 - np.linalg.norm(q, axis=1) * np.sum(p**2, axis=1)) >= pole_gap**2
+        keep = 2.0 * (2.0 - radius * np.sum(p**2, axis=1)) >= pole_gap**2
         return q[keep], p[keep], size
 
     return _rejection_rows(count, draw, "qp")

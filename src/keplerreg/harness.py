@@ -47,6 +47,7 @@ from .kernels import (
     _energy,
     _extended_rows,
     _fibration_rows,
+    _frames,
     _integral_pairs,
     _integral_rows,
     _lift,
@@ -409,9 +410,8 @@ def _suite_ls_equivariance(n: int, samples: int, seed: int) -> _Defects:
     """Equivariance under rotations of R^n extended by a fixed last axis."""
     rng = np.random.default_rng(seed + 7)
     qs, ps = _bound_rows(n, samples, seed)
-    # Q factors of Gaussian matrices, signs fixed by diag(R), det(Q) made +1
-    rot, tri = np.linalg.qr(rng.standard_normal((samples, n, n)))
-    rot = rot * np.sign(np.diagonal(tri, axis1=-2, axis2=-1))[:, None, :]
+    # Haar frames of Gaussian matrices, det made +1
+    rot = _frames(rng.standard_normal((samples, n, n)))
     rot[np.linalg.det(rot) < 0.0, :, 0] *= -1.0
     rot_ext = np.pad(rot, ((0, 0), (0, 1), (0, 1)))
     rot_ext[:, n, n] = 1.0
@@ -624,11 +624,11 @@ def run_suite(name: str, n: int, samples: int, seed: int) -> SuiteReport:
         # one failed sample, named by the error
         error = str(exc)
         defects, sample = [math.inf], lambda k: error
+    values = np.asarray(defects, dtype=float)
     failures = sorted(
         (
-            Failure(where=_where(sample(k)), observed=d, expected=0.0, tolerance=tolerance)
-            for k, d in enumerate(defects)
-            if not d <= tolerance
+            Failure(_where(sample(k)), observed=defects[k], expected=0.0, tolerance=tolerance)
+            for k in np.flatnonzero(~(values <= tolerance))
         ),
         key=lambda f: (-math.inf if math.isnan(f.observed) else -f.observed, f.where),
     )
@@ -638,6 +638,6 @@ def run_suite(name: str, n: int, samples: int, seed: int) -> SuiteReport:
         samples=samples,
         seed=seed,
         tolerance=tolerance,
-        max_defect=float(np.max(defects, initial=0.0)),
+        max_defect=float(np.max(values, initial=0.0)),
         failures=tuple(failures),
     )

@@ -38,8 +38,7 @@ def _check_rows(a: np.ndarray, b: np.ndarray, names: str):
             failed = bad.any()
             if failed and label == "|u.v|":
                 # v.v underflows below |v| ~ 1e-154: measure v again, scaled exactly by 2^-exp
-                exp = np.frexp(np.max(np.abs(b), axis=-1))[1]
-                scaled = np.ldexp(b, -exp[..., None])
+                scaled, exp = _scaled(b)
                 length = np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), exp)
                 bound = _CONSTRAINT_TOL * np.minimum(1.0, length)
                 bad = defect > bound
@@ -48,6 +47,13 @@ def _check_rows(a: np.ndarray, b: np.ndarray, names: str):
                 bound = np.broadcast_to(bound, bad.shape)[bad][0]
                 raise DomainError(f"{label} = {defect[bad][0]:.3e} exceeds {bound:.3g}; {meaning}")
     return a, b
+
+
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x 2^-exp, exp) over (..., k) arrays, exp that of each row's largest entry
+    (0 for a zero row): the scaled row's x.x neither underflows nor overflows."""
+    exp = np.frexp(np.max(np.abs(x), axis=-1))[1]
+    return np.ldexp(x, -exp[..., None]), exp
 
 
 def _on_pole(u: np.ndarray) -> np.ndarray:
@@ -72,9 +78,30 @@ def _bound_root(energy: np.ndarray, suffix: str = "") -> np.ndarray:
     return np.sqrt(-2.0 * energy)
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _radius(q: np.ndarray, message: str | None) -> np.ndarray:
+    """|q| over (..., n) arrays, with DomainError(message) where q.q = 0 (the collision,
+    also where q.q underflows to 0) unless message is None, which gives 0 there.  A row
+    whose q.q is subnormal is measured again, scaled exactly by 2^-exp, so its radius
+    keeps full precision."""
+    q2 = np.vecdot(q, q)
+    radius = np.sqrt(q2)
+    small = q2 < _TINY
+    if np.count_nonzero(small):
+        if message is not None:
+            _nonzero_squares(q[small], message)
+        small &= q2 > 0.0
+        scaled, exp = _scaled(q[small])
+        radius = np.array(radius)
+        radius[small] = np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), exp)
+    return radius
+
+
 def _inverse_radius(q: np.ndarray, what: str) -> np.ndarray:
     """1/|q| over (..., n) arrays; DomainError at q = 0, where ``what`` is undefined."""
-    return 1.0 / np.sqrt(_nonzero_squares(q, f"q must be nonzero ({what} undefined at collision)"))
+    return 1.0 / _radius(q, f"q must be nonzero ({what} undefined at collision)")
 
 
 def _energy(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -191,7 +218,7 @@ def _fibration_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
     """``moser_fibration`` of one point (n,) or rows (m, n), with its checks on
     every row: (u, v, w) with w = sqrt(-2H).  p.p and 1/|q| are taken once."""
     _check_rows(q, p, "qp")
-    r = np.sqrt(_nonzero_squares(q, "q must be nonzero (collision point)"))
+    r = _radius(q, "q must be nonzero (collision point)")
     p2 = np.vecdot(p, p)
     w = _bound_root(_energy_of(p2, 1.0 / r), " for the fibration")
     qp = np.vecdot(q, p)
@@ -253,3 +280,19 @@ def _delaunay_flow_rows(u: np.ndarray, v: np.ndarray, t: np.ndarray) -> tuple[np
     v_new = rho * (w / np.sqrt(np.vecdot(w, w))[..., None])
     _check_rows(u_new, v_new, "uv")
     return u_new, v_new, _on_pole(u_new)
+
+
+def _frames(g: np.ndarray) -> np.ndarray:
+    """Orthonormal columns (..., n, min(n, k)) of Gaussian stacks g (..., n, k) by
+    classical Gram-Schmidt with one re-orthogonalization pass ("twice is enough"):
+    in exact arithmetic the Q factor of g with R's diagonal positive, so each frame
+    of a Gaussian g is Haar distributed."""
+    frame: list[np.ndarray] = []
+    for column in np.moveaxis(g, -1, 0)[: min(g.shape[-2:])]:
+        for _ in range(2):
+            # classical: every coefficient is taken before any projection is removed
+            coefficients = [np.vecdot(done, column) for done in frame]
+            for c, done in zip(coefficients, frame):
+                column = column - c[..., None] * done
+        frame.append(column / np.sqrt(np.vecdot(column, column))[..., None])
+    return np.stack(frame, axis=-1)

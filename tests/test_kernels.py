@@ -13,9 +13,11 @@ from keplerreg import (
     angular_momentum,
     angular_momentum_field,
     chart_hamiltonians,
+    core,
     delaunay_energy,
     delaunay_flow,
     extended_momentum,
+    harness,
     kepler_energy,
     kepler_vector_field,
     lenz_field,
@@ -37,6 +39,7 @@ from keplerreg.kernels import (
     _energy,
     _extended_rows,
     _fibration_rows,
+    _frames,
     _integral_rows,
     _lenz,
     _lift,
@@ -272,3 +275,87 @@ def test_a_short_covector_is_measured_past_the_underflow_of_v_dot_v():
     # a short v off the tangent space is still rejected, at 1e-10 of its length
     with pytest.raises(DomainError, match=r"\|u\.v\| = 1\.000e-200 exceeds 1\.6e-210;"):
         _check_rows(u[0], np.array([0.0, 1e-200, 1.25e-200]), "uv")
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_short_position_is_measured_past_the_underflow_of_q_dot_q():
+    # q.q = 1e-320 is subnormal: |q| read from it was 9.99994e-161, and H 5.6e-6 off
+    pt = PhasePoint([1e-160, 0.0], [0.0, 0.0])
+    assert pt.radius == 1e-160
+    assert abs(kepler_energy(pt) + 1e160) <= 2.0 * np.spacing(1e160)
+    # at rest, so K = -q/|q| and the base point is the south pole
+    assert np.array_equal(lenz_vector(pt), [-1.0, 0.0])
+    assert np.array_equal(moser_fibration(pt).u, [0.0, 0.0, -1.0])
+    # rows of every size at once; q.q = 0 is still the collision, and its message
+    q = np.array([[3e-160, 4e-160], [3.0, 4.0], [0.0, 1e-161]])
+    radius = -1.0 / _energy(q, np.zeros_like(q))
+    assert np.allclose(radius, [5e-160, 5.0, 1e-161], rtol=4.0 * np.finfo(float).eps, atol=0.0)
+    for q in ([1e-170, 0.0], [0.0, 0.0]):
+        assert PhasePoint(q, [0.0, 1.0]).radius == 0.0
+        with pytest.raises(DomainError, match=r"^q must be nonzero \(energy undefined"):
+            _energy(np.array(q), np.array([0.0, 1.0]))
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _qr_frames(g: np.ndarray) -> np.ndarray:
+    """LAPACK's Q factor of each stack of g, R's diagonal made positive."""
+    frame, tri = np.linalg.qr(g)
+    return frame * np.sign(np.diagonal(tri, axis1=-2, axis2=-1))[..., None, :]
+
+
+def _orthonormality_defect(frame: np.ndarray) -> float:
+    """max |F^T F - I| over stacks of frames (..., n, m)."""
+    return float(np.max(np.abs(np.swapaxes(frame, -1, -2) @ frame - np.eye(frame.shape[-1]))))
+
+
+@pytest.mark.parametrize("square", [False, True], ids=["k=2", "k=n"])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_frames_are_the_sign_fixed_q_factor(n, square):
+    k = n if square else 2
+    g = np.random.default_rng(n).standard_normal((10_000, n, k))
+    frame = _frames(g)
+    assert frame.shape == (10_000, n, min(n, k))
+    assert _orthonormality_defect(frame) <= 8.0 * _EPS
+    assert np.max(np.abs(frame - _qr_frames(g))) <= 1e-11
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-8, 1e-11])
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+def test_frames_of_nearly_parallel_columns(n, gap):
+    # the second column leaves the first's direction by gap |g0|: condition number ~ 1/gap
+    rng = np.random.default_rng(n)
+    g0, w = rng.standard_normal((2, 10_000, n))
+    w -= np.vecdot(w, g0)[:, None] * g0 / np.vecdot(g0, g0)[:, None]
+    w *= (gap * np.linalg.norm(g0, axis=1) / np.linalg.norm(w, axis=1))[:, None]
+    g = np.stack([g0, g0 + w], axis=-1)
+    frame = _frames(g)
+    assert _orthonormality_defect(frame) <= 8.0 * _EPS
+    # g = F R with R upper triangular and its diagonal positive, as the sign-fixed Q's
+    tri = np.swapaxes(frame, -1, -2) @ g
+    assert np.max(np.abs(tri[:, 1, 0]) / np.linalg.norm(g0, axis=1)) <= 4.0 * _EPS
+    assert np.all(np.diagonal(tri, axis1=-2, axis2=-1) > 0.0)
+
+
+# the bound-state draw of each range set the suites use
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda n, seed: core._bound_rows(n, 500, seed),
+        lambda n, seed: harness._canonicity_rows(n, 500, seed),
+        lambda n, seed: harness._flow_rows(n, 500, seed),
+        lambda n, seed: core._bound_rows(n, 500, seed, min_energy=-2.0, max_energy=-0.2),
+    ],
+    ids=["default", "canonicity", "flow", "brackets"],
+)
+def test_gram_schmidt_frames_keep_the_qr_draw(draw, monkeypatch):
+    # the frames move the rows by rounding only, and no filter decides otherwise
+    rows = {(n, seed): draw(n, seed) for n in range(1, 9) for seed in range(50)}
+    monkeypatch.setattr(core, "_frames", _qr_frames)
+    for (n, seed), (qs, ps) in rows.items():
+        qr_qs, qr_ps = draw(n, seed)
+        assert qs.shape == ps.shape == qr_qs.shape == qr_ps.shape == (500, n)
+        scale = max(np.max(np.abs(qr_qs)), np.max(np.abs(qr_ps)))
+        error = max(np.max(np.abs(qs - qr_qs)), np.max(np.abs(ps - qr_ps)))
+        assert error <= 1e-12 * scale, (n, seed)

@@ -29,9 +29,11 @@ _KERNELS = (
     "DomainError",
     "_CONSTRAINT_TOL",
     "_check_rows",
+    "_scaled",
     "_on_pole",
     "_nonzero_squares",
     "_bound_root",
+    "_radius",
     "_inverse_radius",
     "_energy",
     "_energy_of",
@@ -53,6 +55,7 @@ _KERNELS = (
     "_integral_rows",
     "_sphere_integral_rows",
     "_extended_rows",
+    "_frames",
 )
 
 # The one test of each singular set, and the kernel that owns it: x.x = 0
@@ -213,6 +216,16 @@ def test_one_rejection_loop():
     source = "".join(path.read_text() for path in sorted(_PACKAGE.glob("*.py")))
     assert source.count("rejection sampling failed") == 1
     assert source.count("20_000") == 1
+
+
+def test_no_lapack_qr():
+    # every Haar frame comes from kernels._frames, two-pass Gram-Schmidt
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "qr", (name, node.lineno)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                assert "qr" not in {alias.name for alias in node.names}, (name, node.lineno)
 
 
 def _own_returns(function: ast.FunctionDef) -> list[ast.Return]:

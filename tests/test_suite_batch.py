@@ -38,6 +38,7 @@ from keplerreg import (
     to_sphere,
 )
 from keplerreg.harness import SUITE_NAMES, flat_ls_map, flat_moser_map, flat_to_sphere
+from keplerreg.kernels import _frames
 from keplerreg.ligonschaaf import _ROOT_TOL, _ls_map_rows
 from keplerreg.moser import _chart_hamiltonians, _fibration_rows
 from keplerreg.symmetry import _central_differences
@@ -353,8 +354,7 @@ def _oracle_ls_equivariance(n, samples, seed):
     rng = np.random.default_rng(seed + 7)
     defects = []
     for pt in sample_bound_states(n, samples, seed):
-        rot, tri = np.linalg.qr(rng.standard_normal((n, n)))
-        rot = rot * np.sign(np.diag(tri))
+        rot = _frames(rng.standard_normal((n, n)))
         if np.linalg.det(rot) < 0.0:
             rot[:, 0] = -rot[:, 0]
         rotated = ls_map(PhasePoint(rot @ pt.q, rot @ pt.p))
